@@ -4,12 +4,14 @@ Decoding is plain next-token prediction from the begin sentinel onward;
 no sampling machinery is involved. Beam search keeps finished hypotheses
 in a separate pool scored by sum-log-probability divided by the length
 penalty ((5 + len) / 6) ** alpha, and stops once no live beam could still
-beat the best finished hypothesis at its current length. Each step
-recomputes the decoder on the full prefix, which is fine at desk scale.
+beat the best finished hypothesis at its current length.
 
 Both searches run against a step scorer (prefix ids -> next-token log
-probabilities), so tests can drive them with arbitrary toy models; the
-transformer adapter precomputes encoder states once per batch.
+probabilities), so tests can drive them with arbitrary toy models. The
+transformer adapter decodes incrementally: it computes the encoder states
+and cross-attention keys/values once per batch, keeps a self-attention
+key/value cache across calls, and so projects one new position per row
+and step instead of the whole prefix.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .data import BOS_ID, EOS_ID
-from .model import ModelConfig, ModelParams, decode_step_logits, embed_targets, encode
-from .tensor import constant, no_grad
+from .model import (
+    ModelConfig,
+    ModelParams,
+    decode_step_logits,
+    decoder_cache,
+    embed_targets,
+    encode,
+)
+from .tensor import no_grad
 
 
 class DecodeError(ValueError):
@@ -81,17 +90,36 @@ def transformer_scorer(
     source: np.ndarray,
     source_mask: np.ndarray,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V]."""
+    """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V].
+
+    Encoder states and every layer's cross-attention keys/values are
+    computed once here. Each call finds every row's parent among the
+    previous call's rows, keyed by (source row, prefix[:-1]), gathers the
+    self-attention cache in that order and decodes only the newest
+    position; that one gather follows greedy's shrinking alive set and
+    beam reordering alike. A call in which some row has no parent (the
+    first step, or a caller that jumps) decodes its full prefixes from an
+    empty cache through the same step function.
+    """
     with no_grad():
         enc = encode(params, config, source, source_mask)
-    enc_states = enc.data
+    empty = decoder_cache(params, config, enc)
+    cache = empty
+    index: dict[tuple[int, bytes], int] = {}  # (source row, prefix) -> row of ``cache``
 
     def step(prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        with no_grad():
-            emb = embed_targets(params, prefixes)
-            logits = decode_step_logits(
-                params, config, emb, constant(enc_states[rows]), source_mask[rows]
-            )
+        nonlocal cache, index
+        parents = [index.get((int(r), p[:-1].tobytes()), -1) for r, p in zip(rows, prefixes)]
+        if -1 in parents:
+            cache, new = empty.take(rows), prefixes
+        else:
+            if parents != list(range(len(index))):
+                cache = cache.take(np.array(parents))
+            new = prefixes[:, -1:]
+        logits = decode_step_logits(
+            params, config, embed_targets(params, new), None, source_mask[rows], cache=cache
+        )
+        index = {(int(r), p.tobytes()): i for i, (r, p) in enumerate(zip(rows, prefixes))}
         return _log_softmax(logits.data[:, -1, :])
 
     return step

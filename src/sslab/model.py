@@ -13,6 +13,7 @@ small). Each full pass consumes one named dropout stream.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -220,18 +221,29 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(transpose(x, (0, 2, 1, 3)), (b, t, n * d))
 
 
+def _project_kv(params: ModelParams, prefix: str, keys_values: Tensor) -> tuple[Tensor, Tensor]:
+    """Per-head keys and values [B, heads, t, head_dim] of one attention block."""
+    heads = params.config.num_heads
+    k = _split_heads(_linear(keys_values, params[f"{prefix}/wk"], params[f"{prefix}/bk"]), heads)
+    v = _split_heads(_linear(keys_values, params[f"{prefix}/wv"], params[f"{prefix}/bv"]), heads)
+    return k, v
+
+
 def _attention(
     params: ModelParams,
     prefix: str,
     queries: Tensor,
-    keys_values: Tensor,
+    keys_values: Tensor | None,
     additive_mask: np.ndarray | None,
     key_mask: np.ndarray | None,
+    kv: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
+    """Multi-head attention; ``kv`` supplies projected keys/values in place of ``keys_values``."""
     cfg = params.config
     q = _split_heads(_linear(queries, params[f"{prefix}/wq"], params[f"{prefix}/bq"]), cfg.num_heads)
-    k = _split_heads(_linear(keys_values, params[f"{prefix}/wk"], params[f"{prefix}/bk"]), cfg.num_heads)
-    v = _split_heads(_linear(keys_values, params[f"{prefix}/wv"], params[f"{prefix}/bv"]), cfg.num_heads)
+    # projected after the queries: tape order fixes the order in which
+    # gradients accumulate, so training stays bit-identical
+    k, v = _project_kv(params, prefix, keys_values) if kv is None else kv
     d = cfg.hidden_size // cfg.num_heads
     scores = matmul(q, transpose(k, (0, 1, 3, 2)))
     scores = mul(scores, constant(np.asarray(1.0 / math.sqrt(d), dtype=scores.dtype)))
@@ -260,12 +272,12 @@ def _check_length(config: ModelConfig, length: int) -> None:
         raise LengthError(f"sequence length {length} exceeds max_positions {config.max_positions}")
 
 
-def _embed_and_position(params: ModelParams, emb: Tensor, rng, training) -> Tensor:
+def _embed_and_position(params: ModelParams, emb: Tensor, rng, training, offset: int = 0) -> Tensor:
     cfg = params.config
-    t = emb.data.shape[1]
-    _check_length(cfg, t)
+    end = offset + emb.data.shape[1]
+    _check_length(cfg, end)
     scale = constant(np.asarray(math.sqrt(cfg.hidden_size), dtype=cfg.np_dtype))
-    x = add(mul(emb, scale), constant(params.pos_table[None, :t, :]))
+    x = add(mul(emb, scale), constant(params.pos_table[None, offset:end, :]))
     if rng is not None:
         x = dropout(x, cfg.dropout, rng, training)
     return x
@@ -308,37 +320,95 @@ def output_logits(params: ModelParams, x: Tensor) -> Tensor:
     return reshape(matmul(flat, w), (*lead, cfg.vocab_size))
 
 
+@dataclass
+class DecoderCache:
+    """Attention keys and values for incremental decoding, per decoder layer.
+
+    Arrays are plain numpy [rows, heads, length, head_dim] and never enter
+    a tape. ``cross`` holds each layer's projection of the encoder states;
+    ``self_kv`` holds the self-attention keys/values of the ``offset``
+    decoder positions computed so far.
+    """
+
+    cross: list[tuple[np.ndarray, np.ndarray]]
+    self_kv: list[tuple[np.ndarray, np.ndarray]]
+    offset: int = 0
+
+    def take(self, rows: np.ndarray) -> DecoderCache:
+        """The cache of ``rows`` in that order; rows may repeat."""
+
+        def pick(pairs):
+            return [(k[rows], v[rows]) for k, v in pairs]
+
+        return DecoderCache(pick(self.cross), pick(self.self_kv), self.offset)
+
+
+def decoder_cache(params: ModelParams, config: ModelConfig, encoder_states: Tensor) -> DecoderCache:
+    """An empty self-attention cache plus every layer's cross-attention keys/values."""
+    with no_grad():
+        cross = [
+            tuple(t.data for t in _project_kv(params, f"dec{i}/cross_attn", encoder_states))
+            for i in range(config.num_decoder_layers)
+        ]
+    self_kv = [(k[:, :, :0], v[:, :, :0]) for k, v in cross]
+    return DecoderCache(cross, self_kv)
+
+
 def decode_step_logits(
     params: ModelParams,
     config: ModelConfig,
     decoder_embeddings: Tensor,
-    encoder_states: Tensor,
+    encoder_states: Tensor | None,
     src_mask: np.ndarray,
     rng: np.random.Generator | None = None,
     training: bool = False,
+    cache: DecoderCache | None = None,
 ) -> Tensor:
     """Next-token logits [B, n, V] from embedding-level decoder inputs.
 
     Position t attends only to decoder positions <= t, so perturbing the
     input at t can change logits at positions >= t but never earlier ones.
+
+    Without ``cache`` the inputs are the whole prefix. With a cache the
+    inputs are the n positions after ``cache.offset``: only they are
+    projected, their self-attention keys/values are appended to the cache,
+    and cross-attention reads the cached keys/values instead of
+    ``encoder_states`` (which may be None). The cached path records
+    nothing on the tape.
     """
-    if decoder_embeddings.data.shape[0] != encoder_states.data.shape[0]:
+    context = encoder_states.data.shape if cache is None else src_mask.shape
+    if decoder_embeddings.data.shape[0] != context[0]:
         raise ValueError(
-            f"batch mismatch: decoder {decoder_embeddings.data.shape} vs "
-            f"encoder {encoder_states.data.shape}"
+            f"batch mismatch: decoder {decoder_embeddings.data.shape} vs encoder {context}"
         )
-    n = decoder_embeddings.data.shape[1]
-    x = _embed_and_position(params, decoder_embeddings, rng, training)
-    causal = np.triu(np.full((1, 1, n, n), NEG_INF), k=1)
-    cross_key_mask = src_mask[:, None, None, :].astype(config.np_dtype)
-    cross_additive = np.where(src_mask[:, None, None, :], 0.0, NEG_INF)
-    for i in range(config.num_decoder_layers):
-        self_attn = _attention(params, f"dec{i}/self_attn", x, x, causal, None)
-        x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng, training)
-        cross = _attention(params, f"dec{i}/cross_attn", x, encoder_states, cross_additive, cross_key_mask)
-        x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng, training)
-        x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng, training)
-    return output_logits(params, x)
+    with no_grad() if cache is not None else contextlib.nullcontext():
+        offset = 0 if cache is None else cache.offset
+        n = decoder_embeddings.data.shape[1]
+        x = _embed_and_position(params, decoder_embeddings, rng, training, offset)
+        causal = np.triu(np.full((1, 1, n, offset + n), NEG_INF), k=offset + 1)
+        cross_key_mask = src_mask[:, None, None, :].astype(config.np_dtype)
+        cross_additive = np.where(src_mask[:, None, None, :], 0.0, NEG_INF)
+        for i in range(config.num_decoder_layers):
+            self_kv = cross_kv = None
+            if cache is not None:
+                k_new, v_new = _project_kv(params, f"dec{i}/self_attn", x)
+                k_old, v_old = cache.self_kv[i]
+                cache.self_kv[i] = (
+                    np.concatenate([k_old, k_new.data], axis=2),
+                    np.concatenate([v_old, v_new.data], axis=2),
+                )
+                self_kv = tuple(constant(a) for a in cache.self_kv[i])
+                cross_kv = tuple(constant(a) for a in cache.cross[i])
+            self_attn = _attention(params, f"dec{i}/self_attn", x, x, causal, None, self_kv)
+            x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng, training)
+            cross = _attention(
+                params, f"dec{i}/cross_attn", x, encoder_states, cross_additive, cross_key_mask, cross_kv
+            )
+            x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng, training)
+            x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng, training)
+        if cache is not None:
+            cache.offset += n
+        return output_logits(params, x)
 
 
 def teacher_forcing_loss(

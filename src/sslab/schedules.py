@@ -269,7 +269,9 @@ def _decay_integral(spec: ScheduleSpec, t: float) -> float:
     if fam is Family.EXPONENTIAL:
         if t == 0.0:
             return 0.0
-        return (spec.k ** t - 1.0) / math.log(spec.k)
+        # expm1 avoids the cancellation in k**t - 1 as k -> 1
+        log_k = math.log(spec.k)
+        return math.expm1(t * log_k) / log_k
     if fam is Family.LINEAR:
         return _linear_decay_integral(spec, t)
     if fam is Family.SIGMOID:

@@ -2,7 +2,7 @@
 
 The primitive set is closed: matmul, add, mul, relu, softmax, layer_norm,
 embedding_lookup, weighted_embedding_mix, cross_entropy_label_smoothed,
-dropout, reshape, transpose, concat and select. Higher layers build only
+dropout, reshape, transpose and select. Higher layers build only
 on these, which bounds the backward-rule surface that has to be trusted.
 
 Recording happens inside a ``with Tape():`` block; outside a block (or
@@ -14,6 +14,7 @@ repeated runs of a seeded computation bit-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -56,15 +57,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
 
 def parameter(data, dtype=None) -> Tensor:
@@ -404,17 +396,6 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _apply(x.data.transpose(axes), (x,), bwd)
 
 
-def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
-    data = np.concatenate([x.data for x in xs], axis=axis)
-    sizes = [x.data.shape[axis] for x in xs]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _apply(data, tuple(xs), bwd)
-
-
 def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise ``mask ? a : b`` with a constant boolean mask.
 
@@ -471,25 +452,51 @@ def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a container written by ``save_checkpoint``.
+
+    Every malformed input (truncation, unknown version or dtype, a bad
+    name, a duplicate entry, bytes after the last entry) raises
+    ``CheckpointError``.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint container")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        entries: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", fh.read(2))
-            if code not in _CODE_DTYPES:
-                raise CheckpointError(f"{path}: unknown dtype code {code}")
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            dtype = _CODE_DTYPES[code]
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            buf = fh.read(n_bytes)
-            if len(buf) != n_bytes:
-                raise CheckpointError(f"{path}: truncated entry {name!r}")
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint container")
+    pos = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise CheckpointError(f"{path}: truncated {what}")
+        pos += n
+        return data[pos - n : pos]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    version, count = unpack("<II", "header")
+    if version != _VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    entries: dict[str, np.ndarray] = {}
+    for i in range(count):
+        (name_len,) = unpack("<H", f"entry {i} header")
+        try:
+            name = take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: entry {i} name is not utf-8") from err
+        if name in entries:
+            raise CheckpointError(f"{path}: duplicate entry {name!r}")
+        code, ndim = unpack("<BB", f"entry {name!r} header")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"{path}: unknown dtype code {code}")
+        shape = unpack(f"<{ndim}Q", f"entry {name!r} shape")
+        dtype = _CODE_DTYPES[code]
+        buf = take(math.prod(shape) * dtype.itemsize, f"entry {name!r}")
+        try:
             arr = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-            entries[name] = arr
+        except ValueError as err:
+            raise CheckpointError(f"{path}: entry {name!r} has unsupported shape {shape}") from err
+        entries[name] = arr
+    if pos != len(data):
+        raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after the last entry")
     return entries

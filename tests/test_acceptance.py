@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 7-9 train small models and dominate the runtime; everything else
-is oracle-based and fast. Run with ``pytest tests/test_acceptance.py -v -s``
-to watch the per-criterion lines appear.
+Criteria 1-6 and 10 are oracle-based and fast; there are no criteria 7-9.
+Run with ``pytest tests/test_acceptance.py -v -s`` to watch the
+per-criterion lines appear.
 """
 
 import math

@@ -277,3 +277,21 @@ def test_missing_checkpoint_fails(trained_run, tmp_path, capsys):
     )
     assert code != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda raw: raw[:30], lambda raw: raw + b"junk"], ids=["truncated", "trailing"]
+)
+def test_damaged_checkpoint_fails_without_traceback(trained_run, tmp_path, capsys, damage):
+    ckpt = tmp_path / "damaged.bin"
+    ckpt.write_bytes(damage((trained_run / "ckpt_final.bin").read_bytes()))
+    Path(str(ckpt) + ".json").write_bytes((trained_run / "ckpt_final.bin.json").read_bytes())
+    code = run_cli(
+        "evaluate",
+        "--config", str(trained_run / "config.json"),
+        "--set", f"out_dir={tmp_path / 'x'}",
+        "--checkpoint", str(ckpt),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and "Traceback" not in err

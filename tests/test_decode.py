@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from sslab.data import BOS_ID, EOS_ID, TaskKind, batch_stream, gen_task, make_batch
 from sslab.decode import (
@@ -15,8 +16,10 @@ from sslab.decode import (
     length_penalty,
     transformer_scorer,
 )
-from sslab.model import ModelConfig, init_params
+import sslab.decode as decode_module
+from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params
 from sslab.rng import named_rng
+from sslab.tensor import constant, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +256,97 @@ def test_decode_rejects_overlong_max_length(trained_copy_model):
 def test_decode_module_never_touches_the_sampler():
     source = Path("src/sslab/decode.py").read_text(encoding="utf-8")
     assert "sampler" not in source
+
+
+# ---------------------------------------------------------------------------
+# incremental scorer against full-prefix recompute
+# ---------------------------------------------------------------------------
+
+SCORER_TOLERANCE = {"float32": dict(rtol=1e-5, atol=1e-5), "float64": dict(rtol=1e-10, atol=1e-11)}
+
+
+def full_prefix_scorer(params, cfg, source, source_mask):
+    """The uncached reference: the whole decoder over the full prefix per call."""
+    with no_grad():
+        enc = encode(params, cfg, source, source_mask).data
+
+    def step(prefixes, rows):
+        with no_grad():
+            emb = embed_targets(params, prefixes)
+            logits = decode_step_logits(params, cfg, emb, constant(enc[rows]), source_mask[rows])
+        return log_softmax(logits.data[:, -1, :], axis=-1)
+
+    return step
+
+
+def _scorer_pair(dtype, seed=60, b=4):
+    cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
+    params = init_params(cfg, named_rng(seed, "init"))
+    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 7, b, seed=seed)
+    batch = make_batch(corpus.pairs)
+    cached = transformer_scorer(params, cfg, batch.source, batch.source_mask)
+    full = full_prefix_scorer(params, cfg, batch.source, batch.source_mask)
+
+    def check(prefixes, rows):
+        prefixes, rows = np.asarray(prefixes, dtype=np.int64), np.asarray(rows)
+        got = cached(prefixes, rows)
+        np.testing.assert_allclose(got, full(prefixes, rows), **SCORER_TOLERANCE[dtype])
+        return got
+
+    return cfg, check
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cached_scorer_follows_greedy_with_staggered_finishes(dtype):
+    cfg, check = _scorer_pair(dtype)
+    b = 4
+    finish_at = [2, 6, 4, 9]  # row r leaves the alive set after finish_at[r] steps
+    prefixes = np.full((b, 1), BOS_ID, dtype=np.int64)
+    for t in range(max(finish_at)):
+        alive = np.array([t < f for f in finish_at])
+        logp = check(prefixes[alive], np.flatnonzero(alive))
+        column = np.zeros(b, dtype=np.int64)
+        column[alive] = logp.argmax(axis=-1)
+        prefixes = np.concatenate([prefixes, column[:, None]], axis=1)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cached_scorer_follows_beam_reordering_and_duplicated_parents(dtype):
+    cfg, check = _scorer_pair(dtype)
+    bos = BOS_ID
+    check([[bos], [bos]], [1, 3])
+    check([[bos, 7], [bos, 9], [bos, 5], [bos, 7]], [1, 1, 1, 3])
+    # source 1: beam [bos, 9] spawns two children, [bos, 7] one, [bos, 5] dies
+    check([[bos, 9, 6], [bos, 7, 8], [bos, 9, 8], [bos, 7, 7]], [1, 3, 1, 1])
+    check([[bos, 7, 7, 5], [bos, 9, 6, 5], [bos, 9, 6, 11], [bos, 7, 8, 5]], [1, 1, 1, 3])
+    check([[bos, 7, 8, 5, 6], [bos, 9, 6, 11, 6]], [3, 1])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cached_scorer_recomputes_on_a_cache_miss(dtype):
+    cfg, check = _scorer_pair(dtype)
+    bos = BOS_ID
+    check([[bos], [bos]], [0, 2])
+    check([[bos, 5], [bos, 6]], [0, 2])
+    check([[bos, 5, 7, 8], [bos, 6, 9, 9]], [0, 2])  # jumps two positions ahead
+    check([[bos, 5, 7, 8, 10], [bos, 6, 9, 9, 5]], [0, 2])  # extends the jump
+    check([[bos, 5, 7, 8, 10, 5], [bos, 6, 9, 9, 5, 5]], [0, 3])  # same prefix, other source
+    check([[bos], [bos], [bos]], [3, 2, 1])  # a new search restarts at the sentinel
+    check([[bos, 5], [bos, 6], [bos, 7]], [3, 2, 1])
+
+
+def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, monkeypatch):
+    params, cfg = trained_copy_model
+    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=48)
+    batch = make_batch(corpus.pairs)
+    args = (params, cfg, batch.source, batch.source_mask)
+    cached = {
+        beam: [r.tokens for r in beam_decode(*args, DecodeConfig(beam_size=beam, max_length=12))]
+        for beam in (2, 4)
+    }
+    cached[1] = greedy_decode(*args, DecodeConfig(max_length=12))
+    monkeypatch.setattr(decode_module, "transformer_scorer", full_prefix_scorer)
+    assert greedy_decode(*args, DecodeConfig(max_length=12)) == cached[1]
+    for beam in (2, 4):
+        results = beam_decode(*args, DecodeConfig(beam_size=beam, max_length=12))
+        assert [r.tokens for r in results] == cached[beam]

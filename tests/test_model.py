@@ -10,6 +10,7 @@ from sslab.model import (
     ModelConfig,
     ModelParams,
     decode_step_logits,
+    decoder_cache,
     embed_targets,
     encode,
     init_params,
@@ -270,3 +271,72 @@ def test_loss_decreases_on_tiny_copy_task():
     first = np.mean([r["loss"] for r in rows[:20]])
     last = np.mean([r["loss"] for r in rows[-20:]])
     assert last < 0.7 * first
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding: cached step logits against full-prefix recompute
+# ---------------------------------------------------------------------------
+
+CACHE_TOLERANCE = {"float32": dict(rtol=1e-5, atol=1e-6), "float64": dict(rtol=1e-10, atol=1e-12)}
+
+
+def _cache_case(dtype, seed):
+    cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2, max_positions=12)
+    params = init_params(cfg, named_rng(seed, "init"))
+    batch = random_batch(np.random.default_rng(seed), cfg.vocab_size, b=3, src_len=6, tgt_len=7)
+    enc = encode(params, cfg, batch.source, batch.source_mask)
+    emb = embed_targets(params, batch.decoder_inputs())
+    full = decode_step_logits(params, cfg, emb, enc, batch.source_mask).data
+    return cfg, params, batch, enc, emb, full
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("chunks", [(1,) * 8, (3, 1, 2, 2)])
+def test_cached_steps_match_full_prefix(dtype, chunks):
+    cfg, params, batch, enc, emb, full = _cache_case(dtype, seed=30)
+    cache = decoder_cache(params, cfg, enc)
+    start = 0
+    for n in chunks:
+        step = decode_step_logits(
+            params, cfg, constant(emb.data[:, start : start + n]), None, batch.source_mask, cache=cache
+        )
+        assert step.data.dtype == full.dtype
+        np.testing.assert_allclose(step.data, full[:, start : start + n], **CACHE_TOLERANCE[dtype])
+        start += n
+        assert cache.offset == start
+    assert start == full.shape[1]
+
+
+def test_cache_take_reorders_and_duplicates_rows():
+    cfg, params, batch, enc, emb, full = _cache_case("float64", seed=31)
+    cache = decoder_cache(params, cfg, enc)
+    decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, batch.source_mask, cache=cache)
+    order = np.array([2, 0, 2])
+    cache = cache.take(order)
+    step = decode_step_logits(
+        params, cfg, constant(emb.data[order, 4:5]), None, batch.source_mask[order], cache=cache
+    )
+    np.testing.assert_allclose(step.data[:, 0], full[order, 4], **CACHE_TOLERANCE["float64"])
+
+
+def test_cached_path_records_no_tape_nodes():
+    cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=32)
+    with Tape() as tape:
+        cache = decoder_cache(params, cfg, enc)
+        decode_step_logits(params, cfg, constant(emb.data[:, :2]), None, batch.source_mask, cache=cache)
+        decode_step_logits(params, cfg, constant(emb.data[:, 2:3]), None, batch.source_mask, cache=cache)
+    assert len(tape) == 0
+
+
+def test_cached_offset_plus_new_positions_raises_length_error():
+    cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=33)
+    cache = decoder_cache(params, cfg, enc)
+    decode_step_logits(params, cfg, constant(emb.data[:, :7]), None, batch.source_mask, cache=cache)
+    decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, batch.source_mask, cache=cache)
+    assert cache.offset == cfg.max_positions - 1
+    with pytest.raises(LengthError):
+        decode_step_logits(params, cfg, constant(emb.data[:, :2]), None, batch.source_mask, cache=cache)
+    assert cache.offset == cfg.max_positions - 1
+    decode_step_logits(params, cfg, constant(emb.data[:, :1]), None, batch.source_mask, cache=cache)
+    with pytest.raises(LengthError):
+        decode_step_logits(params, cfg, constant(emb.data[:, :1]), None, batch.source_mask, cache=cache)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -275,6 +275,7 @@ def test_increase_is_exact_complement(spec, step):
 
 
 @given(spec_strategy(), st.floats(0.0, 512.0), st.floats(0.0, 512.0))
+@example(expo(k=0.9999999999999998), 0.0, 1.375)  # k**t - 1 cancels as k -> 1
 @settings(max_examples=60)
 def test_accumulated_monotone_and_bounded(spec, t1, t2):
     lo, hi = min(t1, t2), max(t1, t2)

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,9 +230,8 @@ def test_two_layer_net_matches_central_differences(dtype, h, tol):
 
 def _random_graph_loss(arrays, ids, drop_rng):
     table, gain, bias, w = arrays
-    emb = T.embedding_lookup(table, ids)  # [2, 3, H]
-    cat = T.concat([emb, emb], axis=1)  # [2, 6, H]
-    tr = T.transpose(cat, (1, 0, 2))
+    emb = T.embedding_lookup(table, np.concatenate([ids, ids], axis=1))  # [2, 6, H]
+    tr = T.transpose(emb, (1, 0, 2))
     flat = T.reshape(tr, (12, table.data.shape[1]))
     normed = T.layer_norm(flat, gain, bias)
     probs = T.softmax(T.matmul(normed, w), axis=-1)
@@ -314,4 +315,57 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+def _container(entries) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        save_checkpoint(path, entries)
+        return path.read_bytes()
+
+
+VALID_CONTAINER = _container(
+    {
+        "enc/w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "dec/b": np.linspace(-1.0, 1.0, 4),
+        "meta/step": np.asarray(7, dtype=np.int64),
+        "empty": np.zeros((0, 2), dtype=np.float32),
+    }
+)
+
+
+@st.composite
+def container_like_bytes(draw):
+    """Arbitrary bytes, or a valid container truncated, overwritten and extended."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    raw = bytearray(VALID_CONTAINER[: draw(st.integers(0, len(VALID_CONTAINER)))])
+    for _ in range(draw(st.integers(0, 3))):
+        if raw:
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return bytes(raw) + draw(st.binary(max_size=8))
+
+
+@given(container_like_bytes())
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_bytes_round_trip_or_raise_checkpoint_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.bin"
+        path.write_bytes(raw)
+        try:
+            entries = load_checkpoint(path)
+        except CheckpointError:
+            return
+    assert _container(entries) == raw
+
+
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
+    path = tmp_path / "c.bin"
+    for cut in range(len(VALID_CONTAINER)):
+        path.write_bytes(VALID_CONTAINER[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    path.write_bytes(VALID_CONTAINER + b"junk")
+    with pytest.raises(CheckpointError, match="4 trailing bytes"):
         load_checkpoint(path)
