@@ -18,7 +18,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -118,41 +118,31 @@ class RunConfig:
     dump_max_t: int = 128
     gap_window: int = 3
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "model": self.model.to_dict(),
-            "data": asdict(self.data),
-            "sampler": asdict(self.sampler),
-            "optimizer": self.optimizer.to_dict(),
-            "decode": self.decode.to_dict(),
-            "train": asdict(self.train),
-            "schedules": self.schedules,
-            "dump_max_i": self.dump_max_i,
-            "dump_max_t": self.dump_max_t,
-            "gap_window": self.gap_window,
-        }
-
     @staticmethod
     def from_dict(doc: Mapping) -> "RunConfig":
+        """Build from a document keyed by field name; a section given replaces its defaults whole."""
         cfg = RunConfig()
-        known = {
-            "model": lambda d: ModelConfig.from_dict(d),
-            "data": lambda d: DataConfig(**d),
-            "sampler": lambda d: SamplerSection(**d),
-            "optimizer": lambda d: OptimizerConfig(**d),
-            "decode": lambda d: DecodeConfig.from_dict(d),
-            "train": lambda d: TrainSection(**d),
-        }
-        for key, value in doc.items():
-            if key in known:
-                setattr(cfg, key, known[key](value))
-            elif hasattr(cfg, key):
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+        for key, value in _checked_fields(RunConfig, doc, "").items():
+            section = type(getattr(cfg, key))
+            if is_dataclass(section):
+                value = section(**_checked_fields(section, value, f"{key}."))
+            setattr(cfg, key, value)
         return cfg
+
+
+def _checked_fields(cls, doc: object, prefix: str) -> Mapping:
+    """``doc``, once it is a mapping of ``cls``'s field names that holds every required one."""
+    if not isinstance(doc, Mapping):
+        where = f"section {prefix[:-1]!r}" if prefix else "document"
+        raise ConfigError(f"config {where} must be a mapping, got {type(doc).__name__}")
+    names = {f.name: f for f in fields(cls)}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+    for name, f in names.items():
+        if name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config key {prefix + name!r} is required")
+    return doc
 
 
 def _parse_override(raw: str) -> tuple[list[str], object]:
@@ -171,7 +161,7 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    base = RunConfig.from_dict(doc).to_dict()
+    base = asdict(RunConfig.from_dict(doc))
     for raw in overrides:
         keys, value = _parse_override(raw)
         node = base
@@ -193,7 +183,7 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
 
@@ -231,7 +221,7 @@ def hash_seed(root: int, label: str) -> int:
 
 
 def _resolve_model_config(cfg: RunConfig, vocab: Vocab) -> ModelConfig:
-    doc = cfg.model.to_dict()
+    doc = asdict(cfg.model)
     if doc["vocab_size"] in (0, None):
         doc["vocab_size"] = vocab.size
     elif doc["vocab_size"] != vocab.size:
@@ -243,7 +233,7 @@ def _resolve_model_config(cfg: RunConfig, vocab: Vocab) -> ModelConfig:
             f"model.max_positions {doc['max_positions']} too small for sequences "
             f"up to {cfg.data.max_len} tokens plus sentinels"
         )
-    return ModelConfig.from_dict(doc)
+    return ModelConfig(**doc)
 
 
 def save_model_checkpoint(
@@ -252,7 +242,7 @@ def save_model_checkpoint(
     entries = dict(params.as_arrays())
     entries["meta/step"] = np.asarray(step, dtype=np.int64)
     save_checkpoint(path, entries)
-    sidecar = {"model": params.config.to_dict(), "step": step, "vocab_tokens": list(vocab.tokens)}
+    sidecar = {"model": asdict(params.config), "step": step, "vocab_tokens": list(vocab.tokens)}
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -261,7 +251,7 @@ def save_model_checkpoint(
 def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    config = ModelConfig.from_dict(sidecar["model"])
+    config = ModelConfig(**sidecar["model"])
     vocab = Vocab(tuple(sidecar["vocab_tokens"]))
     entries = load_checkpoint(path)
     step = int(entries.pop("meta/step"))

@@ -17,7 +17,7 @@ and step instead of the whole prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -49,18 +49,6 @@ class DecodeConfig:
             raise DecodeError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_length < 1:
             raise DecodeError(f"max_length must be >= 1, got {self.max_length}")
-
-    def to_dict(self) -> dict:
-        return {
-            "beam_size": self.beam_size,
-            "length_penalty": self.length_penalty,
-            "max_length": self.max_length,
-            "eos_id": self.eos_id,
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "DecodeConfig":
-        return DecodeConfig(**dict(d))
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Per-decoding-step precision measurement and a toy-scale corpus BLEU.
 
-Training-side precision matches tokens strictly position by position.
-Inference-side precision first truncates or pads the hypothesis to the
-reference length (padding with the reserved null token, which never
-matches) and then accepts a token if it occurs anywhere in a small
-reference window around the same position. The per-step error rates
-double as sampling priors for the empirical schedule family.
+One routine counts hits per step over padded arrays. It truncates or
+pads each hypothesis to its reference length (padding with the reserved
+null token, which never matches) and accepts a token if it occurs
+anywhere in a reference window around the same position. Inference-side
+precision uses a small window; training-side (strict) precision and
+token accuracy are the window-1 case. The per-step error rates double as
+sampling priors for the empirical schedule family.
 
 The BLEU here is a simplified corpus score for synthetic tasks; it is
 not comparable to official evaluation scripts.
@@ -46,9 +47,6 @@ class StepCurve:
         if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise MetricsError("steps must be strictly increasing")
 
-    def value_at(self, step: int) -> float:
-        return self.values[self.steps.index(step)]
-
 
 def _check_pairs(hypotheses, references):
     if len(hypotheses) != len(references):
@@ -59,33 +57,45 @@ def _check_pairs(hypotheses, references):
         raise MetricsError("empty corpus")
 
 
+def _step_counts(
+    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int, trailing: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed hit and reference-token counts per step, over padded arrays.
+
+    Hypotheses are truncated or padded with the null token to the longest
+    reference; a hypothesis token hits when it equals any reference token
+    in its window. Null tokens and reference padding never match.
+    """
+    _check_pairs(hypotheses, references)
+    n, width = len(references), max(len(r) for r in references)
+    before = window - 1 if trailing else (window - 1) // 2
+    hyp = np.full((n, width), NULL_ID, dtype=np.int64)
+    ref = np.full((n, width + window - 1), NULL_ID, dtype=np.int64)
+    valid = np.zeros((n, width), dtype=bool)
+    for i, (h, r) in enumerate(zip(hypotheses, references)):
+        h = h[:width]
+        hyp[i, : len(h)] = h
+        ref[i, before : before + len(r)] = r
+        valid[i, : len(r)] = True
+    hit = np.zeros((n, width), dtype=bool)
+    for shift in range(window):
+        hit |= hyp == ref[:, shift : shift + width]
+    hit &= valid & (hyp != NULL_ID)
+    return hit.sum(axis=0), valid.sum(axis=0)
+
+
+def _precision_curve(
+    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int, trailing: bool
+) -> StepCurve:
+    # Python ints and floats, not numpy scalars, so CSV reprs stay plain
+    hits, totals = (a.tolist() for a in _step_counts(hypotheses, references, window, trailing))
+    steps = [t for t, total in enumerate(totals) if total]
+    return StepCurve(steps, [hits[t] / totals[t] for t in steps], [totals[t] for t in steps])
+
+
 def strict_precision_per_step(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> StepCurve:
     """Exact position-by-position match rate at each step."""
-    _check_pairs(hypotheses, references)
-    max_t = max(len(r) for r in references)
-    steps, values, counts = [], [], []
-    for t in range(max_t):
-        hits = total = 0
-        for hyp, ref in zip(hypotheses, references):
-            if t >= len(ref):
-                continue
-            total += 1
-            if t < len(hyp) and hyp[t] == ref[t]:
-                hits += 1
-        if total:
-            steps.append(t)
-            values.append(hits / total)
-            counts.append(total)
-    return StepCurve(steps, values, counts)
-
-
-def _window_bounds(t: int, ref_len: int, window: int, trailing: bool) -> tuple[int, int]:
-    if trailing:
-        lo, hi = t - (window - 1), t
-    else:
-        half = (window - 1) // 2
-        lo, hi = t - half, t + half
-    return max(0, lo), min(ref_len - 1, hi)
+    return _precision_curve(hypotheses, references, window=1, trailing=False)
 
 
 def fuzzy_precision_per_step(
@@ -99,30 +109,11 @@ def fuzzy_precision_per_step(
     A hypothesis token at step t counts as correct when it occurs anywhere
     in the reference window centered on t (clipped at the boundaries);
     ``trailing`` switches the window to positions t-window+1 .. t. Null
-    padding never matches, so window=1 reproduces the strict protocol.
+    padding never matches, and window=1 is the strict protocol.
     """
     if window < 1 or window % 2 == 0:
         raise MetricsError(f"window must be odd and >= 1, got {window}")
-    _check_pairs(hypotheses, references)
-    max_t = max(len(r) for r in references)
-    steps, values, counts = [], [], []
-    for t in range(max_t):
-        hits = total = 0
-        for hyp, ref in zip(hypotheses, references):
-            if t >= len(ref):
-                continue
-            total += 1
-            tok = hyp[t] if t < len(hyp) else NULL_ID
-            if tok == NULL_ID:
-                continue
-            lo, hi = _window_bounds(t, len(ref), window, trailing)
-            if tok in ref[lo : hi + 1]:
-                hits += 1
-        if total:
-            steps.append(t)
-            values.append(hits / total)
-            counts.append(total)
-    return StepCurve(steps, values, counts)
+    return _precision_curve(hypotheses, references, window, trailing)
 
 
 def accumulated_error_curve(
@@ -140,12 +131,8 @@ def accumulated_error_curve(
 
 def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Micro-averaged strict match over all reference positions."""
-    _check_pairs(hypotheses, references)
-    hits = total = 0
-    for hyp, ref in zip(hypotheses, references):
-        total += len(ref)
-        hits += sum(1 for t, r in enumerate(ref) if t < len(hyp) and hyp[t] == r)
-    return hits / total
+    hits, totals = _step_counts(hypotheses, references, window=1, trailing=False)
+    return int(hits.sum()) / int(totals.sum())
 
 
 def decode_corpus(

@@ -73,26 +73,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float32 if self.param_dtype == "float32" else np.float64
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden_size": self.hidden_size,
-            "filter_size": self.filter_size,
-            "num_heads": self.num_heads,
-            "num_encoder_layers": self.num_encoder_layers,
-            "num_decoder_layers": self.num_decoder_layers,
-            "dropout": self.dropout,
-            "label_smoothing": self.label_smoothing,
-            "max_positions": self.max_positions,
-            "share_embeddings": self.share_embeddings,
-            "share_softmax_weights": self.share_softmax_weights,
-            "param_dtype": self.param_dtype,
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "ModelConfig":
-        return ModelConfig(**dict(d))
-
 
 def sinusoidal_positions(max_positions: int, hidden: int, dtype) -> np.ndarray:
     pos = np.arange(max_positions, dtype=np.float64)[:, None]

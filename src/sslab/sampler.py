@@ -226,15 +226,6 @@ class OptimizerConfig:
     beta2: float = 0.98
     eps: float = 1e-9
 
-    def to_dict(self) -> dict:
-        return {
-            "lr_factor": self.lr_factor,
-            "warmup_steps": self.warmup_steps,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
 
 def learning_rate(opt: OptimizerConfig, hidden_size: int, step: int) -> float:
     """Inverse-sqrt schedule with linear warmup, scaled by model width."""

@@ -16,7 +16,9 @@ Families:
                   the last entry for positions past the table end
 
 Direction ``increase`` mirrors a decay family: it returns one minus the
-decay value at the same argument.
+decay value at the same argument. Every family's accumulated-error
+integral has a closed form (the empirical one is exact trapezoids over
+the table's knots), so no quadrature is involved.
 """
 
 from __future__ import annotations
@@ -200,31 +202,6 @@ def eval_joint(joint: JointSpec, train_step: float, dec_step: float) -> float:
     raise ScheduleError(f"unknown joint method {joint.method}")
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = f(lmid)
-        frm = f(rmid)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, flm, fmid, left, 0.5 * tol, depth - 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, 0.5 * tol, depth - 1
-        )
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
-
-
 def _linear_decay_integral(spec: ScheduleSpec, t: float) -> float:
     # Integrate min(1, max(eps, k*x + b)) on [0, t]; k < 0 so the line is
     # decreasing: a leading plateau at 1 (if b > 1), the linear stretch,
@@ -275,7 +252,10 @@ def _decay_integral(spec: ScheduleSpec, t: float) -> float:
     if fam is Family.LINEAR:
         return _linear_decay_integral(spec, t)
     if fam is Family.SIGMOID:
-        return _adaptive_simpson(lambda x: _decay_value(spec, x), 0.0, t, 1e-9)
+        # t - k*ln((k + e^(t/k)) / (k + 1)), rewritten in e^(-t/k) so it
+        # neither overflows nor cancels
+        k = spec.k
+        return k * math.log1p(-k * math.expm1(-t / k) / (1.0 + k * math.exp(-t / k)))
     if fam is Family.EMPIRICAL:
         return _empirical_decay_integral(spec, t)
     raise ScheduleError(f"unknown family {fam}")
@@ -299,24 +279,6 @@ def accumulated_errors(spec: ScheduleSpec, t: float) -> float:
 CurveTable = tuple[list[str], list[list[float]]]
 
 
-def _accumulated_on_grid(spec: ScheduleSpec, max_t: int) -> list[float]:
-    """Accumulated errors at 0..max_t-1, built segment by segment.
-
-    Equivalent to accumulated_errors at each grid point but O(grid) even
-    for the quadrature-backed sigmoid family, since each unit segment is
-    integrated once.
-    """
-    if spec.family is not Family.SIGMOID:
-        return [accumulated_errors(spec, t) for t in range(max_t)]
-    out = [0.0]
-    total = 0.0
-    for t in range(1, max_t):
-        seg = _adaptive_simpson(lambda x: _decay_value(spec, x), float(t - 1), float(t), 1e-10)
-        total += seg
-        out.append(float(t) - total if spec.direction is Direction.DECAY else total)
-    return out
-
-
 def dump_curves(specs: Mapping[str, AnySpec], max_i: int, max_t: int) -> dict[str, CurveTable]:
     """Tabulate schedules on the integer grid for CSV export.
 
@@ -333,12 +295,11 @@ def dump_curves(specs: Mapping[str, AnySpec], max_i: int, max_t: int) -> dict[st
     if scalar:
         names = list(scalar)
         header = ["step"] + names
-        accum = {n: _accumulated_on_grid(scalar[n], max_t) for n in names}
         value_rows = []
         accum_rows = []
         for t in range(max_t):
             value_rows.append([float(t)] + [eval_schedule(scalar[n], t) for n in names])
-            accum_rows.append([float(t)] + [accum[n][t] for n in names])
+            accum_rows.append([float(t)] + [accumulated_errors(scalar[n], t) for n in names])
         tables["values"] = (header, value_rows)
         tables["accumulated"] = (header, accum_rows)
     for name, joint in joints.items():

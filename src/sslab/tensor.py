@@ -145,12 +145,6 @@ class no_grad:
         _ACTIVE_TAPE = self._saved
 
 
-def backward(loss: Tensor) -> None:
-    if _ACTIVE_TAPE is None:
-        raise TapeError("backward needs an active tape")
-    _ACTIVE_TAPE.backward(loss)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     if g.shape == shape:

@@ -108,6 +108,28 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"to_dict": 1},
+        {"data": {"bogus": 1}},
+        {"model": {"hidden": 1}},
+        {"model": {"hidden_size": 32}},
+        {"train": 5},
+        [1],
+    ],
+    ids=["method-name", "data-field", "model-field", "model-missing-vocab", "section-not-mapping", "not-mapping"],
+)
+def test_malformed_config_fails_without_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("schedule-dump", "--config", str(path), "--set", f"out_dir={tmp_path / 'out'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:")
+    assert "Traceback" not in err
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SSLAB_OUT_DIR", str(env_dir))

@@ -116,6 +116,52 @@ def test_window_one_identity_property(pairs):
     )
 
 
+def reference_precision(hypotheses, references, window, trailing=False):
+    """Plain-loop windowed precision as (steps, hits, counts), one entry per step with a reference token."""
+    half = (window - 1) // 2
+    steps, hits, counts = [], [], []
+    for t in range(max((len(r) for r in references), default=0)):
+        hit = total = 0
+        for hyp, ref in zip(hypotheses, references):
+            if t >= len(ref):
+                continue
+            total += 1
+            tok = hyp[t] if t < len(hyp) else NULL_ID
+            lo, hi = (t - window + 1, t) if trailing else (t - half, t + half)
+            if tok != NULL_ID and tok in ref[max(0, lo) : min(len(ref) - 1, hi) + 1]:
+                hit += 1
+        if total:
+            steps.append(t)
+            hits.append(hit)
+            counts.append(total)
+    return steps, hits, counts
+
+
+def reserved_corpus_strategy():
+    # ids 0..4 are the reserved tokens, NULL_ID among them; hypotheses may
+    # be empty or longer than their reference
+    token = st.integers(0, 12)
+    pair = st.tuples(st.lists(token, max_size=10), st.lists(token, max_size=8))
+    return st.lists(pair, min_size=1, max_size=10)
+
+
+@given(reserved_corpus_strategy(), st.sampled_from([1, 3, 5]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_precision_matches_plain_loop_reference(pairs, window, trailing):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    steps, hits, counts = reference_precision(hyps, refs, window, trailing)
+    curves = [fuzzy_precision_per_step(hyps, refs, window, trailing)]
+    if window == 1:
+        curves.append(strict_precision_per_step(hyps, refs))
+    for curve in curves:
+        assert curve.steps == steps
+        assert curve.counts == counts
+        assert curve.values == [h / c for h, c in zip(hits, counts)]
+    if window == 1 and counts:
+        assert token_accuracy(hyps, refs) == sum(hits) / sum(counts)
+
+
 # ---------------------------------------------------------------------------
 # accumulated error curve
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_micro_model_gradient_check():
 
 def test_config_round_trip():
     cfg = tiny_config(vocab_size=33, dropout=0.2)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
 def test_params_checkpoint_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,31 @@ def test_accumulated_empirical_matches_trapezoid():
         assert accumulated_errors(spec, t) == pytest.approx(want, abs=1e-6)
 
 
+def _mp_sigmoid_accumulated(spec, t):
+    # accumulated errors from the closed form t - k*ln((k + e^(t/k)) / (k + 1))
+    # of the decay integral, evaluated at 50 digits
+    with mpmath.workdps(50):
+        k, t = mpmath.mpf(spec.k), mpmath.mpf(t)
+        decay_area = t - k * mpmath.log((k + mpmath.exp(t / k)) / (k + 1))
+        return float(t - decay_area if spec.direction is Direction.DECAY else decay_area)
+
+
+def test_accumulated_sigmoid_matches_multiprecision_closed_form():
+    rng = random.Random(1506)
+    cases = [(k, t) for k in (1.0, 3e4) for t in (0.0, 1e-6, 1.0, 3e5)]
+    for _ in range(1500):
+        # log-uniform k reaches the sharp sigmoids near k = 1; uniform t
+        # covers the far tail and log-uniform t the start
+        k = 10 ** rng.uniform(0.0, math.log10(3e4))
+        cases.append((k, rng.uniform(0.0, 3e5)))
+        cases.append((k, 10 ** rng.uniform(-6.0, math.log10(3e5))))
+    for k, t in cases:
+        for direction in Direction:
+            spec = sig(k, direction)
+            want = _mp_sigmoid_accumulated(spec, t)
+            assert accumulated_errors(spec, t) == pytest.approx(want, rel=1e-10, abs=0.0), (k, t, direction)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -321,6 +348,14 @@ def test_dump_exponential_monotone_column():
     _, acc_rows = tables["accumulated"]
     acc = [r[1] for r in acc_rows]
     assert all(a <= b for a, b in zip(acc, acc[1:]))
+
+
+def test_dump_accumulated_is_accumulated_errors_on_grid():
+    specs = {"s": sig(20.0), "si": sig(3.0, Direction.INCREASE), "e": expo(0.99), "l": lin()}
+    header, rows = dump_curves(specs, max_i=1, max_t=300)["accumulated"]
+    assert [r[0] for r in rows] == [float(t) for t in range(300)]
+    for t, row in enumerate(rows):
+        assert row[1:] == [accumulated_errors(specs[name], t) for name in header[1:]]
 
 
 def test_dump_composite_grid_monotone_both_axes():
