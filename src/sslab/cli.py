@@ -249,9 +249,14 @@ def save_model_checkpoint(
 
 
 def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+    sidecar_path = str(path) + ".json"
+    with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    config = ModelConfig(**sidecar["model"])
+    model = sidecar.get("model") if isinstance(sidecar, Mapping) else None
+    try:
+        config = ModelConfig(**_checked_fields(ModelConfig, model, "model."))
+    except ConfigError as err:
+        raise ConfigError(f"checkpoint sidecar {sidecar_path}: {err}") from err
     vocab = Vocab(tuple(sidecar["vocab_tokens"]))
     entries = load_checkpoint(path)
     step = int(entries.pop("meta/step"))
@@ -267,10 +272,14 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
 
 def cmd_schedule_dump(cfg: RunConfig) -> int:
     out = _prepare_out_dir(cfg)
+    if not isinstance(cfg.schedules, Mapping):
+        raise ConfigError(f"config key 'schedules' must be a mapping, got {type(cfg.schedules).__name__}")
     if not cfg.schedules:
         raise ConfigError("schedule-dump needs at least one entry under 'schedules'")
     specs = {}
     for name, doc in cfg.schedules.items():
+        if not isinstance(doc, Mapping):
+            raise ConfigError(f"config key 'schedules.{name}' must be a mapping, got {type(doc).__name__}")
         specs[name] = JointSpec.from_dict(doc) if "method" in doc else ScheduleSpec.from_dict(doc)
     tables = dump_curves(specs, cfg.dump_max_i, cfg.dump_max_t)
     for key, (header, rows) in tables.items():

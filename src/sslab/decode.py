@@ -6,17 +6,20 @@ in a separate pool scored by sum-log-probability divided by the length
 penalty ((5 + len) / 6) ** alpha, and stops once no live beam could still
 beat the best finished hypothesis at its current length.
 
-Both searches run against a step scorer (prefix ids -> next-token log
-probabilities), so tests can drive them with arbitrary toy models. The
-transformer adapter decodes incrementally: it computes the encoder states
-and cross-attention keys/values once per batch, keeps a self-attention
-key/value cache across calls, and so projects one new position per row
-and step instead of the whole prefix.
+Both searches run against a step scorer ((prefix ids, source rows) ->
+next-token log probabilities), so tests can drive them with arbitrary toy
+models. Both decode a batch of sources in lockstep, one scorer call per
+step: greedy scores every unfinished row, beam search the live beams of
+every source whose search has not stopped. The transformer adapter decodes
+incrementally: it computes the encoder states and cross-attention
+keys/values once per batch, keeps a self-attention key/value cache across
+calls, and so projects one new position per row and step instead of the
+whole prefix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,8 +62,8 @@ class BeamResult:
     ranking: list[tuple[list[int], float]] | None = None  # finished pool, best first
 
 
-StepScorer = Callable[[np.ndarray], np.ndarray]
-"""Maps prefix ids [K, t] (begin sentinel included) to log-probs [K, V]."""
+StepScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+"""Maps prefix ids [K, t] (begin sentinel included) and their source rows [K] to log-probs [K, V]."""
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -77,7 +80,7 @@ def transformer_scorer(
     config: ModelConfig,
     source: np.ndarray,
     source_mask: np.ndarray,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+) -> StepScorer:
     """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V].
 
     Encoder states and every layer's cross-attention keys/values are
@@ -152,61 +155,92 @@ def greedy_decode(
     return outputs
 
 
-def beam_search(
-    step_fn: StepScorer,
-    vocab_size: int,
-    decode_cfg: DecodeConfig,
-    bos_id: int = BOS_ID,
-) -> BeamResult:
-    """Beam search over one source with a caller-supplied step scorer.
+@dataclass
+class _SourceSearch:
+    """One source's beam state: live hypotheses, their raw scores, the finished pool."""
 
-    Each step ranks all beam * vocab continuations by raw cumulative
-    log-probability and keeps the top beam_size; candidates ending in the
-    end token move to the finished pool (they give up their slot), the
-    rest stay live. A live hypothesis is abandoned once its penalized
-    score at the current length cannot beat the best finished one.
-    """
-    alpha = decode_cfg.length_penalty
-    eos = decode_cfg.eos_id
-    beams: list[list[int]] = [[]]
-    scores = np.zeros(1)
-    finished: list[tuple[list[int], float]] = []
-    for t in range(decode_cfg.max_length):
-        prefixes = np.array([[bos_id] + b for b in beams], dtype=np.int64)
-        logp = step_fn(prefixes)
-        total = scores[:, None] + logp  # [K, V]
+    beams: list[list[int]] = field(default_factory=lambda: [[]])
+    scores: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    finished: list[tuple[list[int], float]] = field(default_factory=list)
+
+    def advance(self, logp: np.ndarray, t: int, vocab_size: int, decode_cfg: DecodeConfig) -> bool:
+        """Extend every live beam by one token; True once the stopping rule fires."""
+        alpha = decode_cfg.length_penalty
+        eos = decode_cfg.eos_id
+        total = self.scores[:, None] + logp  # [K, V]
         # every reachable end-token continuation joins the finished pool; it
         # does not compete for a beam slot, so short finishes with strong
         # penalized scores cannot be crowded out by raw-score ranking
-        for beam_idx in range(len(beams)):
+        for beam_idx in range(len(self.beams)):
             raw = float(total[beam_idx, eos])
             if np.isfinite(raw):
-                finished.append((beams[beam_idx], raw / length_penalty(t + 1, alpha)))
+                self.finished.append((self.beams[beam_idx], raw / length_penalty(t + 1, alpha)))
         total[:, eos] = -np.inf
         flat = total.reshape(-1)
-        k = min(decode_cfg.beam_size, len(beams) * (vocab_size - 1))
+        k = min(decode_cfg.beam_size, len(self.beams) * (vocab_size - 1))
         top = np.argpartition(-flat, k - 1)[:k]
         top = top[np.argsort(-flat[top])]
         new_beams: list[list[int]] = []
         new_scores = []
         for idx in top:
             beam_idx, tok = divmod(int(idx), vocab_size)
-            new_beams.append(beams[beam_idx] + [tok])
+            new_beams.append(self.beams[beam_idx] + [tok])
             new_scores.append(float(flat[idx]))
-        beams = new_beams
-        scores = np.array(new_scores)
-        if finished:
-            best_finished = max(pen for _, pen in finished)
-            attainable = float(scores.max()) / length_penalty(t + 1, alpha)
-            if attainable <= best_finished:
-                break
-    if finished:
-        ranked = sorted(finished, key=lambda item: -item[1])[: decode_cfg.beam_size]
-        ranking = [(list(toks), pen) for toks, pen in ranked]
-        return BeamResult(*ranking[0], True, ranking)
-    best = int(np.argmax(scores))
-    pen = float(scores[best]) / length_penalty(len(beams[best]), alpha)
-    return BeamResult(list(beams[best]), pen, False, [(list(beams[best]), pen)])
+        self.beams = new_beams
+        self.scores = np.array(new_scores)
+        if not self.finished:
+            return False
+        best_finished = max(pen for _, pen in self.finished)
+        attainable = float(self.scores.max()) / length_penalty(t + 1, alpha)
+        return attainable <= best_finished
+
+    def result(self, decode_cfg: DecodeConfig) -> BeamResult:
+        if self.finished:
+            ranked = sorted(self.finished, key=lambda item: -item[1])[: decode_cfg.beam_size]
+            ranking = [(list(toks), pen) for toks, pen in ranked]
+            return BeamResult(*ranking[0], True, ranking)
+        best = int(np.argmax(self.scores))
+        pen = float(self.scores[best]) / length_penalty(len(self.beams[best]), decode_cfg.length_penalty)
+        return BeamResult(list(self.beams[best]), pen, False, [(list(self.beams[best]), pen)])
+
+
+def beam_search(
+    step_fn: StepScorer,
+    vocab_size: int,
+    decode_cfg: DecodeConfig,
+    sources: int = 1,
+    bos_id: int = BOS_ID,
+) -> list[BeamResult]:
+    """Beam search over ``sources`` sources in lockstep, one result per source.
+
+    Each step ranks a source's beam * vocab continuations by raw cumulative
+    log-probability and keeps the top beam_size; candidates ending in the
+    end token move to the finished pool (they give up their slot), the
+    rest stay live. A live hypothesis is abandoned once its penalized
+    score at the current length cannot beat the best finished one, and a
+    source whose search has stopped leaves the later calls.
+
+    At step t every live beam holds t tokens, so one ``step_fn`` call per
+    step scores the live beams of every source, stacked in source order
+    with their source rows; each source's slice is ranked on its own, so
+    its result is that of a search over it alone.
+    """
+    searches = [_SourceSearch() for _ in range(sources)]
+    live = list(range(sources))
+    for t in range(decode_cfg.max_length):
+        if not live:
+            break
+        prefixes = np.array([[bos_id] + b for s in live for b in searches[s].beams], dtype=np.int64)
+        counts = [len(searches[s].beams) for s in live]
+        logp = step_fn(prefixes, np.repeat(live, counts))
+        still = []
+        lo = 0
+        for s, n in zip(live, counts):
+            if not searches[s].advance(logp[lo : lo + n], t, vocab_size, decode_cfg):
+                still.append(s)
+            lo += n
+        live = still
+    return [s.result(decode_cfg) for s in searches]
 
 
 def beam_decode(
@@ -216,15 +250,11 @@ def beam_decode(
     source_mask: np.ndarray,
     decode_cfg: DecodeConfig,
 ) -> list[BeamResult]:
-    """Best finished hypothesis per source row (best unfinished as fallback)."""
+    """Best finished hypothesis per source row (best unfinished as fallback).
+
+    Every row's beams go through one lockstep ``beam_search``, so each
+    decoding step is one scorer call for the whole batch.
+    """
     _check_lengths(config, decode_cfg)
     scorer = transformer_scorer(params, config, source, source_mask)
-    results = []
-    for row in range(source.shape[0]):
-        rows = np.full(decode_cfg.beam_size, row)
-
-        def step(prefixes: np.ndarray) -> np.ndarray:
-            return scorer(prefixes, rows[: prefixes.shape[0]])
-
-        results.append(beam_search(step, config.vocab_size, decode_cfg))
-    return results
+    return beam_search(scorer, config.vocab_size, decode_cfg, source.shape[0])

@@ -142,10 +142,16 @@ def decode_corpus(
     decode_cfg: DecodeConfig,
     batch_rows: int = 64,
 ) -> list[list[int]]:
-    """Decode every source in order; greedy unless a wider beam is configured."""
+    """Decode every source in order; greedy unless a wider beam is configured.
+
+    ``batch_rows`` caps the rows of each scorer call: greedy decodes that
+    many sources per batch, beam search ``batch_rows // beam_size`` (at
+    least one), since each source holds up to ``beam_size`` live beams.
+    """
+    per_batch = max(1, batch_rows // decode_cfg.beam_size)
     hyps: list[list[int]] = []
-    for lo in range(0, len(corpus.pairs), batch_rows):
-        chunk = corpus.pairs[lo : lo + batch_rows]
+    for lo in range(0, len(corpus.pairs), per_batch):
+        chunk = corpus.pairs[lo : lo + per_batch]
         batch = make_batch(chunk)
         if decode_cfg.beam_size == 1:
             hyps.extend(greedy_decode(params, config, batch.source, batch.source_mask, decode_cfg))

@@ -97,6 +97,16 @@ def test_schedule_dump_needs_specs(tmp_path, capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("schedules", [5, {"a": 5}], ids=["not-mapping", "entry-not-mapping"])
+def test_schedule_dump_malformed_schedules_fail_without_traceback(tmp_path, capsys, schedules):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schedules": schedules}))
+    code = run_cli("schedule-dump", "--config", str(path), "--set", f"out_dir={tmp_path / 'out'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and "schedules" in err
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -317,3 +327,23 @@ def test_damaged_checkpoint_fails_without_traceback(trained_run, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sslab: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "model", [{"hidden": 1}, 5], ids=["unknown-key", "not-mapping"]
+)
+def test_malformed_sidecar_fails_without_traceback(trained_run, tmp_path, capsys, model):
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes((trained_run / "ckpt_final.bin").read_bytes())
+    sidecar = json.loads((trained_run / "ckpt_final.bin.json").read_text())
+    sidecar["model"] = {**sidecar["model"], **model} if isinstance(model, dict) else model
+    Path(str(ckpt) + ".json").write_text(json.dumps(sidecar))
+    code = run_cli(
+        "evaluate",
+        "--config", str(trained_run / "config.json"),
+        "--set", f"out_dir={tmp_path / 'x'}",
+        "--checkpoint", str(ckpt),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error: checkpoint sidecar") and "Traceback" not in err

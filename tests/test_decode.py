@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
+from sslab.cli import build_corpora, load_model_checkpoint, load_run_config
 from sslab.data import BOS_ID, EOS_ID, TaskKind, batch_stream, gen_task, make_batch
 from sslab.decode import (
     BeamResult,
@@ -17,6 +18,7 @@ from sslab.decode import (
     transformer_scorer,
 )
 import sslab.decode as decode_module
+from sslab.metrics import decode_corpus
 from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params
 from sslab.rng import named_rng
 from sslab.tensor import constant, no_grad
@@ -102,7 +104,7 @@ def test_beam_matches_exhaustive_enumeration(seed):
     vocab = 4 + seed % 2
     cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3, eos_id=0)
     step = random_scorer(seed, vocab)
-    got = beam_search(step, vocab, cfg)
+    got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
     want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
     assert got.finished
     assert got.tokens == want_tokens
@@ -114,7 +116,7 @@ def test_alpha_zero_is_pure_logprob_ranking():
         vocab = 5
         cfg = DecodeConfig(beam_size=vocab, length_penalty=0.0, max_length=3, eos_id=0)
         step = random_scorer(seed, vocab)
-        got = beam_search(step, vocab, cfg)
+        got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
         assert got.tokens == want_tokens
         assert got.score == pytest.approx(want_pen, abs=1e-12)
@@ -129,7 +131,7 @@ def test_beam_one_equals_greedy_on_peaked_models():
         pattern = rng.integers(2, vocab, size=n).tolist()
         step = pattern_scorer(pattern, vocab, eos=0)
         cfg = DecodeConfig(beam_size=1, length_penalty=0.6, max_length=8, eos_id=0)
-        got = beam_search(step, vocab, cfg)
+        got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
         assert got.tokens == greedy_by_steps(step, cfg)
         assert got.tokens == pattern
 
@@ -141,7 +143,7 @@ def test_enlarging_beam_never_hurts():
         prev = -np.inf
         for bs in range(1, 6):
             cfg = DecodeConfig(beam_size=bs, length_penalty=0.6, max_length=4, eos_id=0)
-            got = beam_search(step, vocab, cfg)
+            got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
             assert got.score >= prev - 1e-12
             prev = got.score
 
@@ -149,7 +151,7 @@ def test_enlarging_beam_never_hurts():
 def test_ranking_is_monotone_non_increasing():
     step = random_scorer(7, 5)
     cfg = DecodeConfig(beam_size=5, length_penalty=0.6, max_length=4, eos_id=0)
-    got = beam_search(step, 5, cfg)
+    got = beam_search(lambda p, r: step(p), 5, cfg)[0]
     scores = [s for _, s in got.ranking]
     assert scores == sorted(scores, reverse=True)
     assert got.score == scores[0]
@@ -164,7 +166,7 @@ def test_unreachable_eos_returns_unfinished_with_warning_flag():
         return out
 
     cfg = DecodeConfig(beam_size=2, length_penalty=0.6, max_length=3, eos_id=0)
-    got = beam_search(step, vocab, cfg)
+    got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
     assert not got.finished
     assert len(got.tokens) == 3
 
@@ -350,3 +352,122 @@ def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, monk
     for beam in (2, 4):
         results = beam_decode(*args, DecodeConfig(beam_size=beam, max_length=12))
         assert [r.tokens for r in results] == cached[beam]
+
+
+# ---------------------------------------------------------------------------
+# lockstep search across sources against one search per source
+# ---------------------------------------------------------------------------
+
+FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "ckpt.bin"
+
+
+def no_eos_scorer(vocab, eos):
+    """Uniform over every token except eos, which is unreachable."""
+
+    def step(prefixes):
+        out = np.full((prefixes.shape[0], vocab), np.log(1.0 / (vocab - 1)))
+        out[:, eos] = -np.inf
+        return out
+
+    return step
+
+
+def per_source_beam_decode(params, cfg, source, source_mask, dcfg):
+    """One search per source row over a shared scorer, as decoding ran before batching."""
+    scorer = transformer_scorer(params, cfg, source, source_mask)
+    return [
+        beam_search(lambda p, r, row=row: scorer(p, np.full(len(p), row)), cfg.vocab_size, dcfg)[0]
+        for row in range(source.shape[0])
+    ]
+
+
+@pytest.mark.parametrize("beam", range(1, 6))
+def test_lockstep_search_equals_one_search_per_source(beam):
+    vocab = 6
+    cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7, eos_id=0)
+    scorers = [
+        random_scorer(3, vocab),
+        pattern_scorer([2, 3, 4, 5, 2], vocab, eos=0),
+        random_scorer(4, vocab, scale=3.0),
+        pattern_scorer([4], vocab, eos=0),
+        no_eos_scorer(vocab, eos=0),
+        random_scorer(5, vocab, scale=0.3),
+        pattern_scorer([3, 3, 2], vocab, eos=0, peak=2.0),
+    ]
+    want, want_rows = [], []  # per source: its result, and its beams scored per call
+    for scorer in scorers:
+        rows = []
+
+        def step(prefixes, _, scorer=scorer, rows=rows):
+            rows.append(len(prefixes))
+            return scorer(prefixes)
+
+        want.append(beam_search(step, vocab, cfg)[0])
+        want_rows.append(rows)
+    assert len({len(rows) for rows in want_rows}) > 2  # the sources stop at different steps
+
+    calls = []
+
+    def step(prefixes, rows):
+        calls.append(rows.tolist())
+        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
+
+    got = beam_search(step, vocab, cfg, len(scorers))
+    assert [(r.tokens, r.score, r.finished, r.ranking) for r in got] == [
+        (r.tokens, r.score, r.finished, r.ranking) for r in want
+    ]
+    # one call per step; a stopped source leaves every later call
+    assert len(calls) == max(len(rows) for rows in want_rows)
+    for i, rows in enumerate(calls):
+        assert rows == [s for s, per_call in enumerate(want_rows) if i < len(per_call) for _ in range(per_call[i])]
+
+
+def test_lockstep_search_over_no_sources_makes_no_call():
+    def step(prefixes, rows):
+        raise AssertionError("scorer called")
+
+    assert beam_search(step, 5, DecodeConfig(beam_size=3), 0) == []
+
+
+@pytest.mark.parametrize("beam", [2, 3, 4])
+def test_batched_beam_decode_equals_per_source_search(trained_copy_model, beam):
+    params, cfg = trained_copy_model
+    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=49)
+    batch = make_batch(corpus.pairs)
+    args = (params, cfg, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=12))
+    got = beam_decode(*args)
+    want = per_source_beam_decode(*args)
+    assert [r.tokens for r in got] == [r.tokens for r in want]
+    assert [r.finished for r in got] == [r.finished for r in want]
+    for g, w in zip(got, want):
+        assert [t for t, _ in g.ranking] == [t for t, _ in w.ranking]
+        np.testing.assert_allclose([s for _, s in g.ranking], [s for _, s in w.ranking], rtol=1e-5)
+
+
+def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeypatch):
+    params, _, _ = load_model_checkpoint(str(FIXTURE_CHECKPOINT))
+    cfg = params.config
+    run = load_run_config(None, ["seed=1", "data.eval_count=48"])
+    dcfg = run.decode
+    _, corpus = build_corpora(run)
+    batch = make_batch(corpus.pairs)
+    want = per_source_beam_decode(params, cfg, batch.source, batch.source_mask, dcfg)
+
+    calls = []  # rows of each scorer call, one list per batch
+
+    def counting_scorer(*args):
+        scorer = transformer_scorer(*args)
+        calls.append([])
+
+        def step(prefixes, rows):
+            calls[-1].append(len(rows))
+            return scorer(prefixes, rows)
+
+        return step
+
+    monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
+    hyps = decode_corpus(params, cfg, corpus, dcfg)
+    assert hyps == [r.tokens for r in want]
+    assert len(calls) == 3  # 64 rows per call hold 16 sources at beam 4
+    assert all(0 < len(batch_calls) <= dcfg.max_length for batch_calls in calls)
+    assert max(max(batch_calls) for batch_calls in calls) <= 64
