@@ -20,11 +20,12 @@ import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Mapping
+from types import NoneType
+from typing import Mapping, get_args, get_type_hints
 
 import numpy as np
 
-from .data import Corpus, DataError, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, split_corpus
+from .data import FIRST_CONTENT_ID, Corpus, DataError, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, split_corpus
 from .decode import DecodeConfig, beam_decode, greedy_decode
 from .metrics import (
     StepCurve,
@@ -46,7 +47,7 @@ from .sampler import (
     train,
 )
 from .schedules import JointSpec, ScheduleSpec, dump_curves
-from .tensor import load_checkpoint, save_checkpoint
+from .tensor import load_checkpoint, replacing, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -131,7 +132,12 @@ class RunConfig:
 
 
 def _checked_fields(cls, doc: object, prefix: str) -> Mapping:
-    """``doc``, once it is a mapping of ``cls``'s field names that holds every required one."""
+    """``doc``, once it is a mapping of ``cls``'s field names that holds every required one.
+
+    A value for a scalar field (int, float, bool or str, or None where the
+    field allows it) must have that type; an int counts as a float, a bool
+    as nothing but a bool. Section and dict fields are checked elsewhere.
+    """
     if not isinstance(doc, Mapping):
         where = f"section {prefix[:-1]!r}" if prefix else "document"
         raise ConfigError(f"config {where} must be a mapping, got {type(doc).__name__}")
@@ -142,7 +148,24 @@ def _checked_fields(cls, doc: object, prefix: str) -> Mapping:
     for name, f in names.items():
         if name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config key {prefix + name!r} is required")
+    hints = get_type_hints(cls)
+    for key, value in doc.items():
+        allowed = get_args(hints[key]) or (hints[key],)
+        if set(allowed) <= _SCALARS and not _admits(allowed, value):
+            expected = " or ".join("null" if t is NoneType else t.__name__ for t in allowed)
+            raise ConfigError(f"config key {prefix + key!r} must be {expected}, got {value!r}")
     return doc
+
+
+_SCALARS = {int, float, bool, str, NoneType}
+
+
+def _admits(allowed: tuple, value: object) -> bool:
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int):
+        return int in allowed or float in allowed
+    return isinstance(value, allowed)
 
 
 def _parse_override(raw: str) -> tuple[list[str], object]:
@@ -222,7 +245,7 @@ def hash_seed(root: int, label: str) -> int:
 
 def _resolve_model_config(cfg: RunConfig, vocab: Vocab) -> ModelConfig:
     doc = asdict(cfg.model)
-    if doc["vocab_size"] in (0, None):
+    if doc["vocab_size"] == 0:
         doc["vocab_size"] = vocab.size
     elif doc["vocab_size"] != vocab.size:
         raise ConfigError(
@@ -243,7 +266,7 @@ def save_model_checkpoint(
     entries["meta/step"] = np.asarray(step, dtype=np.int64)
     save_checkpoint(path, entries)
     sidecar = {"model": asdict(params.config), "step": step, "vocab_tokens": list(vocab.tokens)}
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with replacing(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -255,9 +278,15 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
     model = sidecar.get("model") if isinstance(sidecar, Mapping) else None
     try:
         config = ModelConfig(**_checked_fields(ModelConfig, model, "model."))
+        tokens = sidecar.get("vocab_tokens")
+        content = config.vocab_size - FIRST_CONTENT_ID
+        if not (isinstance(tokens, list) and len(tokens) == content and all(isinstance(t, str) for t in tokens)):
+            raise ConfigError(
+                f"vocab_tokens must be a list of {content} strings (model.vocab_size - {FIRST_CONTENT_ID})"
+            )
     except ConfigError as err:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {err}") from err
-    vocab = Vocab(tuple(sidecar["vocab_tokens"]))
+    vocab = Vocab(tuple(tokens))
     entries = load_checkpoint(path)
     step = int(entries.pop("meta/step"))
     params = init_params(config, named_rng(0, "init"))

@@ -11,10 +11,11 @@ next-token log probabilities), so tests can drive them with arbitrary toy
 models. Both decode a batch of sources in lockstep, one scorer call per
 step: greedy scores every unfinished row, beam search the live beams of
 every source whose search has not stopped. The transformer adapter decodes
-incrementally: it computes the encoder states and cross-attention
-keys/values once per batch, keeps a self-attention key/value cache across
-calls, and so projects one new position per row and step instead of the
-whole prefix.
+incrementally: it computes the encoder states, cross-attention keys/values
+and source masks once per batch and regathers them only when the calls'
+source rows change; it keeps a self-attention key/value cache across
+calls, gathered by parent at every step, and so projects one new position
+per row and step instead of the whole prefix.
 """
 
 from __future__ import annotations
@@ -83,44 +84,53 @@ def transformer_scorer(
 ) -> StepScorer:
     """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V].
 
-    Encoder states and every layer's cross-attention keys/values are
-    computed once here. Each call finds every row's parent among the
-    previous call's rows, keyed by (source row, prefix[:-1]), gathers the
-    self-attention cache in that order and decodes only the newest
-    position; that one gather follows greedy's shrinking alive set and
-    beam reordering alike. A call in which some row has no parent (the
-    first step, or a caller that jumps) decodes its full prefixes from an
-    empty cache through the same step function.
+    Encoder states, every layer's cross-attention keys/values and the
+    source masks are computed once here, in a base cache over the batch's
+    rows. The cache's per-source part is regathered from that base only
+    when a call's ``rows`` differ from the previous call's. Its
+    per-hypothesis part, the self-attention cache, follows the beams: each
+    call finds every row's parent among the previous call's rows, keyed by
+    (source row, prefix[:-1]), gathers the self-attention cache in that
+    order and decodes only the newest position; that one gather follows
+    greedy's shrinking alive set and beam reordering alike. A call in
+    which some row has no parent (the first step, or a caller that jumps)
+    decodes its full prefixes from an empty cache through the same step
+    function.
     """
     with no_grad():
         enc = encode(params, config, source, source_mask)
-    empty = decoder_cache(params, config, enc)
-    cache = empty
+    base = decoder_cache(params, config, enc, source_mask)
+    cache = base
+    source_rows = np.arange(source.shape[0])  # rows of ``cache.source``
     index: dict[tuple[int, bytes], int] = {}  # (source row, prefix) -> row of ``cache``
 
     def step(prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        nonlocal cache, index
+        nonlocal cache, source_rows, index
         parents = [index.get((int(r), p[:-1].tobytes()), -1) for r, p in zip(rows, prefixes)]
+        if np.array_equal(rows, source_rows):
+            source_state = cache.source
+        else:
+            source_state, source_rows = base.source.take(rows), np.array(rows)
         if -1 in parents:
-            cache, new = empty.take(rows), prefixes
+            cache, new = base.take(rows, source_state), prefixes
         else:
             if parents != list(range(len(index))):
-                cache = cache.take(np.array(parents))
+                cache = cache.take(np.array(parents), source_state)
             new = prefixes[:, -1:]
-        logits = decode_step_logits(
-            params, config, embed_targets(params, new), None, source_mask[rows], cache=cache
-        )
+        logits = decode_step_logits(params, config, embed_targets(params, new), None, None, cache=cache)
         index = {(int(r), p.tobytes()): i for i, (r, p) in enumerate(zip(rows, prefixes))}
         return _log_softmax(logits.data[:, -1, :])
 
     return step
 
 
-def _check_lengths(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
+def _check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
     if decode_cfg.max_length > config.max_positions:
         raise DecodeError(
             f"max_length {decode_cfg.max_length} exceeds max_positions {config.max_positions}"
         )
+    if not 0 <= decode_cfg.eos_id < config.vocab_size:
+        raise DecodeError(f"eos_id {decode_cfg.eos_id} is outside the vocabulary of {config.vocab_size}")
 
 
 def greedy_decode(
@@ -131,7 +141,7 @@ def greedy_decode(
     decode_cfg: DecodeConfig,
 ) -> list[list[int]]:
     """Argmax continuation per step until the end token or max_length."""
-    _check_lengths(config, decode_cfg)
+    _check_against_model(config, decode_cfg)
     scorer = transformer_scorer(params, config, source, source_mask)
     b = source.shape[0]
     prefixes = np.full((b, 1), BOS_ID, dtype=np.int64)
@@ -162,6 +172,7 @@ class _SourceSearch:
     beams: list[list[int]] = field(default_factory=lambda: [[]])
     scores: np.ndarray = field(default_factory=lambda: np.zeros(1))
     finished: list[tuple[list[int], float]] = field(default_factory=list)
+    best_finished: float = -np.inf  # max penalized score in ``finished``
 
     def advance(self, logp: np.ndarray, t: int, vocab_size: int, decode_cfg: DecodeConfig) -> bool:
         """Extend every live beam by one token; True once the stopping rule fires."""
@@ -174,7 +185,9 @@ class _SourceSearch:
         for beam_idx in range(len(self.beams)):
             raw = float(total[beam_idx, eos])
             if np.isfinite(raw):
-                self.finished.append((self.beams[beam_idx], raw / length_penalty(t + 1, alpha)))
+                pen = raw / length_penalty(t + 1, alpha)
+                self.finished.append((self.beams[beam_idx], pen))
+                self.best_finished = max(self.best_finished, pen)
         total[:, eos] = -np.inf
         flat = total.reshape(-1)
         k = min(decode_cfg.beam_size, len(self.beams) * (vocab_size - 1))
@@ -190,9 +203,8 @@ class _SourceSearch:
         self.scores = np.array(new_scores)
         if not self.finished:
             return False
-        best_finished = max(pen for _, pen in self.finished)
         attainable = float(self.scores.max()) / length_penalty(t + 1, alpha)
-        return attainable <= best_finished
+        return attainable <= self.best_finished
 
     def result(self, decode_cfg: DecodeConfig) -> BeamResult:
         if self.finished:
@@ -255,6 +267,6 @@ def beam_decode(
     Every row's beams go through one lockstep ``beam_search``, so each
     decoding step is one scorer call for the whole batch.
     """
-    _check_lengths(config, decode_cfg)
+    _check_against_model(config, decode_cfg)
     scorer = transformer_scorer(params, config, source, source_mask)
     return beam_search(scorer, config.vocab_size, decode_cfg, source.shape[0])

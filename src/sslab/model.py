@@ -209,16 +209,25 @@ def _project_kv(params: ModelParams, prefix: str, keys_values: Tensor) -> tuple[
     return k, v
 
 
+def _mask_constant(mask: np.ndarray | Tensor, dtype) -> Tensor:
+    """A numpy mask cast (and so copied) to ``dtype`` per call; a Tensor mask is used as given."""
+    return mask if isinstance(mask, Tensor) else constant(mask.astype(dtype))
+
+
 def _attention(
     params: ModelParams,
     prefix: str,
     queries: Tensor,
     keys_values: Tensor | None,
-    additive_mask: np.ndarray | None,
-    key_mask: np.ndarray | None,
+    additive_mask: np.ndarray | Tensor | None,
+    key_mask: np.ndarray | Tensor | None,
     kv: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
-    """Multi-head attention; ``kv`` supplies projected keys/values in place of ``keys_values``."""
+    """Multi-head attention; ``kv`` supplies projected keys/values in place of ``keys_values``.
+
+    Tensor masks must already hold the scores' dtype (the decoder cache
+    builds its masks once per batch); numpy masks are cast on every call.
+    """
     cfg = params.config
     q = _split_heads(_linear(queries, params[f"{prefix}/wq"], params[f"{prefix}/bq"]), cfg.num_heads)
     # projected after the queries: tape order fixes the order in which
@@ -228,11 +237,11 @@ def _attention(
     scores = matmul(q, transpose(k, (0, 1, 3, 2)))
     scores = mul(scores, constant(np.asarray(1.0 / math.sqrt(d), dtype=scores.dtype)))
     if additive_mask is not None:
-        scores = add(scores, constant(additive_mask.astype(scores.data.dtype)))
+        scores = add(scores, _mask_constant(additive_mask, scores.data.dtype))
     weights = softmax(scores, axis=-1)
     if key_mask is not None:
         # exact zero on pad keys, including rows where every key is padding
-        weights = mul(weights, constant(key_mask.astype(weights.data.dtype)))
+        weights = mul(weights, _mask_constant(key_mask, weights.data.dtype))
     ctx = _merge_heads(matmul(weights, v))
     return _linear(ctx, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
 
@@ -301,37 +310,65 @@ def output_logits(params: ModelParams, x: Tensor) -> Tensor:
 
 
 @dataclass
-class DecoderCache:
-    """Attention keys and values for incremental decoding, per decoder layer.
+class SourceState:
+    """The per-source part of a decoder cache, one row per hypothesis.
 
-    Arrays are plain numpy [rows, heads, length, head_dim] and never enter
-    a tape. ``cross`` holds each layer's projection of the encoder states;
-    ``self_kv`` holds the self-attention keys/values of the ``offset``
-    decoder positions computed so far.
+    ``cross`` holds every decoder layer's cross-attention keys/values
+    [rows, heads, m, head_dim]; ``key_mask`` (1 on real keys, 0 on
+    padding) and ``additive`` (0 or NEG_INF) are the source key masks
+    [rows, 1, 1, m], in the model dtype. A hypothesis's source never
+    changes, so none of this needs regathering while beams reorder among
+    the same source rows.
     """
 
     cross: list[tuple[np.ndarray, np.ndarray]]
+    key_mask: np.ndarray
+    additive: np.ndarray
+
+    def take(self, rows: np.ndarray) -> SourceState:
+        """The state of ``rows`` in that order; rows may repeat."""
+        cross = [(k[rows], v[rows]) for k, v in self.cross]
+        return SourceState(cross, self.key_mask[rows], self.additive[rows])
+
+
+@dataclass
+class DecoderCache:
+    """Decoder state for incremental decoding: per-source and per-hypothesis parts.
+
+    Arrays are plain numpy and never enter a tape. ``source`` is the
+    per-source state (cross-attention keys/values and source masks);
+    ``self_kv`` is the per-hypothesis state, each layer's self-attention
+    keys/values [rows, heads, offset, head_dim] of the ``offset`` decoder
+    positions computed so far.
+    """
+
+    source: SourceState
     self_kv: list[tuple[np.ndarray, np.ndarray]]
     offset: int = 0
 
-    def take(self, rows: np.ndarray) -> DecoderCache:
-        """The cache of ``rows`` in that order; rows may repeat."""
+    def take(self, parents: np.ndarray, source: SourceState | None = None) -> DecoderCache:
+        """The hypotheses ``parents`` in that order (rows may repeat).
 
-        def pick(pairs):
-            return [(k[rows], v[rows]) for k, v in pairs]
+        ``source`` replaces the gather of this cache's source state by
+        ``parents``: its row i must be the source of hypothesis parents[i].
+        """
+        source = self.source.take(parents) if source is None else source
+        return DecoderCache(source, [(k[parents], v[parents]) for k, v in self.self_kv], self.offset)
 
-        return DecoderCache(pick(self.cross), pick(self.self_kv), self.offset)
 
-
-def decoder_cache(params: ModelParams, config: ModelConfig, encoder_states: Tensor) -> DecoderCache:
-    """An empty self-attention cache plus every layer's cross-attention keys/values."""
+def decoder_cache(
+    params: ModelParams, config: ModelConfig, encoder_states: Tensor, src_mask: np.ndarray
+) -> DecoderCache:
+    """An empty self-attention cache over every source row's cross-attention keys/values and masks."""
     with no_grad():
         cross = [
             tuple(t.data for t in _project_kv(params, f"dec{i}/cross_attn", encoder_states))
             for i in range(config.num_decoder_layers)
         ]
-    self_kv = [(k[:, :, :0], v[:, :, :0]) for k, v in cross]
-    return DecoderCache(cross, self_kv)
+    keys = src_mask[:, None, None, :]
+    dtype = config.np_dtype
+    source = SourceState(cross, keys.astype(dtype), np.where(keys, dtype(0.0), dtype(NEG_INF)))
+    return DecoderCache(source, [(k[:, :, :0], v[:, :, :0]) for k, v in cross])
 
 
 def decode_step_logits(
@@ -339,7 +376,7 @@ def decode_step_logits(
     config: ModelConfig,
     decoder_embeddings: Tensor,
     encoder_states: Tensor | None,
-    src_mask: np.ndarray,
+    src_mask: np.ndarray | None,
     rng: np.random.Generator | None = None,
     training: bool = False,
     cache: DecoderCache | None = None,
@@ -352,11 +389,11 @@ def decode_step_logits(
     Without ``cache`` the inputs are the whole prefix. With a cache the
     inputs are the n positions after ``cache.offset``: only they are
     projected, their self-attention keys/values are appended to the cache,
-    and cross-attention reads the cached keys/values instead of
-    ``encoder_states`` (which may be None). The cached path records
-    nothing on the tape.
+    and cross-attention reads the cached keys/values and source masks
+    instead of ``encoder_states`` and ``src_mask`` (either may be None).
+    The cached path records nothing on the tape.
     """
-    context = encoder_states.data.shape if cache is None else src_mask.shape
+    context = encoder_states.data.shape if cache is None else cache.source.key_mask.shape
     if decoder_embeddings.data.shape[0] != context[0]:
         raise ValueError(
             f"batch mismatch: decoder {decoder_embeddings.data.shape} vs encoder {context}"
@@ -365,9 +402,14 @@ def decode_step_logits(
         offset = 0 if cache is None else cache.offset
         n = decoder_embeddings.data.shape[1]
         x = _embed_and_position(params, decoder_embeddings, rng, training, offset)
-        causal = np.triu(np.full((1, 1, n, offset + n), NEG_INF), k=offset + 1)
-        cross_key_mask = src_mask[:, None, None, :].astype(config.np_dtype)
-        cross_additive = np.where(src_mask[:, None, None, :], 0.0, NEG_INF)
+        # one new position may attend to every key: its causal mask is all zeros
+        causal = np.triu(np.full((1, 1, n, offset + n), NEG_INF), k=offset + 1) if n > 1 else None
+        if cache is None:
+            cross_key_mask = src_mask[:, None, None, :].astype(config.np_dtype)
+            cross_additive = np.where(src_mask[:, None, None, :], 0.0, NEG_INF)
+        else:
+            cross_key_mask = constant(cache.source.key_mask)
+            cross_additive = constant(cache.source.additive)
         for i in range(config.num_decoder_layers):
             self_kv = cross_kv = None
             if cache is not None:
@@ -378,7 +420,7 @@ def decode_step_logits(
                     np.concatenate([v_old, v_new.data], axis=2),
                 )
                 self_kv = tuple(constant(a) for a in cache.self_kv[i])
-                cross_kv = tuple(constant(a) for a in cache.cross[i])
+                cross_kv = tuple(constant(a) for a in cache.source.cross[i])
             self_attn = _attention(params, f"dec{i}/self_attn", x, x, causal, None, self_kv)
             x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng, training)
             cross = _attention(

@@ -14,9 +14,11 @@ repeated runs of a seeded computation bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -421,15 +423,38 @@ _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2, np.dtype("int64"
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **open_kwargs) -> Iterator[IO]:
+    """Write ``path`` whole or not at all.
+
+    The file object writes a temporary file in the same directory, which
+    is flushed to disk and then renamed over ``path`` when the block ends
+    normally. If the block raises, the temporary file is removed and
+    ``path`` keeps its previous contents (or stays absent).
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named arrays to a single binary container.
+    """Write named arrays to a single binary container, crash-safely (see ``replacing``).
 
     Layout (all integers little-endian): 4-byte magic ``SSLB``, u32 format
     version, u32 entry count, then per entry: u16 name length, utf-8 name,
     u8 dtype code (1=float32, 2=float64, 3=int64), u8 rank, u64 per
     dimension, then the raw little-endian values in C order.
     """
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))
         for name, arr in entries.items():

@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sslab.cli import main
+from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
+from sslab.data import Vocab
+from sslab.model import ModelConfig, init_params
+from sslab.rng import named_rng
 
 
 def run_cli(*argv):
@@ -330,16 +333,28 @@ def test_damaged_checkpoint_fails_without_traceback(trained_run, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "model", [{"hidden": 1}, 5], ids=["unknown-key", "not-mapping"]
+    "command, damage",
+    [
+        ("evaluate", lambda s: {**s, "model": {**s["model"], "hidden": 1}}),
+        ("evaluate", lambda s: {**s, "model": 5}),
+        ("evaluate", lambda s: {**s, "vocab_tokens": 5}),
+        ("evaluate", lambda s: {k: v for k, v in s.items() if k != "vocab_tokens"}),
+        ("evaluate", lambda s: {**s, "vocab_tokens": s["vocab_tokens"][:-1]}),
+        ("decode", lambda s: {**s, "vocab_tokens": s["vocab_tokens"][:-1]}),
+        ("decode", lambda s: {**s, "vocab_tokens": list(range(len(s["vocab_tokens"])))}),
+    ],
+    ids=[
+        "unknown-key", "not-mapping", "vocab-not-list", "vocab-missing", "vocab-short",
+        "decode-vocab-short", "decode-vocab-not-strings",
+    ],
 )
-def test_malformed_sidecar_fails_without_traceback(trained_run, tmp_path, capsys, model):
+def test_malformed_sidecar_fails_without_traceback(trained_run, tmp_path, capsys, command, damage):
     ckpt = tmp_path / "ckpt.bin"
     ckpt.write_bytes((trained_run / "ckpt_final.bin").read_bytes())
     sidecar = json.loads((trained_run / "ckpt_final.bin.json").read_text())
-    sidecar["model"] = {**sidecar["model"], **model} if isinstance(model, dict) else model
-    Path(str(ckpt) + ".json").write_text(json.dumps(sidecar))
+    Path(str(ckpt) + ".json").write_text(json.dumps(damage(sidecar)))
     code = run_cli(
-        "evaluate",
+        command,
         "--config", str(trained_run / "config.json"),
         "--set", f"out_dir={tmp_path / 'x'}",
         "--checkpoint", str(ckpt),
@@ -347,3 +362,52 @@ def test_malformed_sidecar_fails_without_traceback(trained_run, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sslab: error: checkpoint sidecar") and "Traceback" not in err
+
+
+FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "ckpt.bin"
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "decode.beam_size=abc",
+        "decode.beam_size=[1]",
+        "decode.beam_size=2.5",
+        "decode.beam_size=true",
+        "decode.length_penalty=abc",
+        "decode.eos_id=999",
+        "decode.eos_id=-1",
+    ],
+)
+def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, override):
+    code = run_cli(
+        "evaluate", "--checkpoint", str(FIXTURE_CHECKPOINT),
+        "--set", f"out_dir={tmp_path}", "--set", override,
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and "Traceback" not in err
+    assert override.split("=")[0].split(".")[-1] in err
+
+
+def test_failed_sidecar_write_keeps_the_previous_sidecar(tmp_path, monkeypatch):
+    cfg = ModelConfig(vocab_size=8, hidden_size=8, filter_size=8, num_heads=2,
+                      num_encoder_layers=1, num_decoder_layers=1)
+    params = init_params(cfg, named_rng(0, "init"))
+    path = tmp_path / "ckpt.bin"
+    save_model_checkpoint(path, params, 1, Vocab(("a", "b", "c")))
+    sidecar = Path(str(path) + ".json")
+    before = sidecar.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"model": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_model_checkpoint(path, params, 2, Vocab(("a", "b", "c")))
+    assert sidecar.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.bin.json"]
+    monkeypatch.undo()
+    _, step, vocab = load_model_checkpoint(str(path))  # the new .bin was written before the sidecar
+    assert step == 2 and vocab.tokens == ("a", "b", "c")

@@ -18,6 +18,7 @@ from sslab.decode import (
     transformer_scorer,
 )
 import sslab.decode as decode_module
+import sslab.model as model_module
 from sslab.metrics import decode_corpus
 from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params
 from sslab.rng import named_rng
@@ -471,3 +472,68 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
     assert len(calls) == 3  # 64 rows per call hold 16 sources at beam 4
     assert all(0 < len(batch_calls) <= dcfg.max_length for batch_calls in calls)
     assert max(max(batch_calls) for batch_calls in calls) <= 64
+
+
+# ---------------------------------------------------------------------------
+# per-source state gathered only when the source rows change
+# ---------------------------------------------------------------------------
+
+
+def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model, monkeypatch):
+    params, cfg = trained_copy_model
+    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 1, 6, 8, seed=50)
+    batch = make_batch(corpus.pairs)
+    gathers = []
+    take = model_module.SourceState.take
+
+    def spy(self, rows):
+        gathers.append(np.array(rows))
+        return take(self, rows)
+
+    monkeypatch.setattr(model_module.SourceState, "take", spy)
+    scorer = transformer_scorer(params, cfg, batch.source, batch.source_mask)
+    full = full_prefix_scorer(params, cfg, batch.source, batch.source_mask)
+    calls = []
+
+    def step(prefixes, rows):
+        calls.append(rows)
+        got = scorer(prefixes, rows)
+        np.testing.assert_allclose(got, full(prefixes, rows), **SCORER_TOLERANCE["float32"])
+        return got
+
+    beam_search(step, cfg.vocab_size, DecodeConfig(beam_size=3, max_length=12), len(corpus.pairs))
+    changed = [
+        rows for prev, rows in zip([np.arange(len(corpus.pairs))] + calls, calls)
+        if not np.array_equal(prev, rows)
+    ]
+    assert len(changed) >= 3  # beams fill up, then sources stop at different steps
+    assert len(gathers) == len(changed)
+    assert all(np.array_equal(g, rows) for g, rows in zip(gathers, changed))
+
+
+@pytest.mark.parametrize("beam", range(1, 6))
+def test_running_best_finished_score_is_the_pool_maximum(beam, monkeypatch):
+    vocab = 6
+    cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7, eos_id=0)
+    scorers = [
+        random_scorer(3, vocab),
+        pattern_scorer([2, 3, 4, 5, 2], vocab, eos=0),
+        random_scorer(4, vocab, scale=3.0),
+        no_eos_scorer(vocab, eos=0),  # its pool stays empty
+    ]
+    advance = decode_module._SourceSearch.advance
+    seen = []
+
+    def checked(self, *args):
+        stop = advance(self, *args)
+        seen.append(self.best_finished)
+        assert self.best_finished == max((pen for _, pen in self.finished), default=-np.inf)
+        return stop
+
+    monkeypatch.setattr(decode_module._SourceSearch, "advance", checked)
+
+    def step(prefixes, rows):
+        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
+
+    beam_search(step, vocab, cfg, len(scorers))
+    assert np.isfinite(seen).any() and not np.isfinite(seen).all()

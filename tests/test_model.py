@@ -20,6 +20,7 @@ from sslab.model import (
     teacher_forced_logits,
     teacher_forcing_loss,
 )
+import sslab.model as model_module
 from sslab.rng import named_rng
 from sslab.tensor import Tape, Tensor, constant, grad_of, no_grad
 
@@ -295,7 +296,7 @@ def _cache_case(dtype, seed):
 @pytest.mark.parametrize("chunks", [(1,) * 8, (3, 1, 2, 2)])
 def test_cached_steps_match_full_prefix(dtype, chunks):
     cfg, params, batch, enc, emb, full = _cache_case(dtype, seed=30)
-    cache = decoder_cache(params, cfg, enc)
+    cache = decoder_cache(params, cfg, enc, batch.source_mask)
     start = 0
     for n in chunks:
         step = decode_step_logits(
@@ -310,7 +311,8 @@ def test_cached_steps_match_full_prefix(dtype, chunks):
 
 def test_cache_take_reorders_and_duplicates_rows():
     cfg, params, batch, enc, emb, full = _cache_case("float64", seed=31)
-    cache = decoder_cache(params, cfg, enc)
+    base = decoder_cache(params, cfg, enc, batch.source_mask)
+    cache = base.take(np.arange(3))
     decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, batch.source_mask, cache=cache)
     order = np.array([2, 0, 2])
     cache = cache.take(order)
@@ -319,11 +321,51 @@ def test_cache_take_reorders_and_duplicates_rows():
     )
     np.testing.assert_allclose(step.data[:, 0], full[order, 4], **CACHE_TOLERANCE["float64"])
 
+    # the split take: per-source state gathered from the base cache, the
+    # self-attention cache by parent; hypothesis 2 pairs source 2 with target 1
+    sources, targets = np.array([2, 0, 2]), np.array([2, 0, 1])
+    want = decode_step_logits(
+        params, cfg, constant(emb.data[targets]), constant(enc.data[sources]), batch.source_mask[sources]
+    ).data
+    cache = base.take(sources, base.source.take(sources))
+    decode_step_logits(params, cfg, constant(emb.data[targets, :4]), None, None, cache=cache)
+    parents = np.array([2, 1, 0])  # reorders hypotheses over the same source rows
+    assert np.array_equal(sources[parents], sources)
+    kept = cache.source
+    cache = cache.take(parents, kept)
+    assert cache.source is kept
+    step = decode_step_logits(params, cfg, constant(emb.data[targets[parents], 4:5]), None, None, cache=cache)
+    np.testing.assert_allclose(step.data[:, 0], want[parents, 4], **CACHE_TOLERANCE["float64"])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_position_step_without_causal_mask_equals_zero_mask(dtype, monkeypatch):
+    cfg, params, batch, enc, emb, _ = _cache_case(dtype, seed=34)
+    cache = decoder_cache(params, cfg, enc, batch.source_mask)
+    decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, None, cache=cache)
+    rows = np.arange(3)
+    new = constant(emb.data[:, 4:5])
+    without = decode_step_logits(params, cfg, new, None, None, cache=cache.take(rows)).data
+
+    attention = model_module._attention
+    unmasked = []
+
+    def zero_mask(params, prefix, queries, keys_values, additive_mask, *rest):
+        if additive_mask is None:
+            unmasked.append(prefix)
+            additive_mask = np.zeros((1, 1, 1, cache.offset + 1))
+        return attention(params, prefix, queries, keys_values, additive_mask, *rest)
+
+    monkeypatch.setattr(model_module, "_attention", zero_mask)
+    with_zeros = decode_step_logits(params, cfg, new, None, None, cache=cache.take(rows)).data
+    assert unmasked == [f"dec{i}/self_attn" for i in range(cfg.num_decoder_layers)]
+    assert without.tobytes() == with_zeros.tobytes()
+
 
 def test_cached_path_records_no_tape_nodes():
     cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=32)
     with Tape() as tape:
-        cache = decoder_cache(params, cfg, enc)
+        cache = decoder_cache(params, cfg, enc, batch.source_mask)
         decode_step_logits(params, cfg, constant(emb.data[:, :2]), None, batch.source_mask, cache=cache)
         decode_step_logits(params, cfg, constant(emb.data[:, 2:3]), None, batch.source_mask, cache=cache)
     assert len(tape) == 0
@@ -331,7 +373,7 @@ def test_cached_path_records_no_tape_nodes():
 
 def test_cached_offset_plus_new_positions_raises_length_error():
     cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=33)
-    cache = decoder_cache(params, cfg, enc)
+    cache = decoder_cache(params, cfg, enc, batch.source_mask)
     decode_step_logits(params, cfg, constant(emb.data[:, :7]), None, batch.source_mask, cache=cache)
     decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, batch.source_mask, cache=cache)
     assert cache.offset == cfg.max_positions - 1

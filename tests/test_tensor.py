@@ -311,6 +311,17 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(back[name], entries[name])
 
 
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, {"w": np.arange(4.0)})
+    before = path.read_bytes()
+    # the unsupported dtype is found after "w" has been written
+    with pytest.raises(CheckpointError, match="unsupported dtype"):
+        save_checkpoint(path, {"w": np.ones(50_000), "bad": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
