@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Compare scheduled-sampling strategies on the noisy-map task.
 
-One teacher-forcing warm start per seed is shared by every strategy; each
-strategy then fine-tunes from that snapshot and reports held-out token
-accuracy under greedy decoding. Prints a per-seed table plus seed means.
+Every run goes through the ``sslab`` command line in-process. Per seed, one
+teacher-forcing ``train`` makes the warm start; each strategy then resumes
+it with ``train.resume_from`` (so every strategy of a seed sees the same
+batches) and is scored by ``evaluate`` on held-out token accuracy under
+greedy decoding. Each strategy's run directory keeps the ``config.json``
+that ``sslab train --config`` re-runs bit for bit. Prints a per-seed table
+plus seed means.
 """
 
 import argparse
-import copy
 import json
 import sys
 import time
@@ -17,17 +20,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from sslab.data import TaskKind, batch_stream, gen_task
-from sslab.decode import DecodeConfig
-from sslab.metrics import decode_corpus, token_accuracy
-from sslab.model import ModelConfig, init_params
-from sslab.rng import named_rng
-from sslab.sampler import OptimizerConfig, SamplerConfig, SamplingMode, train
-from sslab.schedules import Direction, Family, JointMethod, JointSpec, ScheduleSpec
+from sslab.cli import main as cli_main
 
 
-def build_strategies(max_t: int, ft_steps: int) -> dict[str, SamplerConfig]:
-    """Schedule parameters scaled from the translation settings by horizon.
+def build_strategies(max_t: int, ft_steps: int) -> dict[str, dict]:
+    """Sampler sections, with schedule parameters scaled from the translation settings by horizon.
 
     The translation setup decays g over 128 decoding steps (exponential
     0.99, linear -1/64, sigmoid 20) and f over 300k training steps; the
@@ -42,38 +39,44 @@ def build_strategies(max_t: int, ft_steps: int) -> dict[str, SamplerConfig]:
     while f_sig_k * np.log(max(f_sig_k, 1.0001)) < 0.47 * ft_steps:
         f_sig_k += 1.0
 
-    def dec(fam, **kw):
-        return ScheduleSpec(fam, Direction.DECAY, **kw)
+    def ds(family, direction="decay", **kw):
+        return {"mode": "decoding_steps", "schedule": {"family": family, "direction": direction, **kw}}
 
-    def inc(fam, **kw):
-        return ScheduleSpec(fam, Direction.INCREASE, **kw)
+    def joint(method):
+        f = {"family": "sigmoid", "k": f_sig_k}
+        g = {"family": "exponential", "k": exp_k}
+        return {"mode": "joint", "joint": {"method": method, "f": f, "g": g}}
 
-    g_exp = dec(Family.EXPONENTIAL, k=exp_k)
-    f_sig = dec(Family.SIGMOID, k=f_sig_k)
-
-    def ds(spec, **kw):
-        return SamplerConfig(mode=SamplingMode.DECODING_STEPS, schedule=spec, **kw)
-
-    strategies = {
-        "always_sample": ds(dec(Family.ALWAYS_SAMPLE)),
-        "uniform": ds(dec(Family.UNIFORM, uniform_p=0.5)),
-        "linear_decay": ds(dec(Family.LINEAR, k=lin_k, epsilon=0.2, b=1.0)),
-        "linear_increase": ds(inc(Family.LINEAR, k=lin_k, epsilon=0.2, b=1.0)),
-        "exponential_decay": ds(g_exp),
-        "exponential_increase": ds(inc(Family.EXPONENTIAL, k=exp_k)),
-        "sigmoid_decay": ds(dec(Family.SIGMOID, k=sig_k)),
-        "sigmoid_increase": ds(inc(Family.SIGMOID, k=sig_k)),
-        "joint_product": SamplerConfig(
-            mode=SamplingMode.JOINT, joint=JointSpec(JointMethod.PRODUCT, f_sig, g_exp)
-        ),
-        "joint_arithmetic_mean": SamplerConfig(
-            mode=SamplingMode.JOINT, joint=JointSpec(JointMethod.ARITHMETIC_MEAN, f_sig, g_exp)
-        ),
-        "joint_composite": SamplerConfig(
-            mode=SamplingMode.JOINT, joint=JointSpec(JointMethod.COMPOSITE, f_sig, g_exp)
-        ),
+    linear = {"k": lin_k, "epsilon": 0.2, "b": 1.0}
+    return {
+        "always_sample": ds("always_sample"),
+        "uniform": ds("uniform", uniform_p=0.5),
+        "linear_decay": ds("linear", **linear),
+        "linear_increase": ds("linear", "increase", **linear),
+        "exponential_decay": ds("exponential", k=exp_k),
+        "exponential_increase": ds("exponential", "increase", k=exp_k),
+        "sigmoid_decay": ds("sigmoid", k=sig_k),
+        "sigmoid_increase": ds("sigmoid", "increase", k=sig_k),
+        "joint_product": joint("product"),
+        "joint_arithmetic_mean": joint("arithmetic_mean"),
+        "joint_composite": joint("composite"),
     }
-    return strategies
+
+
+def _cli(command: str, doc: dict, *extra: str) -> None:
+    """Run one ``sslab`` command with every top-level entry of ``doc`` given by ``--set``."""
+    argv = [command, *extra]
+    for key, value in doc.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    if cli_main(argv) != 0:
+        raise SystemExit(f"sslab {command} failed for {doc['out_dir']}")
+
+
+def _accuracy(doc: dict, checkpoint: Path) -> float:
+    """Token accuracy of ``checkpoint`` from ``sslab evaluate``, run into ``<out_dir>/eval``."""
+    out = Path(doc["out_dir"]) / "eval"
+    _cli("evaluate", {**doc, "out_dir": str(out)}, "--checkpoint", str(checkpoint))
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))["token_accuracy"]
 
 
 def run_grid(
@@ -91,59 +94,54 @@ def run_grid(
     hidden=64,
     layers=2,
     strategy_filter=None,
+    out_dir="runs/strategy_grid",
 ):
-    cfg = ModelConfig(
-        vocab_size=vocab, hidden_size=hidden, filter_size=2 * hidden, num_heads=4,
-        num_encoder_layers=layers, num_decoder_layers=layers, dropout=0.1,
-        label_smoothing=0.1, max_positions=max_len + 8,
-    )
-    dcfg = DecodeConfig(beam_size=1, length_penalty=0.6, max_length=max_len + 6)
     strategies = build_strategies(max_len, ft_steps)
     if strategy_filter:
         strategies = {k: v for k, v in strategies.items() if k in strategy_filter}
     results: dict[str, dict[int, float]] = {name: {} for name in strategies}
+    base = {
+        "data": {
+            "task": "noisy_map", "vocab_size": vocab, "min_len": min_len, "max_len": max_len,
+            "count": pairs, "eval_count": eval_count, "noise": noise,
+            "history_weight": history_weight, "token_budget": budget,
+        },
+        "model": {
+            "vocab_size": 0, "hidden_size": hidden, "filter_size": 2 * hidden, "num_heads": 4,
+            "num_encoder_layers": layers, "num_decoder_layers": layers, "dropout": 0.1,
+            "label_smoothing": 0.1, "max_positions": max_len + 8,
+        },
+        "decode": {"beam_size": 1, "length_penalty": 0.6, "max_length": max_len + 6},
+        "optimizer": {"warmup_steps": min(400, warm_steps)},
+    }
+    teacher = {
+        "mode": "decoding_steps",
+        "schedule": {"family": "uniform", "uniform_p": 1.0},
+        "warm_start_steps": warm_steps,
+    }
 
     for seed in seeds:
-        train_corpus = gen_task(
-            TaskKind.NOISY_MAP, vocab, min_len, max_len, pairs,
-            seed=seed * 31 + 1, noise=noise, history_weight=history_weight,
-        )
-        eval_corpus = gen_task(
-            TaskKind.NOISY_MAP, vocab, min_len, max_len, eval_count,
-            seed=seed * 31 + 2, noise=0.0, history_weight=history_weight,
-        )
-        refs = [t for _, t in eval_corpus.pairs]
-
+        seed_dir = Path(out_dir) / f"seed{seed}"
         t0 = time.time()
-        warm_params = init_params(cfg, named_rng(seed, "init"))
-        teacher = SamplerConfig(
-            mode=SamplingMode.DECODING_STEPS,
-            schedule=ScheduleSpec(Family.UNIFORM, uniform_p=1.0),
-            warm_start_steps=10**9,
-        )
-        train(
-            warm_params, cfg, teacher, batch_stream(train_corpus, budget, seed=seed + 500),
-            OptimizerConfig(warmup_steps=min(400, warm_steps)), total_steps=warm_steps,
-            root_seed=seed,
-        )
-        warm_acc = token_accuracy(decode_corpus(warm_params, cfg, eval_corpus, dcfg), refs)
+        warm = {
+            **base, "seed": seed, "out_dir": str(seed_dir / "warm"), "sampler": teacher,
+            "train": {"total_steps": warm_steps},
+        }
+        _cli("train", warm)
+        warm_ckpt = seed_dir / "warm" / "ckpt_final.bin"
+        warm_acc = _accuracy(warm, warm_ckpt)
         print(f"seed {seed} warm start ({warm_steps} steps): acc {warm_acc:.4f} "
               f"[{time.time() - t0:.0f}s]", flush=True)
 
-        snapshot = {k: v.data.copy() for k, v in warm_params.params.items()}
         for name, sampler in strategies.items():
             t1 = time.time()
-            params = init_params(cfg, named_rng(seed, "init"))
-            params.load_arrays(snapshot)
-            tuned = copy.copy(sampler)
-            tuned.warm_start_steps = warm_steps
-            train(
-                params, cfg, tuned,
-                batch_stream(train_corpus, budget, seed=seed + 500 + hash(name) % 1000),
-                OptimizerConfig(warmup_steps=min(400, warm_steps)),
-                total_steps=ft_steps, root_seed=seed * 13 + 7, start_step=warm_steps,
-            )
-            acc = token_accuracy(decode_corpus(params, cfg, eval_corpus, dcfg), refs)
+            row = {
+                **base, "seed": seed, "out_dir": str(seed_dir / name),
+                "sampler": {**sampler, "warm_start_steps": warm_steps},
+                "train": {"total_steps": ft_steps, "resume_from": str(warm_ckpt)},
+            }
+            _cli("train", row)
+            acc = _accuracy(row, seed_dir / name / "ckpt_final.bin")
             results[name][seed] = acc
             print(f"seed {seed} {name:22s} acc {acc:.4f} [{time.time() - t1:.0f}s]", flush=True)
     return results

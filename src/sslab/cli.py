@@ -19,9 +19,10 @@ import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from types import NoneType
-from typing import Mapping, get_args, get_type_hints
+from types import NoneType, UnionType
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,15 +39,8 @@ from .metrics import (
 )
 from .model import ModelConfig, ModelParams, init_params, teacher_forced_logits
 from .rng import named_rng
-from .sampler import (
-    DivergenceError,
-    OptimizerConfig,
-    PredictionMode,
-    SamplerConfig,
-    SamplingMode,
-    train,
-)
-from .schedules import JointSpec, ScheduleSpec, dump_curves
+from .sampler import DivergenceError, OptimizerConfig, SamplerConfig, SamplingMode, train
+from .schedules import Family, JointSpec, ScheduleSpec, dump_curves
 from .tensor import load_checkpoint, replacing, save_checkpoint
 
 
@@ -80,25 +74,14 @@ class TrainSection:
     log_every: int = 50
     resume_from: str | None = None
 
+    def __post_init__(self):
+        for name in ("checkpoint_every", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-@dataclass
-class SamplerSection:
-    mode: str = "decoding_steps"
-    schedule: dict = field(default_factory=lambda: {"family": "exponential", "k": 0.99})
-    joint: dict | None = None
-    prediction: str = "soft_mix"
-    warm_start_steps: int = 0
-    backprop_through_predictions: bool = False
 
-    def build(self) -> SamplerConfig:
-        return SamplerConfig(
-            mode=SamplingMode(self.mode),
-            schedule=ScheduleSpec.from_dict(self.schedule) if self.schedule else None,
-            joint=JointSpec.from_dict(self.joint) if self.joint else None,
-            prediction=PredictionMode(self.prediction),
-            warm_start_steps=self.warm_start_steps,
-            backprop_through_predictions=self.backprop_through_predictions,
-        )
+def _default_sampler() -> SamplerConfig:
+    return SamplerConfig(SamplingMode.DECODING_STEPS, schedule=ScheduleSpec(Family.EXPONENTIAL, k=0.99))
 
 
 @dataclass
@@ -109,7 +92,7 @@ class RunConfig:
     out_dir: str = "runs/exp"
     model: ModelConfig = field(default_factory=lambda: ModelConfig(vocab_size=0))
     data: DataConfig = field(default_factory=DataConfig)
-    sampler: SamplerSection = field(default_factory=SamplerSection)
+    sampler: SamplerConfig = field(default_factory=_default_sampler)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     decode: DecodeConfig = field(default_factory=lambda: DecodeConfig(beam_size=4, length_penalty=0.6, max_length=80))
     train: TrainSection = field(default_factory=TrainSection)
@@ -119,53 +102,67 @@ class RunConfig:
     dump_max_t: int = 128
     gap_window: int = 3
 
-    @staticmethod
-    def from_dict(doc: Mapping) -> "RunConfig":
-        """Build from a document keyed by field name; a section given replaces its defaults whole."""
-        cfg = RunConfig()
-        for key, value in _checked_fields(RunConfig, doc, "").items():
-            section = type(getattr(cfg, key))
-            if is_dataclass(section):
-                value = section(**_checked_fields(section, value, f"{key}."))
-            setattr(cfg, key, value)
-        return cfg
 
+def read_config(cls, doc: object, key: str = ""):
+    """An instance of config dataclass ``cls`` read from the mapping ``doc``.
 
-def _checked_fields(cls, doc: object, prefix: str) -> Mapping:
-    """``doc``, once it is a mapping of ``cls``'s field names that holds every required one.
-
-    A value for a scalar field (int, float, bool or str, or None where the
-    field allows it) must have that type; an int counts as a float, a bool
-    as nothing but a bool. Section and dict fields are checked elsewhere.
+    Each field is read by its type annotation: a nested dataclass from a
+    mapping of its field names, an enum from its value, a float tuple from
+    a list of numbers, and a scalar by type (an int is stored as a float
+    for a float field; a bool is only a bool). Fields not given take the
+    class's defaults. Every error is a ``ConfigError`` naming the dotted
+    ``key`` of the offending entry.
     """
+    where = f"section {key!r}" if key else "document"
     if not isinstance(doc, Mapping):
-        where = f"section {prefix[:-1]!r}" if prefix else "document"
         raise ConfigError(f"config {where} must be a mapping, got {type(doc).__name__}")
+    prefix = f"{key}." if key else ""
     names = {f.name: f for f in fields(cls)}
-    for key in doc:
-        if key not in names:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
+    for name in doc:
+        if name not in names:
+            raise ConfigError(f"unknown config key {prefix + name!r}")
     for name, f in names.items():
         if name not in doc and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config key {prefix + name!r} is required")
     hints = get_type_hints(cls)
-    for key, value in doc.items():
-        allowed = get_args(hints[key]) or (hints[key],)
-        if set(allowed) <= _SCALARS and not _admits(allowed, value):
-            expected = " or ".join("null" if t is NoneType else t.__name__ for t in allowed)
-            raise ConfigError(f"config key {prefix + key!r} must be {expected}, got {value!r}")
-    return doc
+    values = {name: _read_value(hints[name], value, prefix + name) for name, value in doc.items()}
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"config {where}: {err}") from err
 
 
-_SCALARS = {int, float, bool, str, NoneType}
+def _read_value(hint, value: object, key: str) -> object:
+    if get_origin(hint) is UnionType:  # T | None
+        if value is None and NoneType in get_args(hint):
+            return None
+        (hint,) = [t for t in get_args(hint) if t is not NoneType]
+    if is_dataclass(hint):
+        return read_config(hint, value, key)
+    if get_origin(hint) is tuple:  # tuple[float, ...]
+        if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
+            raise ConfigError(f"config key {key!r} must be a list of numbers, got {value!r}")
+        return tuple(float(v) for v in value)
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise ConfigError(
+                f"config key {key!r} must be one of {[m.value for m in hint]}, got {value!r}"
+            ) from None
+    if hint is dict:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"config key {key!r} must be a mapping, got {type(value).__name__}")
+        return value
+    if hint is float and _is_number(value):
+        return float(value)
+    if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
 
 
-def _admits(allowed: tuple, value: object) -> bool:
-    if isinstance(value, bool):
-        return bool in allowed
-    if isinstance(value, int):
-        return int in allowed or float in allowed
-    return isinstance(value, allowed)
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_override(raw: str) -> tuple[list[str], object]:
@@ -184,7 +181,7 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    base = asdict(RunConfig.from_dict(doc))
+    base = asdict(read_config(RunConfig, doc))
     for raw in overrides:
         keys, value = _parse_override(raw)
         node = base
@@ -192,10 +189,8 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
             if k not in node or not isinstance(node[k], dict):
                 raise ConfigError(f"unknown config path {'.'.join(keys)!r}")
             node = node[k]
-        if keys[-1] not in node:
-            raise ConfigError(f"unknown config key {'.'.join(keys)!r}")
-        node[keys[-1]] = value
-    cfg = RunConfig.from_dict(base)
+        node[keys[-1]] = value  # an unknown key is the reader's to reject
+    cfg = read_config(RunConfig, base)
     env_out = os.environ.get("SSLAB_OUT_DIR")
     if env_out:
         cfg.out_dir = env_out
@@ -277,7 +272,7 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
         sidecar = json.load(fh)
     model = sidecar.get("model") if isinstance(sidecar, Mapping) else None
     try:
-        config = ModelConfig(**_checked_fields(ModelConfig, model, "model."))
+        config = read_config(ModelConfig, model, "model")
         tokens = sidecar.get("vocab_tokens")
         content = config.vocab_size - FIRST_CONTENT_ID
         if not (isinstance(tokens, list) and len(tokens) == content and all(isinstance(t, str) for t in tokens)):
@@ -301,15 +296,12 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
 
 def cmd_schedule_dump(cfg: RunConfig) -> int:
     out = _prepare_out_dir(cfg)
-    if not isinstance(cfg.schedules, Mapping):
-        raise ConfigError(f"config key 'schedules' must be a mapping, got {type(cfg.schedules).__name__}")
     if not cfg.schedules:
         raise ConfigError("schedule-dump needs at least one entry under 'schedules'")
     specs = {}
     for name, doc in cfg.schedules.items():
-        if not isinstance(doc, Mapping):
-            raise ConfigError(f"config key 'schedules.{name}' must be a mapping, got {type(doc).__name__}")
-        specs[name] = JointSpec.from_dict(doc) if "method" in doc else ScheduleSpec.from_dict(doc)
+        spec_cls = JointSpec if isinstance(doc, Mapping) and "method" in doc else ScheduleSpec
+        specs[name] = read_config(spec_cls, doc, f"schedules.{name}")
     tables = dump_curves(specs, cfg.dump_max_i, cfg.dump_max_t)
     for key, (header, rows) in tables.items():
         with open(out / f"{key}.csv", "w", newline="", encoding="utf-8") as fh:
@@ -331,7 +323,6 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         params = init_params(model_cfg, named_rng(cfg.seed, "init"))
         start_step = 0
-    sampler = cfg.sampler.build()
     batches = batch_stream(train_corpus, cfg.data.token_budget, hash_seed(cfg.seed, "batches"))
     # the stream is stateless per epoch; skip ahead so resumed runs see new data
     for _ in range(start_step):
@@ -339,7 +330,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     log_path = out / "steps.csv"
     log_fh = open(log_path, "a" if start_step else "w", encoding="utf-8")
-    if not start_step:
+    if log_fh.tell() == 0:  # a new log, also when a resumed run writes to a new out_dir
         log_fh.write("step,loss,golden_fraction,mean_p,mode\n")
     last_checkpoint = None
 
@@ -358,7 +349,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     try:
         train(
-            params, model_cfg, sampler, batches, cfg.optimizer,
+            params, model_cfg, cfg.sampler, batches, cfg.optimizer,
             total_steps=cfg.train.total_steps, root_seed=cfg.seed,
             start_step=start_step, on_step=on_step,
         )

@@ -62,6 +62,8 @@ class ModelConfig:
     param_dtype: str = "float32"
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"

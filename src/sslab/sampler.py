@@ -226,6 +226,10 @@ class OptimizerConfig:
     beta2: float = 0.98
     eps: float = 1e-9
 
+    def __post_init__(self):
+        if self.warmup_steps < 1:
+            raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+
 
 def learning_rate(opt: OptimizerConfig, hidden_size: int, step: int) -> float:
     """Inverse-sqrt schedule with linear warmup, scaled by model width."""

@@ -95,31 +95,6 @@ class ScheduleSpec:
             if any(not 0.0 <= e <= 1.0 for e in self.empirical_table):
                 raise ScheduleError("empirical error rates must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        out = {"family": self.family.value, "direction": self.direction.value}
-        if self.family is Family.LINEAR:
-            out.update(k=self.k, epsilon=self.epsilon, b=self.b)
-        elif self.family in (Family.EXPONENTIAL, Family.SIGMOID):
-            out["k"] = self.k
-        elif self.family is Family.UNIFORM:
-            out["uniform_p"] = self.uniform_p
-        elif self.family is Family.EMPIRICAL:
-            out["empirical_table"] = list(self.empirical_table or ())
-        return out
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "ScheduleSpec":
-        table = d.get("empirical_table")
-        return ScheduleSpec(
-            family=Family(d["family"]),
-            direction=Direction(d.get("direction", "decay")),
-            k=float(d.get("k", 0.0)),
-            epsilon=float(d.get("epsilon", 0.2)),
-            b=float(d.get("b", 1.0)),
-            uniform_p=float(d.get("uniform_p", 0.5)),
-            empirical_table=tuple(float(e) for e in table) if table else None,
-        )
-
 
 @dataclass(frozen=True)
 class JointSpec:
@@ -128,17 +103,6 @@ class JointSpec:
     method: JointMethod
     f: ScheduleSpec
     g: ScheduleSpec
-
-    def to_dict(self) -> dict:
-        return {"method": self.method.value, "f": self.f.to_dict(), "g": self.g.to_dict()}
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "JointSpec":
-        return JointSpec(
-            method=JointMethod(d["method"]),
-            f=ScheduleSpec.from_dict(d["f"]),
-            g=ScheduleSpec.from_dict(d["g"]),
-        )
 
 
 AnySpec = Union[ScheduleSpec, JointSpec]

@@ -143,6 +143,48 @@ def test_malformed_config_fails_without_traceback(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "override, error",
+    [
+        ("sampler.schedule=5", "config section 'sampler.schedule' must be a mapping"),
+        ('sampler.schedule={"family": "empirical", "empirical_table": 5}',
+         "config key 'sampler.schedule.empirical_table' must be a list of numbers"),
+        ('sampler.joint={"method": "product", "f": 5, "g": 5}',
+         "config section 'sampler.joint.f' must be a mapping"),
+        ('sampler.schedule={"k": 0.5}', "config key 'sampler.schedule.family' is required"),
+        ('sampler.schedule={"family": "exponential", "k": "0.5"}',
+         "config key 'sampler.schedule.k' must be float"),
+        ('sampler.schedule={"family": "exponential", "k": 0.5, "bogus": 1}',
+         "unknown config key 'sampler.schedule.bogus'"),
+        ("sampler.schedule.direction=increase", None),
+    ],
+    ids=["not-mapping", "table-not-list", "joint-f-not-mapping", "family-missing", "k-string",
+         "unknown-key", "direction-override"],
+)
+def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
+    out = tmp_path / "run"
+    code = run_cli(*tiny_train_args(out, extra=["--set", "train.total_steps=1", "--set", override]))
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0
+        schedule = json.loads((out / "config.json").read_text())["sampler"]["schedule"]
+        assert schedule["direction"] == "increase" and schedule["family"] == "uniform"
+    else:
+        assert code == 1
+        assert err.startswith("sslab: error:") and error in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["train.log_every=0", "train.checkpoint_every=0", "model.num_heads=0", "optimizer.warmup_steps=0"],
+)
+def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
+    code = run_cli(*tiny_train_args(tmp_path / "run", extra=["--set", override]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and override.split("=")[0].split(".")[-1] in err
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SSLAB_OUT_DIR", str(env_dir))

@@ -1,0 +1,65 @@
+import importlib.util
+import json
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from sslab.cli import RunConfig, main, read_config
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+strategy_grid = load_script("strategy_grid")
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_answers_help(script):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--help"], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout
+
+
+SAMPLER_SECTIONS = {
+    "default": None,
+    **strategy_grid.build_strategies(40, 700),
+    "empirical": {
+        "mode": "training_steps",
+        "schedule": {"family": "empirical", "empirical_table": [0, 0.25, 0.5]},
+        "warm_start_steps": 3,
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_SECTIONS))
+def test_config_reads_back_from_its_echo(name):
+    section = SAMPLER_SECTIONS[name]
+    cfg = read_config(RunConfig, {} if section is None else {"sampler": section})
+    assert read_config(RunConfig, asdict(cfg)) == cfg
+    assert read_config(RunConfig, json.loads(json.dumps(asdict(cfg)))) == cfg
+
+
+def test_strategy_grid_row_reruns_bit_for_bit(tmp_path):
+    grid = tmp_path / "grid"
+    results = strategy_grid.run_grid(
+        [3], min_len=2, max_len=6, pairs=60, eval_count=8, warm_steps=4, ft_steps=3,
+        budget=128, vocab=12, hidden=16, layers=1,
+        strategy_filter={"exponential_decay", "joint_composite"}, out_dir=grid,
+    )
+    assert sorted(results) == ["exponential_decay", "joint_composite"]
+    assert all(0.0 <= acc[3] <= 1.0 for acc in results.values())
+    row = grid / "seed3" / "joint_composite"
+    assert main(["train", "--config", str(row / "config.json"), "--set", f"out_dir={tmp_path / 'rerun'}"]) == 0
+    assert (tmp_path / "rerun" / "ckpt_final.bin").read_bytes() == (row / "ckpt_final.bin").read_bytes()
+    assert (tmp_path / "rerun" / "steps.csv").read_bytes() == (row / "steps.csv").read_bytes()
