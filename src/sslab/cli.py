@@ -75,6 +75,8 @@ class TrainSection:
     resume_from: str | None = None
 
     def __post_init__(self):
+        if self.total_steps < 0:
+            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
         for name in ("checkpoint_every", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -289,6 +291,16 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
     return params, step, vocab
 
 
+def _load_checkpoint_for(path: str, corpus: Corpus) -> tuple[ModelParams, int]:
+    """The checkpoint's parameters and step; its vocabulary must be ``corpus``'s."""
+    params, step, vocab = load_model_checkpoint(path)
+    if vocab.tokens != corpus.vocab.tokens:
+        raise ConfigError(
+            f"checkpoint vocabulary ({vocab.size} ids) does not match the configured data ({corpus.vocab.size} ids)"
+        )
+    return params, step
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -317,9 +329,12 @@ def cmd_train(cfg: RunConfig) -> int:
     train_corpus, _ = build_corpora(cfg)
     model_cfg = _resolve_model_config(cfg, train_corpus.vocab)
     if cfg.train.resume_from:
-        params, start_step, vocab = load_model_checkpoint(cfg.train.resume_from)
-        if vocab.tokens != train_corpus.vocab.tokens:
-            raise ConfigError("checkpoint vocabulary does not match the configured data")
+        params, start_step = _load_checkpoint_for(cfg.train.resume_from, train_corpus)
+        # the run trains the checkpoint's model, so its model section must name that model
+        ours, theirs = asdict(model_cfg), asdict(params.config)
+        differ = [f"model.{k} is {ours[k]!r} here, {theirs[k]!r} in the checkpoint" for k in ours if ours[k] != theirs[k]]
+        if differ:
+            raise ConfigError(f"the run's model section differs from the checkpoint's: {'; '.join(differ)}")
     else:
         params = init_params(model_cfg, named_rng(cfg.seed, "init"))
         start_step = 0
@@ -385,15 +400,14 @@ def _teacher_forced_predictions(
 
 def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     out = _prepare_out_dir(cfg)
-    params, _, _ = load_model_checkpoint(checkpoint)
-    model_cfg = params.config
     _, eval_corpus = build_corpora(cfg)
+    params, _ = _load_checkpoint_for(checkpoint, eval_corpus)
     refs = _content_targets(eval_corpus)
 
-    train_preds = _teacher_forced_predictions(params, model_cfg, eval_corpus)
+    train_preds = _teacher_forced_predictions(params, params.config, eval_corpus)
     train_curve = strict_precision_per_step(train_preds, refs)
 
-    hyps = decode_corpus(params, model_cfg, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
     infer_curve = fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window)
 
     infer_at = dict(zip(infer_curve.steps, infer_curve.values))
@@ -414,11 +428,10 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
     out = _prepare_out_dir(cfg)
-    params, step, _ = load_model_checkpoint(checkpoint)
-    model_cfg = params.config
     _, eval_corpus = build_corpora(cfg)
+    params, step = _load_checkpoint_for(checkpoint, eval_corpus)
     refs = _content_targets(eval_corpus)
-    hyps = decode_corpus(params, model_cfg, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
 
     accuracy = token_accuracy(hyps, refs)
     bleu = corpus_bleu_lite(hyps, refs)
@@ -447,14 +460,13 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_decode(cfg: RunConfig, checkpoint: str, output: str | None) -> int:
     out = _prepare_out_dir(cfg)
-    params, _, vocab = load_model_checkpoint(checkpoint)
-    model_cfg = params.config
     _, eval_corpus = build_corpora(cfg)
-    hyps = decode_corpus(params, model_cfg, eval_corpus, cfg.decode)
+    params, _ = _load_checkpoint_for(checkpoint, eval_corpus)
+    hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
     path = Path(output) if output else out / "hypotheses.txt"
     with open(path, "w", encoding="utf-8") as fh:
         for hyp in hyps:
-            fh.write(" ".join(vocab.decode(hyp)) + "\n")
+            fh.write(" ".join(eval_corpus.vocab.decode(hyp)) + "\n")
     print(f"wrote {len(hyps)} hypothesis lines to {path}")
     return 0
 

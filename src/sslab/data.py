@@ -272,6 +272,8 @@ def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> li
     grouped by length, and batch order is shuffled again; everything is
     deterministic given (seed, epoch).
     """
+    if not corpus.pairs:
+        raise DataError("cannot batch an empty corpus")
     widest = max(_row_width(p) for p in corpus.pairs)
     if widest > token_budget:
         raise DataError(f"token budget {token_budget} below widest pair ({widest} tokens)")

@@ -11,11 +11,12 @@ next-token log probabilities), so tests can drive them with arbitrary toy
 models. Both decode a batch of sources in lockstep, one scorer call per
 step: greedy scores every unfinished row, beam search the live beams of
 every source whose search has not stopped. The transformer adapter decodes
-incrementally: it computes the encoder states, cross-attention keys/values
-and source masks once per batch and regathers them only when the calls'
-source rows change; it keeps a self-attention key/value cache across
-calls, gathered by parent at every step, and so projects one new position
-per row and step instead of the whole prefix.
+incrementally: it computes the encoder states and their ``SourceState``
+(cross-attention keys/values and source masks) once per batch and
+regathers that state only when the calls' source rows change; it keeps a
+self-attention key/value cache across calls, gathered by parent at every
+step, and so projects one new position per row and step instead of the
+whole prefix.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID
 from .model import (
+    DecoderCache,
     ModelConfig,
     ModelParams,
     decode_step_logits,
-    decoder_cache,
     embed_targets,
     encode,
+    source_state,
 )
 from .tensor import no_grad
 
@@ -85,39 +87,36 @@ def transformer_scorer(
     """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V].
 
     Encoder states, every layer's cross-attention keys/values and the
-    source masks are computed once here, in a base cache over the batch's
-    rows. The cache's per-source part is regathered from that base only
-    when a call's ``rows`` differ from the previous call's. Its
-    per-hypothesis part, the self-attention cache, follows the beams: each
-    call finds every row's parent among the previous call's rows, keyed by
-    (source row, prefix[:-1]), gathers the self-attention cache in that
-    order and decodes only the newest position; that one gather follows
-    greedy's shrinking alive set and beam reordering alike. A call in
-    which some row has no parent (the first step, or a caller that jumps)
-    decodes its full prefixes from an empty cache through the same step
-    function.
+    source masks are computed once here, in a base ``SourceState`` over the
+    batch's rows. The state a call reads is regathered from that base only
+    when the call's ``rows`` differ from the previous call's. The
+    per-hypothesis self-attention cache follows the beams: each call finds
+    every row's parent among the previous call's rows, keyed by (source
+    row, prefix[:-1]), gathers the cache in that order and decodes only the
+    newest position; that one gather follows greedy's shrinking alive set
+    and beam reordering alike. A call in which some row has no parent (the
+    first step, or a caller that jumps) decodes its full prefixes from an
+    empty cache through the same step function.
     """
     with no_grad():
         enc = encode(params, config, source, source_mask)
-    base = decoder_cache(params, config, enc, source_mask)
-    cache = base
-    source_rows = np.arange(source.shape[0])  # rows of ``cache.source``
+        base = source_state(params, config, enc, source_mask)
+    state, state_rows = base, np.arange(source.shape[0])
+    cache: DecoderCache | None = None
     index: dict[tuple[int, bytes], int] = {}  # (source row, prefix) -> row of ``cache``
 
     def step(prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        nonlocal cache, source_rows, index
+        nonlocal state, state_rows, cache, index
         parents = [index.get((int(r), p[:-1].tobytes()), -1) for r, p in zip(rows, prefixes)]
-        if np.array_equal(rows, source_rows):
-            source_state = cache.source
-        else:
-            source_state, source_rows = base.source.take(rows), np.array(rows)
+        if not np.array_equal(rows, state_rows):
+            state, state_rows = base.take(rows), np.array(rows)
         if -1 in parents:
-            cache, new = base.take(rows, source_state), prefixes
+            cache, new = DecoderCache.empty(config, len(rows)), prefixes
         else:
             if parents != list(range(len(index))):
-                cache = cache.take(np.array(parents), source_state)
+                cache = cache.take(np.array(parents))
             new = prefixes[:, -1:]
-        logits = decode_step_logits(params, config, embed_targets(params, new), None, None, cache=cache)
+        logits = decode_step_logits(params, config, embed_targets(params, new), state, cache=cache)
         index = {(int(r), p.tobytes()): i for i, (r, p) in enumerate(zip(rows, prefixes))}
         return _log_softmax(logits.data[:, -1, :])
 

@@ -211,39 +211,29 @@ def _project_kv(params: ModelParams, prefix: str, keys_values: Tensor) -> tuple[
     return k, v
 
 
-def _mask_constant(mask: np.ndarray | Tensor, dtype) -> Tensor:
-    """A numpy mask cast (and so copied) to ``dtype`` per call; a Tensor mask is used as given."""
-    return mask if isinstance(mask, Tensor) else constant(mask.astype(dtype))
-
-
 def _attention(
     params: ModelParams,
     prefix: str,
     queries: Tensor,
-    keys_values: Tensor | None,
-    additive_mask: np.ndarray | Tensor | None,
-    key_mask: np.ndarray | Tensor | None,
+    additive_mask: Tensor | None,
+    key_mask: Tensor | None,
     kv: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
-    """Multi-head attention; ``kv`` supplies projected keys/values in place of ``keys_values``.
-
-    Tensor masks must already hold the scores' dtype (the decoder cache
-    builds its masks once per batch); numpy masks are cast on every call.
-    """
+    """Multi-head attention over projected ``kv``, else self-attention; masks are in the scores' dtype."""
     cfg = params.config
     q = _split_heads(_linear(queries, params[f"{prefix}/wq"], params[f"{prefix}/bq"]), cfg.num_heads)
     # projected after the queries: tape order fixes the order in which
     # gradients accumulate, so training stays bit-identical
-    k, v = _project_kv(params, prefix, keys_values) if kv is None else kv
+    k, v = _project_kv(params, prefix, queries) if kv is None else kv
     d = cfg.hidden_size // cfg.num_heads
     scores = matmul(q, transpose(k, (0, 1, 3, 2)))
     scores = mul(scores, constant(np.asarray(1.0 / math.sqrt(d), dtype=scores.dtype)))
     if additive_mask is not None:
-        scores = add(scores, _mask_constant(additive_mask, scores.data.dtype))
+        scores = add(scores, additive_mask)
     weights = softmax(scores, axis=-1)
     if key_mask is not None:
         # exact zero on pad keys, including rows where every key is padding
-        weights = mul(weights, _mask_constant(key_mask, weights.data.dtype))
+        weights = mul(weights, key_mask)
     ctx = _merge_heads(matmul(weights, v))
     return _linear(ctx, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
 
@@ -274,6 +264,13 @@ def _embed_and_position(params: ModelParams, emb: Tensor, rng, training, offset:
     return x
 
 
+def _source_masks(config: ModelConfig, src_mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Key mask (1 on real keys, 0 on padding) and additive mask (0 or NEG_INF), [B, 1, 1, m] in the model dtype."""
+    keys = src_mask[:, None, None, :]
+    dtype = config.np_dtype
+    return constant(keys.astype(dtype)), constant(np.where(keys, dtype(0.0), dtype(NEG_INF)))
+
+
 def encode(
     params: ModelParams,
     config: ModelConfig,
@@ -285,10 +282,9 @@ def encode(
     """Contextual states [B, m, H]; padding keys are never attended to."""
     emb = embedding_lookup(params.src_embedding(), src_ids)
     x = _embed_and_position(params, emb, rng, training)
-    key_mask = src_mask[:, None, None, :].astype(config.np_dtype)
-    additive = np.where(src_mask[:, None, None, :], 0.0, NEG_INF)
+    key_mask, additive = _source_masks(config, src_mask)
     for i in range(config.num_encoder_layers):
-        attn = _attention(params, f"enc{i}/attn", x, x, additive, key_mask)
+        attn = _attention(params, f"enc{i}/attn", x, additive, key_mask)
         x = _post_norm(params, f"enc{i}/attn_ln", x, attn, rng, training)
         x = _post_norm(params, f"enc{i}/ffn_ln", x, _ffn(params, f"enc{i}/ffn", x), rng, training)
     return x
@@ -313,72 +309,67 @@ def output_logits(params: ModelParams, x: Tensor) -> Tensor:
 
 @dataclass
 class SourceState:
-    """The per-source part of a decoder cache, one row per hypothesis.
+    """What every decoder pass reads of its source, one row per hypothesis.
 
     ``cross`` holds every decoder layer's cross-attention keys/values
     [rows, heads, m, head_dim]; ``key_mask`` (1 on real keys, 0 on
     padding) and ``additive`` (0 or NEG_INF) are the source key masks
-    [rows, 1, 1, m], in the model dtype. A hypothesis's source never
-    changes, so none of this needs regathering while beams reorder among
-    the same source rows.
+    [rows, 1, 1, m], in the model dtype. ``source_state`` builds it once
+    per batch and every decoder pass over that batch reads it; in training
+    the passes' gradients sum in its keys/values. A hypothesis's source
+    never changes, so none of this needs regathering while beams reorder
+    among the same source rows.
     """
 
-    cross: list[tuple[np.ndarray, np.ndarray]]
-    key_mask: np.ndarray
-    additive: np.ndarray
+    cross: list[tuple[Tensor, Tensor]]
+    key_mask: Tensor
+    additive: Tensor
 
     def take(self, rows: np.ndarray) -> SourceState:
-        """The state of ``rows`` in that order; rows may repeat."""
-        cross = [(k[rows], v[rows]) for k, v in self.cross]
-        return SourceState(cross, self.key_mask[rows], self.additive[rows])
+        """The state of ``rows`` in that order (rows may repeat), as constants off the tape."""
+        cross = [(constant(k.data[rows]), constant(v.data[rows])) for k, v in self.cross]
+        return SourceState(cross, constant(self.key_mask.data[rows]), constant(self.additive.data[rows]))
+
+
+def source_state(
+    params: ModelParams, config: ModelConfig, encoder_states: Tensor, src_mask: np.ndarray
+) -> SourceState:
+    """Every decoder layer's cross-attention keys/values over ``encoder_states``, and the source masks.
+
+    The projections record on the tape when one is active.
+    """
+    cross = [_project_kv(params, f"dec{i}/cross_attn", encoder_states) for i in range(config.num_decoder_layers)]
+    return SourceState(cross, *_source_masks(config, src_mask))
 
 
 @dataclass
 class DecoderCache:
-    """Decoder state for incremental decoding: per-source and per-hypothesis parts.
+    """Per-hypothesis state for incremental decoding; it never enters a tape.
 
-    Arrays are plain numpy and never enter a tape. ``source`` is the
-    per-source state (cross-attention keys/values and source masks);
-    ``self_kv`` is the per-hypothesis state, each layer's self-attention
-    keys/values [rows, heads, offset, head_dim] of the ``offset`` decoder
-    positions computed so far.
+    ``self_kv`` holds each decoder layer's self-attention keys/values
+    [rows, heads, offset, head_dim] of the ``offset`` decoder positions
+    computed so far. The source side is the ``SourceState`` each step reads.
     """
 
-    source: SourceState
     self_kv: list[tuple[np.ndarray, np.ndarray]]
     offset: int = 0
 
-    def take(self, parents: np.ndarray, source: SourceState | None = None) -> DecoderCache:
-        """The hypotheses ``parents`` in that order (rows may repeat).
+    @classmethod
+    def empty(cls, config: ModelConfig, rows: int) -> DecoderCache:
+        """A cache of ``rows`` hypotheses with no position computed yet."""
+        kv = np.zeros((rows, config.num_heads, 0, config.hidden_size // config.num_heads), config.np_dtype)
+        return cls([(kv, kv)] * config.num_decoder_layers)
 
-        ``source`` replaces the gather of this cache's source state by
-        ``parents``: its row i must be the source of hypothesis parents[i].
-        """
-        source = self.source.take(parents) if source is None else source
-        return DecoderCache(source, [(k[parents], v[parents]) for k, v in self.self_kv], self.offset)
-
-
-def decoder_cache(
-    params: ModelParams, config: ModelConfig, encoder_states: Tensor, src_mask: np.ndarray
-) -> DecoderCache:
-    """An empty self-attention cache over every source row's cross-attention keys/values and masks."""
-    with no_grad():
-        cross = [
-            tuple(t.data for t in _project_kv(params, f"dec{i}/cross_attn", encoder_states))
-            for i in range(config.num_decoder_layers)
-        ]
-    keys = src_mask[:, None, None, :]
-    dtype = config.np_dtype
-    source = SourceState(cross, keys.astype(dtype), np.where(keys, dtype(0.0), dtype(NEG_INF)))
-    return DecoderCache(source, [(k[:, :, :0], v[:, :, :0]) for k, v in cross])
+    def take(self, parents: np.ndarray) -> DecoderCache:
+        """The hypotheses ``parents`` in that order (rows may repeat)."""
+        return DecoderCache([(k[parents], v[parents]) for k, v in self.self_kv], self.offset)
 
 
 def decode_step_logits(
     params: ModelParams,
     config: ModelConfig,
     decoder_embeddings: Tensor,
-    encoder_states: Tensor | None,
-    src_mask: np.ndarray | None,
+    source: SourceState,
     rng: np.random.Generator | None = None,
     training: bool = False,
     cache: DecoderCache | None = None,
@@ -387,33 +378,27 @@ def decode_step_logits(
 
     Position t attends only to decoder positions <= t, so perturbing the
     input at t can change logits at positions >= t but never earlier ones.
+    Cross-attention reads ``source``, one row per decoder row.
 
-    Without ``cache`` the inputs are the whole prefix. With a cache the
-    inputs are the n positions after ``cache.offset``: only they are
-    projected, their self-attention keys/values are appended to the cache,
-    and cross-attention reads the cached keys/values and source masks
-    instead of ``encoder_states`` and ``src_mask`` (either may be None).
-    The cached path records nothing on the tape.
+    Without ``cache`` the inputs are the whole prefix, and the pass records
+    on the tape when one is active. With a cache the inputs are the n
+    positions after ``cache.offset``: only they are projected, their
+    self-attention keys/values are appended to the cache, and nothing is
+    recorded.
     """
-    context = encoder_states.data.shape if cache is None else cache.source.key_mask.shape
-    if decoder_embeddings.data.shape[0] != context[0]:
-        raise ValueError(
-            f"batch mismatch: decoder {decoder_embeddings.data.shape} vs encoder {context}"
-        )
+    rows = source.key_mask.data.shape[0]
+    if decoder_embeddings.data.shape[0] != rows:
+        raise ValueError(f"batch mismatch: decoder {decoder_embeddings.data.shape} vs {rows} source rows")
     with no_grad() if cache is not None else contextlib.nullcontext():
         offset = 0 if cache is None else cache.offset
         n = decoder_embeddings.data.shape[1]
         x = _embed_and_position(params, decoder_embeddings, rng, training, offset)
         # one new position may attend to every key: its causal mask is all zeros
-        causal = np.triu(np.full((1, 1, n, offset + n), NEG_INF), k=offset + 1) if n > 1 else None
-        if cache is None:
-            cross_key_mask = src_mask[:, None, None, :].astype(config.np_dtype)
-            cross_additive = np.where(src_mask[:, None, None, :], 0.0, NEG_INF)
-        else:
-            cross_key_mask = constant(cache.source.key_mask)
-            cross_additive = constant(cache.source.additive)
+        causal = None
+        if n > 1:
+            causal = constant(np.triu(np.full((1, 1, n, offset + n), NEG_INF, config.np_dtype), k=offset + 1))
         for i in range(config.num_decoder_layers):
-            self_kv = cross_kv = None
+            self_kv = None
             if cache is not None:
                 k_new, v_new = _project_kv(params, f"dec{i}/self_attn", x)
                 k_old, v_old = cache.self_kv[i]
@@ -422,12 +407,9 @@ def decode_step_logits(
                     np.concatenate([v_old, v_new.data], axis=2),
                 )
                 self_kv = tuple(constant(a) for a in cache.self_kv[i])
-                cross_kv = tuple(constant(a) for a in cache.source.cross[i])
-            self_attn = _attention(params, f"dec{i}/self_attn", x, x, causal, None, self_kv)
+            self_attn = _attention(params, f"dec{i}/self_attn", x, causal, None, self_kv)
             x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng, training)
-            cross = _attention(
-                params, f"dec{i}/cross_attn", x, encoder_states, cross_additive, cross_key_mask, cross_kv
-            )
+            cross = _attention(params, f"dec{i}/cross_attn", x, source.additive, source.key_mask, source.cross[i])
             x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng, training)
             x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng, training)
         if cache is not None:
@@ -447,8 +429,9 @@ def teacher_forcing_loss(
     if batch.size == 0:
         raise ValueError("empty batch")
     enc = encode(params, config, batch.source, batch.source_mask, enc_rng, training)
+    source = source_state(params, config, enc, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs())
-    logits = decode_step_logits(params, config, emb, enc, batch.source_mask, dec_rng, training)
+    logits = decode_step_logits(params, config, emb, source, dec_rng, training)
     return cross_entropy_label_smoothed(
         logits, batch.labels(), config.label_smoothing, batch.label_mask()
     )
@@ -458,6 +441,8 @@ def teacher_forced_logits(params: ModelParams, config: ModelConfig, batch: Batch
     """Evaluation-mode logits at every golden-prefix position (no recording)."""
     with no_grad():
         enc = encode(params, config, batch.source, batch.source_mask)
+        source = source_state(params, config, enc, batch.source_mask)
+        del enc  # the decoder reads only ``source``; freeing the states lowers the pass's peak memory
         emb = embed_targets(params, batch.decoder_inputs())
-        logits = decode_step_logits(params, config, emb, enc, batch.source_mask)
+        logits = decode_step_logits(params, config, emb, source)
     return logits.data

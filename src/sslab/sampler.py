@@ -6,7 +6,8 @@ distributions into prediction embeddings. A per-position Bernoulli mask
 then chooses, independently for every (sentence, position), whether the
 second pass sees the golden embedding or the prediction; the loss is the
 label-smoothed cross entropy of the second pass alone. Both passes share
-one set of parameters and one encoder run.
+one set of parameters, one encoder run and one cross-attention projection:
+one ``SourceState`` per batch feeds both.
 
 Gradients do not flow through first-pass predictions unless
 ``backprop_through_predictions`` is set; the default treats them as
@@ -15,6 +16,7 @@ constants, matching their role as simulated inference inputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,9 +28,11 @@ from .data import Batch
 from .model import (
     ModelConfig,
     ModelParams,
+    SourceState,
     decode_step_logits,
     embed_targets,
     encode,
+    source_state,
     teacher_forcing_loss,
 )
 from .rng import named_rng
@@ -148,10 +152,10 @@ def first_pass_predictions(
     params: ModelParams,
     config: ModelConfig,
     batch: Batch,
-    encoder_states: Tensor,
+    source: SourceState,
     sampler: SamplerConfig,
 ) -> Tensor:
-    """Input-aligned prediction embeddings [B, n, H] from a golden-input pass.
+    """Input-aligned prediction embeddings [B, n, H] from a golden-input pass over ``source``.
 
     The prediction for input position j + 1 is the first-pass output at
     position j; position 0 is zero-filled and always overridden by the
@@ -159,21 +163,16 @@ def first_pass_predictions(
     a constant; with ``backprop_through_predictions`` it stays on the tape.
     """
     golden_in = batch.decoder_inputs()
-    b, n = golden_in.shape
-    h = config.hidden_size
-    if sampler.backprop_through_predictions:
-        emb = embed_targets(params, golden_in)
-        logits = decode_step_logits(params, config, emb, encoder_states, batch.source_mask)
+    n = golden_in.shape[1]
+    on_tape = sampler.backprop_through_predictions
+    with contextlib.nullcontext() if on_tape else no_grad():
+        logits = decode_step_logits(params, config, embed_targets(params, golden_in), source)
         pred = _prediction_embeddings(params, config, sampler, logits)
+    if on_tape:
         shift = np.zeros((n, n), dtype=config.np_dtype)
         shift[np.arange(1, n), np.arange(n - 1)] = 1.0
         return matmul(constant(shift), pred)
-    with no_grad():
-        enc_const = constant(encoder_states.data)
-        emb = embed_targets(params, golden_in)
-        logits = decode_step_logits(params, config, emb, enc_const, batch.source_mask)
-        pred = _prediction_embeddings(params, config, sampler, logits)
-    shifted = np.zeros((b, n, h), dtype=config.np_dtype)
+    shifted = np.zeros_like(pred.data)
     shifted[:, 1:, :] = pred.data[:, : n - 1, :]
     return constant(shifted)
 
@@ -191,12 +190,13 @@ def two_pass_loss(
 ) -> tuple[Tensor, MixedDecoderInputs]:
     """Scheduled-sampling loss: second pass over mixed inputs, golden labels."""
     enc = encode(params, config, batch.source, batch.source_mask, enc_rng, training)
+    source = source_state(params, config, enc, batch.source_mask)
     golden_in = batch.decoder_inputs()
     golden_emb = embed_targets(params, golden_in)
     mask, p = sample_selection_mask(sampler, train_step, batch.size, golden_in.shape[1], mask_rng)
-    pred_emb = first_pass_predictions(params, config, batch, enc, sampler)
+    pred_emb = first_pass_predictions(params, config, batch, source, sampler)
     mixed = select(mask[:, :, None], golden_emb, pred_emb)
-    logits = decode_step_logits(params, config, mixed, enc, batch.source_mask, dec_rng, training)
+    logits = decode_step_logits(params, config, mixed, source, dec_rng, training)
     loss = cross_entropy_label_smoothed(
         logits, batch.labels(), config.label_smoothing, batch.label_mask()
     )

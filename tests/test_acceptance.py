@@ -235,7 +235,7 @@ def test_criterion_3_gradient_checks():
     # blocked-prediction variant: the objective treats first-pass outputs
     # as constants, so the oracle differentiates the loss with the
     # prediction embeddings frozen at their unperturbed values
-    from sslab.model import decode_step_logits, embed_targets, encode
+    from sslab.model import decode_step_logits, embed_targets, encode, source_state
     from sslab.sampler import first_pass_predictions, sample_selection_mask
     from sslab.tensor import constant, cross_entropy_label_smoothed, no_grad, select
 
@@ -244,7 +244,8 @@ def test_criterion_3_gradient_checks():
     )
     with no_grad():
         enc0 = encode(params, cfg, batch.source, batch.source_mask)
-    pred0 = first_pass_predictions(params, cfg, batch, enc0, sampler).data.copy()
+    source0 = source_state(params, cfg, enc0, batch.source_mask)
+    pred0 = first_pass_predictions(params, cfg, batch, source0, sampler).data.copy()
     mask, _ = sample_selection_mask(
         sampler, 0, batch.size, batch.decoder_inputs().shape[1], named_rng(304, "mask")
     )
@@ -254,7 +255,7 @@ def test_criterion_3_gradient_checks():
         enc = encode(params, cfg, batch.source, batch.source_mask)
         golden = embed_targets(params, batch.decoder_inputs())
         mixed = select(mask[:, :, None], golden, constant(pred0))
-        logits = decode_step_logits(params, cfg, mixed, enc, batch.source_mask)
+        logits = decode_step_logits(params, cfg, mixed, source_state(params, cfg, enc, batch.source_mask))
         return cross_entropy_label_smoothed(
             logits, batch.labels(), cfg.label_smoothing, batch.label_mask()
         )

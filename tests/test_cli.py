@@ -176,13 +176,23 @@ def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
 
 @pytest.mark.parametrize(
     "override",
-    ["train.log_every=0", "train.checkpoint_every=0", "model.num_heads=0", "optimizer.warmup_steps=0"],
+    [
+        "train.log_every=0", "train.checkpoint_every=0", "model.num_heads=0", "optimizer.warmup_steps=0",
+        "train.total_steps=-3",
+    ],
 )
 def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
     code = run_cli(*tiny_train_args(tmp_path / "run", extra=["--set", override]))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sslab: error:") and override.split("=")[0].split(".")[-1] in err
+
+
+def test_empty_corpus_fails_without_traceback(tmp_path, capsys):
+    code = run_cli(*tiny_train_args(tmp_path / "run", extra=["--set", "data.count=0"]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and "empty corpus" in err
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
@@ -239,6 +249,27 @@ def test_train_resume_continues_step_numbering(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["step"]) for r in rows] == list(range(35))
     assert json.loads((out / "ckpt_final.bin.json").read_text())["step"] == 35
+
+
+@pytest.mark.parametrize("override", ["model.hidden_size=32", "model.dropout=0.3"])
+def test_resume_with_another_model_section_fails(tmp_path, capsys, override):
+    first = tmp_path / "first"
+    assert run_cli(*tiny_train_args(first, extra=["--set", "train.total_steps=2"])) == 0
+    second = tmp_path / "second"
+    code = run_cli(
+        *tiny_train_args(
+            second,
+            extra=[
+                "--set", f"train.resume_from={first / 'ckpt_final.bin'}",
+                "--set", "train.total_steps=2",
+                "--set", override,
+            ],
+        )
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and override.split("=")[0] in err
+    assert not (second / "ckpt_final.bin").exists()
 
 
 def test_two_identical_runs_are_bit_identical(tmp_path):
@@ -343,6 +374,21 @@ def test_decode_writes_one_line_per_pair(trained_run, tmp_path):
     assert len(lines) == 16  # eval_count
     for line in lines:
         assert all(tok.isdigit() for tok in line.split())
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gap-curve", "decode"])
+@pytest.mark.parametrize("vocab_size", [40, 10])
+def test_checkpoint_vocabulary_must_match_the_data(trained_run, tmp_path, capsys, command, vocab_size):
+    code = run_cli(
+        command,
+        "--config", str(trained_run / "config.json"),
+        "--set", f"out_dir={tmp_path / 'x'}",
+        "--set", f"data.vocab_size={vocab_size}",
+        "--checkpoint", str(trained_run / "ckpt_final.bin"),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error: checkpoint vocabulary") and "Traceback" not in err
 
 
 def test_missing_checkpoint_fails(trained_run, tmp_path, capsys):

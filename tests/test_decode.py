@@ -20,7 +20,7 @@ from sslab.decode import (
 import sslab.decode as decode_module
 import sslab.model as model_module
 from sslab.metrics import decode_corpus
-from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params
+from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params, source_state
 from sslab.rng import named_rng
 from sslab.tensor import constant, no_grad
 
@@ -276,7 +276,8 @@ def full_prefix_scorer(params, cfg, source, source_mask):
     def step(prefixes, rows):
         with no_grad():
             emb = embed_targets(params, prefixes)
-            logits = decode_step_logits(params, cfg, emb, constant(enc[rows]), source_mask[rows])
+            source = source_state(params, cfg, constant(enc[rows]), source_mask[rows])
+            logits = decode_step_logits(params, cfg, emb, source)
         return log_softmax(logits.data[:, -1, :], axis=-1)
 
     return step

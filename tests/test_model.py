@@ -7,16 +7,17 @@ import pytest
 from gradcheck import max_rel_error, numeric_grads
 from sslab.data import Batch, TaskKind, batch_stream, gen_task, make_batch
 from sslab.model import (
+    DecoderCache,
     LengthError,
     ModelConfig,
     ModelParams,
     decode_step_logits,
-    decoder_cache,
     embed_targets,
     encode,
     init_params,
     output_logits,
     sinusoidal_positions,
+    source_state,
     teacher_forced_logits,
     teacher_forcing_loss,
 )
@@ -67,7 +68,7 @@ def test_pad_content_cannot_leak_into_real_positions():
     def run(b):
         states = encode(params, cfg, b.source, b.source_mask)
         emb = embed_targets(params, b.decoder_inputs())
-        logits = decode_step_logits(params, cfg, emb, states, b.source_mask)
+        logits = decode_step_logits(params, cfg, emb, source_state(params, cfg, states, b.source_mask))
         return states.data, logits.data
 
     states_a, logits_a = run(batch)
@@ -97,7 +98,7 @@ def test_all_pad_source_row_stays_finite_with_zero_context():
     assert np.isfinite(states.data).all()
     batch = make_batch([([5, 6, 7], [8, 9]), ([5], [10, 11])])
     emb = embed_targets(params, batch.decoder_inputs())
-    logits = decode_step_logits(params, cfg, emb, states, source_mask)
+    logits = decode_step_logits(params, cfg, emb, source_state(params, cfg, states, source_mask))
     assert np.isfinite(logits.data).all()
 
 
@@ -109,11 +110,12 @@ def test_causality_of_decoder_logits():
     states = encode(params, cfg, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs()).data
 
-    base = decode_step_logits(params, cfg, constant(emb), states, batch.source_mask).data
+    source = source_state(params, cfg, states, batch.source_mask)
+    base = decode_step_logits(params, cfg, constant(emb), source).data
     t = 3
     bumped = emb.copy()
     bumped[:, t, :] += 0.5
-    changed = decode_step_logits(params, cfg, constant(bumped), states, batch.source_mask).data
+    changed = decode_step_logits(params, cfg, constant(bumped), source).data
 
     assert base[:, :t].tobytes() == changed[:, :t].tobytes()
     assert not np.allclose(base[:, t:], changed[:, t:])
@@ -125,7 +127,7 @@ def test_single_token_target_logit_shape():
     batch = make_batch([([5, 6], [7])])
     states = encode(params, cfg, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs()[:, :1])
-    logits = decode_step_logits(params, cfg, emb, states, batch.source_mask)
+    logits = decode_step_logits(params, cfg, emb, source_state(params, cfg, states, batch.source_mask))
     assert logits.data.shape == (1, 1, cfg.vocab_size)
 
 
@@ -288,7 +290,7 @@ def _cache_case(dtype, seed):
     batch = random_batch(np.random.default_rng(seed), cfg.vocab_size, b=3, src_len=6, tgt_len=7)
     enc = encode(params, cfg, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs())
-    full = decode_step_logits(params, cfg, emb, enc, batch.source_mask).data
+    full = decode_step_logits(params, cfg, emb, source_state(params, cfg, enc, batch.source_mask)).data
     return cfg, params, batch, enc, emb, full
 
 
@@ -296,11 +298,12 @@ def _cache_case(dtype, seed):
 @pytest.mark.parametrize("chunks", [(1,) * 8, (3, 1, 2, 2)])
 def test_cached_steps_match_full_prefix(dtype, chunks):
     cfg, params, batch, enc, emb, full = _cache_case(dtype, seed=30)
-    cache = decoder_cache(params, cfg, enc, batch.source_mask)
+    source = source_state(params, cfg, enc, batch.source_mask)
+    cache = DecoderCache.empty(cfg, 3)
     start = 0
     for n in chunks:
         step = decode_step_logits(
-            params, cfg, constant(emb.data[:, start : start + n]), None, batch.source_mask, cache=cache
+            params, cfg, constant(emb.data[:, start : start + n]), source, cache=cache
         )
         assert step.data.dtype == full.dtype
         np.testing.assert_allclose(step.data, full[:, start : start + n], **CACHE_TOLERANCE[dtype])
@@ -311,75 +314,78 @@ def test_cached_steps_match_full_prefix(dtype, chunks):
 
 def test_cache_take_reorders_and_duplicates_rows():
     cfg, params, batch, enc, emb, full = _cache_case("float64", seed=31)
-    base = decoder_cache(params, cfg, enc, batch.source_mask)
-    cache = base.take(np.arange(3))
-    decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, batch.source_mask, cache=cache)
+    base = source_state(params, cfg, enc, batch.source_mask)
+    cache = DecoderCache.empty(cfg, 3)
+    decode_step_logits(params, cfg, constant(emb.data[:, :4]), base, cache=cache)
     order = np.array([2, 0, 2])
     cache = cache.take(order)
     step = decode_step_logits(
-        params, cfg, constant(emb.data[order, 4:5]), None, batch.source_mask[order], cache=cache
+        params, cfg, constant(emb.data[order, 4:5]), base.take(order), cache=cache
     )
     np.testing.assert_allclose(step.data[:, 0], full[order, 4], **CACHE_TOLERANCE["float64"])
 
-    # the split take: per-source state gathered from the base cache, the
+    # the split take: per-source state gathered from the base state, the
     # self-attention cache by parent; hypothesis 2 pairs source 2 with target 1
     sources, targets = np.array([2, 0, 2]), np.array([2, 0, 1])
     want = decode_step_logits(
-        params, cfg, constant(emb.data[targets]), constant(enc.data[sources]), batch.source_mask[sources]
+        params, cfg, constant(emb.data[targets]),
+        source_state(params, cfg, constant(enc.data[sources]), batch.source_mask[sources]),
     ).data
-    cache = base.take(sources, base.source.take(sources))
-    decode_step_logits(params, cfg, constant(emb.data[targets, :4]), None, None, cache=cache)
+    kept = base.take(sources)
+    cache = DecoderCache.empty(cfg, 3)
+    decode_step_logits(params, cfg, constant(emb.data[targets, :4]), kept, cache=cache)
     parents = np.array([2, 1, 0])  # reorders hypotheses over the same source rows
     assert np.array_equal(sources[parents], sources)
-    kept = cache.source
-    cache = cache.take(parents, kept)
-    assert cache.source is kept
-    step = decode_step_logits(params, cfg, constant(emb.data[targets[parents], 4:5]), None, None, cache=cache)
+    cache = cache.take(parents)
+    step = decode_step_logits(params, cfg, constant(emb.data[targets[parents], 4:5]), kept, cache=cache)
     np.testing.assert_allclose(step.data[:, 0], want[parents, 4], **CACHE_TOLERANCE["float64"])
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_one_position_step_without_causal_mask_equals_zero_mask(dtype, monkeypatch):
     cfg, params, batch, enc, emb, _ = _cache_case(dtype, seed=34)
-    cache = decoder_cache(params, cfg, enc, batch.source_mask)
-    decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, None, cache=cache)
+    source = source_state(params, cfg, enc, batch.source_mask)
+    cache = DecoderCache.empty(cfg, 3)
+    decode_step_logits(params, cfg, constant(emb.data[:, :4]), source, cache=cache)
     rows = np.arange(3)
     new = constant(emb.data[:, 4:5])
-    without = decode_step_logits(params, cfg, new, None, None, cache=cache.take(rows)).data
+    without = decode_step_logits(params, cfg, new, source, cache=cache.take(rows)).data
 
     attention = model_module._attention
     unmasked = []
 
-    def zero_mask(params, prefix, queries, keys_values, additive_mask, *rest):
+    def zero_mask(params, prefix, queries, additive_mask, *rest):
         if additive_mask is None:
             unmasked.append(prefix)
-            additive_mask = np.zeros((1, 1, 1, cache.offset + 1))
-        return attention(params, prefix, queries, keys_values, additive_mask, *rest)
+            additive_mask = constant(np.zeros((1, 1, 1, cache.offset + 1), cfg.np_dtype))
+        return attention(params, prefix, queries, additive_mask, *rest)
 
     monkeypatch.setattr(model_module, "_attention", zero_mask)
-    with_zeros = decode_step_logits(params, cfg, new, None, None, cache=cache.take(rows)).data
+    with_zeros = decode_step_logits(params, cfg, new, source, cache=cache.take(rows)).data
     assert unmasked == [f"dec{i}/self_attn" for i in range(cfg.num_decoder_layers)]
     assert without.tobytes() == with_zeros.tobytes()
 
 
 def test_cached_path_records_no_tape_nodes():
     cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=32)
+    source = source_state(params, cfg, enc, batch.source_mask)
     with Tape() as tape:
-        cache = decoder_cache(params, cfg, enc, batch.source_mask)
-        decode_step_logits(params, cfg, constant(emb.data[:, :2]), None, batch.source_mask, cache=cache)
-        decode_step_logits(params, cfg, constant(emb.data[:, 2:3]), None, batch.source_mask, cache=cache)
+        cache = DecoderCache.empty(cfg, 3)
+        decode_step_logits(params, cfg, constant(emb.data[:, :2]), source, cache=cache)
+        decode_step_logits(params, cfg, constant(emb.data[:, 2:3]), source, cache=cache)
     assert len(tape) == 0
 
 
 def test_cached_offset_plus_new_positions_raises_length_error():
     cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=33)
-    cache = decoder_cache(params, cfg, enc, batch.source_mask)
-    decode_step_logits(params, cfg, constant(emb.data[:, :7]), None, batch.source_mask, cache=cache)
-    decode_step_logits(params, cfg, constant(emb.data[:, :4]), None, batch.source_mask, cache=cache)
+    source = source_state(params, cfg, enc, batch.source_mask)
+    cache = DecoderCache.empty(cfg, 3)
+    decode_step_logits(params, cfg, constant(emb.data[:, :7]), source, cache=cache)
+    decode_step_logits(params, cfg, constant(emb.data[:, :4]), source, cache=cache)
     assert cache.offset == cfg.max_positions - 1
     with pytest.raises(LengthError):
-        decode_step_logits(params, cfg, constant(emb.data[:, :2]), None, batch.source_mask, cache=cache)
+        decode_step_logits(params, cfg, constant(emb.data[:, :2]), source, cache=cache)
     assert cache.offset == cfg.max_positions - 1
-    decode_step_logits(params, cfg, constant(emb.data[:, :1]), None, batch.source_mask, cache=cache)
+    decode_step_logits(params, cfg, constant(emb.data[:, :1]), source, cache=cache)
     with pytest.raises(LengthError):
-        decode_step_logits(params, cfg, constant(emb.data[:, :1]), None, batch.source_mask, cache=cache)
+        decode_step_logits(params, cfg, constant(emb.data[:, :1]), source, cache=cache)

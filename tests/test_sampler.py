@@ -23,7 +23,8 @@ from sslab.sampler import (
 )
 from sslab.schedules import Family, JointMethod, JointSpec, ScheduleSpec
 from sslab.tensor import Tape, constant, grad_of, weighted_embedding_mix
-from sslab.model import encode, embed_targets
+from sslab.model import encode, embed_targets, source_state
+import sslab.model as model_module
 
 
 def config64(vocab=14, **kw):
@@ -87,7 +88,8 @@ def test_soft_mix_predictions_live_in_embedding_hull():
     batch = random_batch(np.random.default_rng(3), cfg.vocab_size, b=4)
     states = encode(params, cfg, batch.source, batch.source_mask)
     sampler = uniform_sampler(0.5)
-    pred = first_pass_predictions(params, cfg, batch, states, sampler).data
+    source = source_state(params, cfg, states, batch.source_mask)
+    pred = first_pass_predictions(params, cfg, batch, source, sampler).data
     table = params.tgt_embedding().data
     lo, hi = table.min(axis=0), table.max(axis=0)
     # positions >= 1 hold convex mixtures of the embedding rows
@@ -102,7 +104,8 @@ def test_argmax_prediction_matches_embedding_rows():
     batch = random_batch(np.random.default_rng(5), cfg.vocab_size, b=2)
     states = encode(params, cfg, batch.source, batch.source_mask)
     sampler = uniform_sampler(0.5, prediction=PredictionMode.ARGMAX_EMBEDDING)
-    pred = first_pass_predictions(params, cfg, batch, states, sampler).data
+    source = source_state(params, cfg, states, batch.source_mask)
+    pred = first_pass_predictions(params, cfg, batch, source, sampler).data
     table = params.tgt_embedding().data
     rows = {tuple(np.round(r, 12)) for r in table}
     for b in range(pred.shape[0]):
@@ -274,6 +277,27 @@ def test_backprop_toggle_changes_gradients_not_loss():
             p.grad = None
     assert losses[0] == pytest.approx(losses[1], rel=1e-12)
     assert not np.allclose(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("toggle", [False, True], ids=["blocked", "backprop"])
+def test_both_passes_share_one_cross_attention_projection(toggle, monkeypatch):
+    cfg = config64(num_decoder_layers=2)
+    params = init_params(cfg, named_rng(20, "init"))
+    batch = random_batch(np.random.default_rng(21), cfg.vocab_size)
+    sampler = uniform_sampler(0.5, backprop_through_predictions=toggle)
+    projected = []
+    project_kv = model_module._project_kv
+
+    def spy(params, prefix, keys_values):
+        projected.append(prefix)
+        return project_kv(params, prefix, keys_values)
+
+    monkeypatch.setattr(model_module, "_project_kv", spy)
+    with Tape() as tape:
+        loss, _ = two_pass_loss(params, cfg, sampler, batch, 0, *_streams(22, 0))
+        tape.backward(loss)
+    cross = [prefix for prefix in projected if prefix.endswith("/cross_attn")]
+    assert cross == [f"dec{i}/cross_attn" for i in range(cfg.num_decoder_layers)]
 
 
 # ---------------------------------------------------------------------------
