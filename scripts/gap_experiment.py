@@ -2,11 +2,18 @@
 """Train a teacher-forcing baseline on the noisy-map task and measure how
 training-side and inference-side precision behave across decoding steps.
 
-Prints Spearman rank correlations (precision vs decoding step) at several
-checkpoints, then writes the final curves as CSV.
+Every run goes through the ``sslab`` command line in-process: one
+``train`` into ``<out>/train`` (every step teacher forcing, a checkpoint
+every ``--measure-every`` steps), then one ``gap-curve`` per checkpoint
+into ``<out>/step<N>``. References keep the training noise. Prints Spearman
+rank correlations (precision vs decoding step) at each checkpoint. The
+training run's ``config.json`` re-runs it bit for bit with
+``sslab train --config``.
 """
 
 import argparse
+import csv
+import json
 import sys
 import time
 from pathlib import Path
@@ -15,14 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from sslab.cli import _teacher_forced_predictions
-from sslab.data import TaskKind, batch_stream, gen_task
-from sslab.decode import DecodeConfig
-from sslab.metrics import decode_corpus, fuzzy_precision_per_step, strict_precision_per_step, write_curve_csv
-from sslab.model import ModelConfig, init_params
-from sslab.rng import named_rng
-from sslab.sampler import OptimizerConfig, SamplerConfig, SamplingMode, train
-from sslab.schedules import Family, ScheduleSpec
+from sslab.cli import main as cli_main
 
 
 def spearman(xs, ys):
@@ -33,13 +33,22 @@ def spearman(xs, ys):
     return float((xr * yr).sum() / np.sqrt((xr * xr).sum() * (yr * yr).sum()))
 
 
-def curve_points(curve, min_count):
-    return zip(
-        *[(s, v) for s, v, c in zip(curve.steps, curve.values, curve.counts) if c >= min_count]
-    )
+def curve_points(path, min_count):
+    """Steps and values of a curve CSV, for steps with at least ``min_count`` references."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh) if int(r["count"]) >= min_count]
+    return [int(r["step"]) for r in rows], [float(r["value"]) for r in rows]
 
 
-def main():
+def _cli(command, settings, *extra):
+    argv = [command, *extra]
+    for key, value in settings.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    if cli_main(argv) != 0:
+        raise SystemExit(f"sslab {command} failed for {settings['out_dir']}")
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--steps", type=int, default=4000)
@@ -49,64 +58,43 @@ def main():
     ap.add_argument("--min-count", type=int, default=30)
     ap.add_argument("--history-weight", type=int, default=1)
     ap.add_argument("--out", default="runs/gap_experiment")
-    args = ap.parse_args()
-
-    cfg = ModelConfig(
-        vocab_size=50, hidden_size=64, filter_size=128, num_heads=4,
-        num_encoder_layers=2, num_decoder_layers=2, dropout=0.1,
-        label_smoothing=0.1, max_positions=80,
-    )
-    train_corpus = gen_task(
-        TaskKind.NOISY_MAP, 50, 20, 60, 20000,
-        seed=args.seed * 7 + 1, noise=0.1, history_weight=args.history_weight,
-    )
-    # measurement references come from the training distribution (noise on)
-    eval_corpus = gen_task(
-        TaskKind.NOISY_MAP, 50, 20, 60, args.eval_count,
-        seed=args.seed * 7 + 2, noise=0.1, history_weight=args.history_weight,
-    )
-    refs = [tgt for _, tgt in eval_corpus.pairs]
-    params = init_params(cfg, named_rng(args.seed, "init"))
-    teacher = SamplerConfig(
-        mode=SamplingMode.DECODING_STEPS,
-        schedule=ScheduleSpec(Family.UNIFORM, uniform_p=1.0),
-        warm_start_steps=10**9,
-    )
-    batches = batch_stream(train_corpus, args.budget, seed=args.seed + 100)
-    dcfg = DecodeConfig(beam_size=1, length_penalty=0.6, max_length=70)
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    done = 0
+    run = {
+        "seed": args.seed,
+        "data.history_weight": args.history_weight,
+        "data.token_budget": args.budget,
+        "data.eval_count": args.eval_count,
+        "data.eval_clean_targets": False,
+        "decode.beam_size": 1,
+        "decode.max_length": 70,
+    }
     t0 = time.time()
-    while done < args.steps:
-        chunk = min(args.measure_every, args.steps - done)
-        rows = train(
-            params, cfg, teacher, batches, OptimizerConfig(warmup_steps=400),
-            total_steps=chunk, root_seed=args.seed, start_step=done,
-        )
-        done += chunk
-        loss = np.mean([r["loss"] for r in rows[-50:]])
+    _cli("train", {
+        **run, "out_dir": str(out / "train"), "train.total_steps": args.steps,
+        "train.checkpoint_every": args.measure_every, "sampler.warm_start_steps": args.steps,
+    })
+    with open(out / "train" / "steps.csv", encoding="utf-8") as fh:
+        losses = [float(r["loss"]) for r in csv.DictReader(fh)]
 
-        train_preds = _teacher_forced_predictions(params, cfg, eval_corpus)
-        train_curve = strict_precision_per_step(train_preds, refs)
-        hyps = decode_corpus(params, cfg, eval_corpus, dcfg)
-        infer_curve = fuzzy_precision_per_step(hyps, refs, window=3)
-
-        ts, tv = curve_points(train_curve, args.min_count)
-        is_, iv = curve_points(infer_curve, args.min_count)
-        rho_train = spearman(ts, tv)
-        rho_infer = spearman(is_, iv)
+    for done in [*range(args.measure_every, args.steps, args.measure_every), args.steps]:
+        name = "ckpt_final.bin" if done == args.steps else f"ckpt_step{done:06d}.bin"
+        measured = out / f"step{done}"
+        _cli("gap-curve", {**run, "out_dir": str(measured)}, "--checkpoint", str(out / "train" / name))
+        ts, tv = curve_points(measured / "training_precision.csv", args.min_count)
+        is_, iv = curve_points(measured / "inference_precision.csv", args.min_count)
+        if not (tv and iv):
+            print(f"step {done:5d}: no decoding step has {args.min_count} references", flush=True)
+            continue
         print(
-            f"step {done:5d} loss {loss:.3f} "
-            f"train prec mean {np.mean(tv):.3f} rho {rho_train:+.3f} | "
-            f"infer prec mean {np.mean(iv):.3f} rho {rho_infer:+.3f} "
+            f"step {done:5d} loss {np.mean(losses[max(0, done - 50):done]):.3f} "
+            f"train prec mean {np.mean(tv):.3f} rho {spearman(ts, tv):+.3f} | "
+            f"infer prec mean {np.mean(iv):.3f} rho {spearman(is_, iv):+.3f} "
             f"head {np.mean(iv[:5]):.3f} tail {np.mean(iv[-5:]):.3f} "
             f"[{time.time() - t0:.0f}s]",
             flush=True,
         )
-        write_curve_csv(out / f"training_precision_{done}.csv", train_curve)
-        write_curve_csv(out / f"inference_precision_{done}.csv", infer_curve)
 
 
 if __name__ == "__main__":

@@ -208,12 +208,14 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def build_corpora(cfg: RunConfig) -> tuple[Corpus, Corpus]:
+def build_corpora(cfg: RunConfig, *, train_data: bool = True) -> tuple[Corpus | None, Corpus]:
     """Deterministic train/eval corpora for the configured task.
 
     Synthetic eval sets are generated from their own stream; for the noisy
     map task the eval references are noise-free by default, so measurement
-    scores map recovery instead of unpredictable corruptions.
+    scores map recovery instead of unpredictable corruptions. With
+    ``train_data=False`` no synthetic training corpus is generated and its
+    place holds ``None``; a TSV file is always read and split whole.
     """
     d = cfg.data
     if d.task == "tsv":
@@ -226,7 +228,7 @@ def build_corpora(cfg: RunConfig) -> tuple[Corpus, Corpus]:
         kind, d.vocab_size, d.min_len, d.max_len, d.count,
         seed=hash_seed(cfg.seed, "train-data"), noise=d.noise, map_a=d.map_a, map_b=d.map_b,
         history_weight=d.history_weight, long_length_mass=d.long_length_mass,
-    )
+    ) if train_data else None
     eval_noise = 0.0 if d.eval_clean_targets else d.noise
     eval_corpus = gen_task(
         kind, d.vocab_size, d.min_len, d.max_len, d.eval_count,
@@ -398,10 +400,16 @@ def _teacher_forced_predictions(
     return preds
 
 
-def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
+def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelParams, int]:
+    """Out dir, eval corpus (no synthetic training data is generated), and the checkpoint read against it."""
     out = _prepare_out_dir(cfg)
-    _, eval_corpus = build_corpora(cfg)
-    params, _ = _load_checkpoint_for(checkpoint, eval_corpus)
+    _, eval_corpus = build_corpora(cfg, train_data=False)
+    params, step = _load_checkpoint_for(checkpoint, eval_corpus)
+    return out, eval_corpus, params, step
+
+
+def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
+    out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
     refs = _content_targets(eval_corpus)
 
     train_preds = _teacher_forced_predictions(params, params.config, eval_corpus)
@@ -427,9 +435,7 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
-    out = _prepare_out_dir(cfg)
-    _, eval_corpus = build_corpora(cfg)
-    params, step = _load_checkpoint_for(checkpoint, eval_corpus)
+    out, eval_corpus, params, step = _eval_setup(cfg, checkpoint)
     refs = _content_targets(eval_corpus)
     hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
 
@@ -459,9 +465,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_decode(cfg: RunConfig, checkpoint: str, output: str | None) -> int:
-    out = _prepare_out_dir(cfg)
-    _, eval_corpus = build_corpora(cfg)
-    params, _ = _load_checkpoint_for(checkpoint, eval_corpus)
+    out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
     hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
     path = Path(output) if output else out / "hypotheses.txt"
     with open(path, "w", encoding="utf-8") as fh:

@@ -124,10 +124,6 @@ class ModelParams:
             t.data = arr.copy()
 
 
-def _attn_names(prefix: str) -> list[str]:
-    return [f"{prefix}/{w}" for w in ("wq", "wk", "wv", "wo")]
-
-
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Uniform(+-1/sqrt(hidden)) matrices, zero biases, unit layer-norm gains."""
     h, f, v = config.hidden_size, config.filter_size, config.vocab_size

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sslab import cli
 from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
-from sslab.data import Vocab
+from sslab.data import Vocab, gen_task
 from sslab.model import ModelConfig, init_params
 from sslab.rng import named_rng
 
@@ -374,6 +375,25 @@ def test_decode_writes_one_line_per_pair(trained_run, tmp_path):
     assert len(lines) == 16  # eval_count
     for line in lines:
         assert all(tok.isdigit() for tok in line.split())
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gap-curve", "decode"])
+def test_eval_commands_generate_only_the_eval_corpus(trained_run, tmp_path, monkeypatch, command):
+    counts = []
+
+    def spy(*args, **kwargs):
+        counts.append(args[4])  # count, the fifth positional argument
+        return gen_task(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gen_task", spy)
+    code = run_cli(
+        command,
+        "--config", str(trained_run / "config.json"),
+        "--set", f"out_dir={tmp_path / 'x'}",
+        "--checkpoint", str(trained_run / "ckpt_final.bin"),
+    )
+    assert code == 0
+    assert counts == [16]  # data.eval_count; data.count is 60
 
 
 @pytest.mark.parametrize("command", ["evaluate", "gap-curve", "decode"])

@@ -51,8 +51,8 @@ def test_train_minus_inference_gap_grows_with_decoding_step(tmp_path):
         check=True,
         timeout=1800,
     )
-    train = _curve(tmp_path / f"training_precision_{STEPS}.csv")
-    infer = _curve(tmp_path / f"inference_precision_{STEPS}.csv")
+    train = _curve(tmp_path / f"step{STEPS}" / "training_precision.csv")
+    infer = _curve(tmp_path / f"step{STEPS}" / "inference_precision.csv")
     steps = sorted(train.keys() & infer.keys())
     gaps = [train[s] - infer[s] for s in steps]
     rho = spearmanr(steps, gaps).statistic

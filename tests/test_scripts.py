@@ -20,6 +20,7 @@ def load_script(name):
 
 
 strategy_grid = load_script("strategy_grid")
+gap_experiment = load_script("gap_experiment")
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
@@ -63,3 +64,16 @@ def test_strategy_grid_row_reruns_bit_for_bit(tmp_path):
     assert main(["train", "--config", str(row / "config.json"), "--set", f"out_dir={tmp_path / 'rerun'}"]) == 0
     assert (tmp_path / "rerun" / "ckpt_final.bin").read_bytes() == (row / "ckpt_final.bin").read_bytes()
     assert (tmp_path / "rerun" / "steps.csv").read_bytes() == (row / "steps.csv").read_bytes()
+
+
+def test_gap_experiment_is_one_training_run_and_a_gap_curve_per_checkpoint(tmp_path):
+    out = tmp_path / "gap"
+    gap_experiment.main(["--steps", "4", "--measure-every", "2", "--eval-count", "8", "--out", str(out)])
+    train = out / "train"
+    rerun = tmp_path / "rerun"
+    assert main(["train", "--config", str(train / "config.json"), "--set", f"out_dir={rerun}"]) == 0
+    assert (rerun / "ckpt_final.bin").read_bytes() == (train / "ckpt_final.bin").read_bytes()
+    assert (rerun / "steps.csv").read_bytes() == (train / "steps.csv").read_bytes()
+    for step in (2, 4):
+        for name in ("training_precision.csv", "inference_precision.csv", "gap.csv"):
+            assert (out / f"step{step}" / name).is_file()
