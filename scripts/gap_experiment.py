@@ -25,12 +25,19 @@ import numpy as np
 from sslab.cli import main as cli_main
 
 
+def ranks(values):
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def spearman(xs, ys):
-    xr = np.argsort(np.argsort(xs)).astype(float)
-    yr = np.argsort(np.argsort(ys)).astype(float)
+    """Spearman rank correlation with tie-averaged ranks; nan when either side is constant."""
+    xr, yr = ranks(xs), ranks(ys)
     xr -= xr.mean()
     yr -= yr.mean()
-    return float((xr * yr).sum() / np.sqrt((xr * xr).sum() * (yr * yr).sum()))
+    den = np.sqrt((xr * xr).sum() * (yr * yr).sum())
+    return float((xr * yr).sum() / den) if den > 0 else float("nan")
 
 
 def curve_points(path, min_count):

@@ -345,10 +345,6 @@ def cmd_train(cfg: RunConfig) -> int:
     for _ in range(start_step):
         next(batches)
 
-    log_path = out / "steps.csv"
-    log_fh = open(log_path, "a" if start_step else "w", encoding="utf-8")
-    if log_fh.tell() == 0:  # a new log, also when a resumed run writes to a new out_dir
-        log_fh.write("step,loss,golden_fraction,mean_p,mode\n")
     last_checkpoint = None
 
     def on_step(row: dict) -> None:
@@ -364,17 +360,18 @@ def cmd_train(cfg: RunConfig) -> int:
             save_model_checkpoint(path, params, row["step"] + 1, train_corpus.vocab)
             last_checkpoint = path
 
-    try:
-        train(
-            params, model_cfg, cfg.sampler, batches, cfg.optimizer,
-            total_steps=cfg.train.total_steps, root_seed=cfg.seed,
-            start_step=start_step, on_step=on_step,
-        )
-    except DivergenceError as err:
-        log_fh.close()
-        kept = last_checkpoint or cfg.train.resume_from
-        raise DivergenceError(f"{err}; last good checkpoint: {kept}") from err
-    log_fh.close()
+    with open(out / "steps.csv", "a" if start_step else "w", encoding="utf-8") as log_fh:
+        if log_fh.tell() == 0:  # a new log, also when a resumed run writes to a new out_dir
+            log_fh.write("step,loss,golden_fraction,mean_p,mode\n")
+        try:
+            train(
+                params, cfg.sampler, batches, cfg.optimizer,
+                total_steps=cfg.train.total_steps, root_seed=cfg.seed,
+                start_step=start_step, on_step=on_step,
+            )
+        except DivergenceError as err:
+            kept = last_checkpoint or cfg.train.resume_from
+            raise DivergenceError(f"{err}; last good checkpoint: {kept}") from err
     final = out / "ckpt_final.bin"
     save_model_checkpoint(final, params, start_step + cfg.train.total_steps, train_corpus.vocab)
     print(f"trained {cfg.train.total_steps} step(s); final checkpoint {final}")
@@ -385,15 +382,13 @@ def _content_targets(corpus: Corpus) -> list[list[int]]:
     return [tgt for _, tgt in corpus.pairs]
 
 
-def _teacher_forced_predictions(
-    params: ModelParams, model_cfg: ModelConfig, corpus: Corpus, batch_rows: int = 64
-) -> list[list[int]]:
+def _teacher_forced_predictions(params: ModelParams, corpus: Corpus, batch_rows: int = 64) -> list[list[int]]:
     """Argmax continuation at every golden prefix, trimmed to content length."""
     preds: list[list[int]] = []
     for lo in range(0, len(corpus.pairs), batch_rows):
         chunk = corpus.pairs[lo : lo + batch_rows]
         batch = make_batch(chunk)
-        logits = teacher_forced_logits(params, model_cfg, batch)
+        logits = teacher_forced_logits(params, batch)
         argmax = logits.argmax(axis=-1)
         for i, (_, tgt) in enumerate(chunk):
             preds.append(argmax[i, : len(tgt)].tolist())
@@ -412,10 +407,10 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
     refs = _content_targets(eval_corpus)
 
-    train_preds = _teacher_forced_predictions(params, params.config, eval_corpus)
+    train_preds = _teacher_forced_predictions(params, eval_corpus)
     train_curve = strict_precision_per_step(train_preds, refs)
 
-    hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, eval_corpus, cfg.decode)
     infer_curve = fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window)
 
     infer_at = dict(zip(infer_curve.steps, infer_curve.values))
@@ -437,7 +432,7 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
     out, eval_corpus, params, step = _eval_setup(cfg, checkpoint)
     refs = _content_targets(eval_corpus)
-    hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, eval_corpus, cfg.decode)
 
     accuracy = token_accuracy(hyps, refs)
     bleu = corpus_bleu_lite(hyps, refs)
@@ -466,7 +461,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_decode(cfg: RunConfig, checkpoint: str, output: str | None) -> int:
     out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
-    hyps = decode_corpus(params, params.config, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, eval_corpus, cfg.decode)
     path = Path(output) if output else out / "hypotheses.txt"
     with open(path, "w", encoding="utf-8") as fh:
         for hyp in hyps:

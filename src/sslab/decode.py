@@ -78,12 +78,7 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def transformer_scorer(
-    params: ModelParams,
-    config: ModelConfig,
-    source: np.ndarray,
-    source_mask: np.ndarray,
-) -> StepScorer:
+def transformer_scorer(params: ModelParams, source: np.ndarray, source_mask: np.ndarray) -> StepScorer:
     """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V].
 
     Encoder states, every layer's cross-attention keys/values and the
@@ -99,8 +94,8 @@ def transformer_scorer(
     empty cache through the same step function.
     """
     with no_grad():
-        enc = encode(params, config, source, source_mask)
-        base = source_state(params, config, enc, source_mask)
+        enc = encode(params, source, source_mask)
+        base = source_state(params, enc, source_mask)
     state, state_rows = base, np.arange(source.shape[0])
     cache: DecoderCache | None = None
     index: dict[tuple[int, bytes], int] = {}  # (source row, prefix) -> row of ``cache``
@@ -111,12 +106,12 @@ def transformer_scorer(
         if not np.array_equal(rows, state_rows):
             state, state_rows = base.take(rows), np.array(rows)
         if -1 in parents:
-            cache, new = DecoderCache.empty(config, len(rows)), prefixes
+            cache, new = DecoderCache.empty(params.config, len(rows)), prefixes
         else:
             if parents != list(range(len(index))):
                 cache = cache.take(np.array(parents))
             new = prefixes[:, -1:]
-        logits = decode_step_logits(params, config, embed_targets(params, new), state, cache=cache)
+        logits = decode_step_logits(params, state, embed_targets(params, new), cache=cache)
         index = {(int(r), p.tobytes()): i for i, (r, p) in enumerate(zip(rows, prefixes))}
         return _log_softmax(logits.data[:, -1, :])
 
@@ -133,15 +128,11 @@ def _check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
 
 
 def greedy_decode(
-    params: ModelParams,
-    config: ModelConfig,
-    source: np.ndarray,
-    source_mask: np.ndarray,
-    decode_cfg: DecodeConfig,
+    params: ModelParams, source: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
 ) -> list[list[int]]:
     """Argmax continuation per step until the end token or max_length."""
-    _check_against_model(config, decode_cfg)
-    scorer = transformer_scorer(params, config, source, source_mask)
+    _check_against_model(params.config, decode_cfg)
+    scorer = transformer_scorer(params, source, source_mask)
     b = source.shape[0]
     prefixes = np.full((b, 1), BOS_ID, dtype=np.int64)
     rows = np.arange(b)
@@ -255,17 +246,13 @@ def beam_search(
 
 
 def beam_decode(
-    params: ModelParams,
-    config: ModelConfig,
-    source: np.ndarray,
-    source_mask: np.ndarray,
-    decode_cfg: DecodeConfig,
+    params: ModelParams, source: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
 ) -> list[BeamResult]:
     """Best finished hypothesis per source row (best unfinished as fallback).
 
     Every row's beams go through one lockstep ``beam_search``, so each
     decoding step is one scorer call for the whole batch.
     """
-    _check_against_model(config, decode_cfg)
-    scorer = transformer_scorer(params, config, source, source_mask)
-    return beam_search(scorer, config.vocab_size, decode_cfg, source.shape[0])
+    _check_against_model(params.config, decode_cfg)
+    scorer = transformer_scorer(params, source, source_mask)
+    return beam_search(scorer, params.config.vocab_size, decode_cfg, source.shape[0])

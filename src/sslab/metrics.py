@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Corpus, NULL_ID, make_batch
 from .decode import DecodeConfig, beam_decode, greedy_decode
-from .model import ModelConfig, ModelParams
+from .model import ModelParams
 
 Tokens = Sequence[int]
 
@@ -136,11 +136,7 @@ def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -
 
 
 def decode_corpus(
-    params: ModelParams,
-    config: ModelConfig,
-    corpus: Corpus,
-    decode_cfg: DecodeConfig,
-    batch_rows: int = 64,
+    params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig, batch_rows: int = 64
 ) -> list[list[int]]:
     """Decode every source in order; greedy unless a wider beam is configured.
 
@@ -154,16 +150,15 @@ def decode_corpus(
         chunk = corpus.pairs[lo : lo + per_batch]
         batch = make_batch(chunk)
         if decode_cfg.beam_size == 1:
-            hyps.extend(greedy_decode(params, config, batch.source, batch.source_mask, decode_cfg))
+            hyps.extend(greedy_decode(params, batch.source, batch.source_mask, decode_cfg))
         else:
-            results = beam_decode(params, config, batch.source, batch.source_mask, decode_cfg)
+            results = beam_decode(params, batch.source, batch.source_mask, decode_cfg)
             hyps.extend(r.tokens for r in results)
     return hyps
 
 
 def empirical_error_table(
     params: ModelParams,
-    config: ModelConfig,
     corpus: Corpus,
     decode_cfg: DecodeConfig,
     max_t: int,
@@ -175,7 +170,7 @@ def empirical_error_table(
     per step in [0, max_t) plus the sample count behind it. Steps with no
     samples are linearly interpolated from their neighbours (edges extend).
     """
-    hyps = decode_corpus(params, config, corpus, decode_cfg)
+    hyps = decode_corpus(params, corpus, decode_cfg)
     refs = [tgt for _, tgt in corpus.pairs]
     prec = fuzzy_precision_per_step(hyps, refs, window)
     rates = np.full(max_t, np.nan)

@@ -8,7 +8,10 @@ it, so pad positions receive exactly zero attention weight.
 
 Dropout is applied to embeddings and to each sublayer output before its
 residual (attention weights are left undropped to keep the RNG surface
-small). Each full pass consumes one named dropout stream.
+small). Each full pass consumes one named dropout stream; a pass given no
+stream runs without dropout, which is evaluation mode. Every function
+that takes ``params`` reads the model's configuration from
+``params.config``.
 """
 
 from __future__ import annotations
@@ -117,6 +120,9 @@ class ModelParams:
         missing = set(self.params) - set(arrays)
         if missing:
             raise KeyError(f"checkpoint is missing parameters: {sorted(missing)}")
+        unexpected = set(arrays) - set(self.params)
+        if unexpected:
+            raise ValueError(f"checkpoint has parameters the model lacks: {sorted(unexpected)}")
         for name, t in self.params.items():
             arr = np.asarray(arrays[name], dtype=t.data.dtype)
             if arr.shape != t.data.shape:
@@ -234,8 +240,8 @@ def _attention(
     return _linear(ctx, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
 
 
-def _post_norm(params: ModelParams, prefix: str, x: Tensor, sub: Tensor, rng, training) -> Tensor:
-    sub = dropout(sub, params.config.dropout, rng, training) if rng is not None else sub
+def _post_norm(params: ModelParams, prefix: str, x: Tensor, sub: Tensor, rng) -> Tensor:
+    sub = dropout(sub, params.config.dropout, rng)
     return layer_norm(add(x, sub), params[f"{prefix}/gain"], params[f"{prefix}/bias"])
 
 
@@ -249,15 +255,13 @@ def _check_length(config: ModelConfig, length: int) -> None:
         raise LengthError(f"sequence length {length} exceeds max_positions {config.max_positions}")
 
 
-def _embed_and_position(params: ModelParams, emb: Tensor, rng, training, offset: int = 0) -> Tensor:
+def _embed_and_position(params: ModelParams, emb: Tensor, rng, offset: int = 0) -> Tensor:
     cfg = params.config
     end = offset + emb.data.shape[1]
     _check_length(cfg, end)
     scale = constant(np.asarray(math.sqrt(cfg.hidden_size), dtype=cfg.np_dtype))
     x = add(mul(emb, scale), constant(params.pos_table[None, offset:end, :]))
-    if rng is not None:
-        x = dropout(x, cfg.dropout, rng, training)
-    return x
+    return dropout(x, cfg.dropout, rng)
 
 
 def _source_masks(config: ModelConfig, src_mask: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -269,20 +273,18 @@ def _source_masks(config: ModelConfig, src_mask: np.ndarray) -> tuple[Tensor, Te
 
 def encode(
     params: ModelParams,
-    config: ModelConfig,
     src_ids: np.ndarray,
     src_mask: np.ndarray,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Contextual states [B, m, H]; padding keys are never attended to."""
     emb = embedding_lookup(params.src_embedding(), src_ids)
-    x = _embed_and_position(params, emb, rng, training)
-    key_mask, additive = _source_masks(config, src_mask)
-    for i in range(config.num_encoder_layers):
+    x = _embed_and_position(params, emb, rng)
+    key_mask, additive = _source_masks(params.config, src_mask)
+    for i in range(params.config.num_encoder_layers):
         attn = _attention(params, f"enc{i}/attn", x, additive, key_mask)
-        x = _post_norm(params, f"enc{i}/attn_ln", x, attn, rng, training)
-        x = _post_norm(params, f"enc{i}/ffn_ln", x, _ffn(params, f"enc{i}/ffn", x), rng, training)
+        x = _post_norm(params, f"enc{i}/attn_ln", x, attn, rng)
+        x = _post_norm(params, f"enc{i}/ffn_ln", x, _ffn(params, f"enc{i}/ffn", x), rng)
     return x
 
 
@@ -327,15 +329,14 @@ class SourceState:
         return SourceState(cross, constant(self.key_mask.data[rows]), constant(self.additive.data[rows]))
 
 
-def source_state(
-    params: ModelParams, config: ModelConfig, encoder_states: Tensor, src_mask: np.ndarray
-) -> SourceState:
+def source_state(params: ModelParams, encoder_states: Tensor, src_mask: np.ndarray) -> SourceState:
     """Every decoder layer's cross-attention keys/values over ``encoder_states``, and the source masks.
 
     The projections record on the tape when one is active.
     """
-    cross = [_project_kv(params, f"dec{i}/cross_attn", encoder_states) for i in range(config.num_decoder_layers)]
-    return SourceState(cross, *_source_masks(config, src_mask))
+    layers = range(params.config.num_decoder_layers)
+    cross = [_project_kv(params, f"dec{i}/cross_attn", encoder_states) for i in layers]
+    return SourceState(cross, *_source_masks(params.config, src_mask))
 
 
 @dataclass
@@ -363,18 +364,19 @@ class DecoderCache:
 
 def decode_step_logits(
     params: ModelParams,
-    config: ModelConfig,
-    decoder_embeddings: Tensor,
     source: SourceState,
+    decoder_embeddings: Tensor,
     rng: np.random.Generator | None = None,
-    training: bool = False,
     cache: DecoderCache | None = None,
 ) -> Tensor:
     """Next-token logits [B, n, V] from embedding-level decoder inputs.
 
-    Position t attends only to decoder positions <= t, so perturbing the
-    input at t can change logits at positions >= t but never earlier ones.
-    Cross-attention reads ``source``, one row per decoder row.
+    Arguments are the parameters, the ``source`` the pass reads, then the
+    decoder embeddings [B, n, H]. Position t attends only to decoder
+    positions <= t, so perturbing the input at t can change logits at
+    positions >= t but never earlier ones. Cross-attention reads
+    ``source``, one row per decoder row. With ``rng`` the pass applies
+    dropout from that stream; without it the pass runs in evaluation mode.
 
     Without ``cache`` the inputs are the whole prefix, and the pass records
     on the tape when one is active. With a cache the inputs are the n
@@ -382,18 +384,19 @@ def decode_step_logits(
     self-attention keys/values are appended to the cache, and nothing is
     recorded.
     """
+    cfg = params.config
     rows = source.key_mask.data.shape[0]
     if decoder_embeddings.data.shape[0] != rows:
         raise ValueError(f"batch mismatch: decoder {decoder_embeddings.data.shape} vs {rows} source rows")
     with no_grad() if cache is not None else contextlib.nullcontext():
         offset = 0 if cache is None else cache.offset
         n = decoder_embeddings.data.shape[1]
-        x = _embed_and_position(params, decoder_embeddings, rng, training, offset)
+        x = _embed_and_position(params, decoder_embeddings, rng, offset)
         # one new position may attend to every key: its causal mask is all zeros
         causal = None
         if n > 1:
-            causal = constant(np.triu(np.full((1, 1, n, offset + n), NEG_INF, config.np_dtype), k=offset + 1))
-        for i in range(config.num_decoder_layers):
+            causal = constant(np.triu(np.full((1, 1, n, offset + n), NEG_INF, cfg.np_dtype), k=offset + 1))
+        for i in range(cfg.num_decoder_layers):
             self_kv = None
             if cache is not None:
                 k_new, v_new = _project_kv(params, f"dec{i}/self_attn", x)
@@ -404,10 +407,10 @@ def decode_step_logits(
                 )
                 self_kv = tuple(constant(a) for a in cache.self_kv[i])
             self_attn = _attention(params, f"dec{i}/self_attn", x, causal, None, self_kv)
-            x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng, training)
+            x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng)
             cross = _attention(params, f"dec{i}/cross_attn", x, source.additive, source.key_mask, source.cross[i])
-            x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng, training)
-            x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng, training)
+            x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng)
+            x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng)
         if cache is not None:
             cache.offset += n
         return output_logits(params, x)
@@ -415,30 +418,28 @@ def decode_step_logits(
 
 def teacher_forcing_loss(
     params: ModelParams,
-    config: ModelConfig,
     batch: Batch,
     enc_rng: np.random.Generator | None = None,
     dec_rng: np.random.Generator | None = None,
-    training: bool = True,
 ) -> Tensor:
     """Label-smoothed next-token loss with golden prefixes as decoder input."""
     if batch.size == 0:
         raise ValueError("empty batch")
-    enc = encode(params, config, batch.source, batch.source_mask, enc_rng, training)
-    source = source_state(params, config, enc, batch.source_mask)
+    enc = encode(params, batch.source, batch.source_mask, enc_rng)
+    source = source_state(params, enc, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs())
-    logits = decode_step_logits(params, config, emb, source, dec_rng, training)
+    logits = decode_step_logits(params, source, emb, dec_rng)
     return cross_entropy_label_smoothed(
-        logits, batch.labels(), config.label_smoothing, batch.label_mask()
+        logits, batch.labels(), params.config.label_smoothing, batch.label_mask()
     )
 
 
-def teacher_forced_logits(params: ModelParams, config: ModelConfig, batch: Batch) -> np.ndarray:
+def teacher_forced_logits(params: ModelParams, batch: Batch) -> np.ndarray:
     """Evaluation-mode logits at every golden-prefix position (no recording)."""
     with no_grad():
-        enc = encode(params, config, batch.source, batch.source_mask)
-        source = source_state(params, config, enc, batch.source_mask)
+        enc = encode(params, batch.source, batch.source_mask)
+        source = source_state(params, enc, batch.source_mask)
         del enc  # the decoder reads only ``source``; freeing the states lowers the pass's peak memory
         emb = embed_targets(params, batch.decoder_inputs())
-        logits = decode_step_logits(params, config, emb, source)
+        logits = decode_step_logits(params, source, emb)
     return logits.data

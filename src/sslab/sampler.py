@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import Batch
 from .model import (
-    ModelConfig,
     ModelParams,
     SourceState,
     decode_step_logits,
@@ -135,12 +134,7 @@ class MixedDecoderInputs:
     mean_p: float  # scheduled mean over the same positions
 
 
-def _prediction_embeddings(
-    params: ModelParams,
-    config: ModelConfig,
-    sampler: SamplerConfig,
-    logits: Tensor,
-) -> Tensor:
+def _prediction_embeddings(params: ModelParams, sampler: SamplerConfig, logits: Tensor) -> Tensor:
     if sampler.prediction is PredictionMode.SOFT_MIX:
         probs = softmax(logits, axis=-1)
         return weighted_embedding_mix(probs, params.tgt_embedding())
@@ -150,7 +144,6 @@ def _prediction_embeddings(
 
 def first_pass_predictions(
     params: ModelParams,
-    config: ModelConfig,
     batch: Batch,
     source: SourceState,
     sampler: SamplerConfig,
@@ -166,10 +159,10 @@ def first_pass_predictions(
     n = golden_in.shape[1]
     on_tape = sampler.backprop_through_predictions
     with contextlib.nullcontext() if on_tape else no_grad():
-        logits = decode_step_logits(params, config, embed_targets(params, golden_in), source)
-        pred = _prediction_embeddings(params, config, sampler, logits)
+        logits = decode_step_logits(params, source, embed_targets(params, golden_in))
+        pred = _prediction_embeddings(params, sampler, logits)
     if on_tape:
-        shift = np.zeros((n, n), dtype=config.np_dtype)
+        shift = np.zeros((n, n), dtype=params.config.np_dtype)
         shift[np.arange(1, n), np.arange(n - 1)] = 1.0
         return matmul(constant(shift), pred)
     shifted = np.zeros_like(pred.data)
@@ -179,26 +172,28 @@ def first_pass_predictions(
 
 def two_pass_loss(
     params: ModelParams,
-    config: ModelConfig,
     sampler: SamplerConfig,
     batch: Batch,
     train_step: int,
     enc_rng: np.random.Generator | None,
     dec_rng: np.random.Generator | None,
     mask_rng: np.random.Generator,
-    training: bool = True,
 ) -> tuple[Tensor, MixedDecoderInputs]:
-    """Scheduled-sampling loss: second pass over mixed inputs, golden labels."""
-    enc = encode(params, config, batch.source, batch.source_mask, enc_rng, training)
-    source = source_state(params, config, enc, batch.source_mask)
+    """Scheduled-sampling loss: second pass over mixed inputs, golden labels.
+
+    The dropout streams drive the encoder and the second pass; ``None``
+    streams give an evaluation-mode loss.
+    """
+    enc = encode(params, batch.source, batch.source_mask, enc_rng)
+    source = source_state(params, enc, batch.source_mask)
     golden_in = batch.decoder_inputs()
     golden_emb = embed_targets(params, golden_in)
     mask, p = sample_selection_mask(sampler, train_step, batch.size, golden_in.shape[1], mask_rng)
-    pred_emb = first_pass_predictions(params, config, batch, source, sampler)
+    pred_emb = first_pass_predictions(params, batch, source, sampler)
     mixed = select(mask[:, :, None], golden_emb, pred_emb)
-    logits = decode_step_logits(params, config, mixed, source, dec_rng, training)
+    logits = decode_step_logits(params, source, mixed, dec_rng)
     loss = cross_entropy_label_smoothed(
-        logits, batch.labels(), config.label_smoothing, batch.label_mask()
+        logits, batch.labels(), params.config.label_smoothing, batch.label_mask()
     )
     sampled = batch.target_mask[:, :-1].copy()
     sampled[:, 0] = False  # the forced sentinel is not a draw
@@ -269,7 +264,6 @@ class Adam:
 
 def train(
     params: ModelParams,
-    config: ModelConfig,
     sampler: SamplerConfig,
     batches: Iterator[Batch],
     opt_cfg: OptimizerConfig,
@@ -293,20 +287,18 @@ def train(
         dec_rng = named_rng(root_seed, "dropout", "decoder", step)
         with Tape() as tape:
             if step < sampler.warm_start_steps:
-                loss = teacher_forcing_loss(params, config, batch, enc_rng, dec_rng)
+                loss = teacher_forcing_loss(params, batch, enc_rng, dec_rng)
                 golden_fraction, mean_p, mode = 1.0, 1.0, "teacher_forcing"
             else:
                 mask_rng = named_rng(root_seed, "sampler", step)
-                loss, diag = two_pass_loss(
-                    params, config, sampler, batch, step, enc_rng, dec_rng, mask_rng
-                )
+                loss, diag = two_pass_loss(params, sampler, batch, step, enc_rng, dec_rng, mask_rng)
                 golden_fraction, mean_p = diag.golden_fraction, diag.mean_p
                 mode = sampler.mode.value
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise DivergenceError(f"non-finite loss {loss_value} at step {step}")
             tape.backward(loss)
-        adam.step(learning_rate(opt_cfg, config.hidden_size, step + 1))
+        adam.step(learning_rate(opt_cfg, params.config.hidden_size, step + 1))
         row = {
             "step": step,
             "loss": loss_value,

@@ -352,15 +352,15 @@ def cross_entropy_label_smoothed(
     return _apply(data, (logits,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout with an explicit stream; identity in eval mode.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with an explicit stream; the stream is the training switch.
 
-    Eval mode and rate 0 do not consume from ``rng``, so a pass that skips
-    dropout leaves the stream untouched.
+    Without a stream (evaluation) or at rate 0 it is the identity and draws
+    nothing, so a pass that skips dropout leaves any stream untouched.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     draw_dtype = x.data.dtype if x.data.dtype in (np.float32, np.float64) else np.float64
     keep = (rng.random(x.data.shape, dtype=draw_dtype) >= rate).astype(x.data.dtype)

@@ -30,7 +30,6 @@ def trained_copy_model():
     )
     train(
         params,
-        cfg,
         sampler,
         batch_stream(corpus, token_budget=1024, seed=43),
         OptimizerConfig(warmup_steps=100),

@@ -221,13 +221,13 @@ def test_criterion_3_gradient_checks():
     results = []
 
     with Tape() as tape:
-        loss = teacher_forcing_loss(params, cfg, batch, training=False)
+        loss = teacher_forcing_loss(params, batch)
         tape.backward(loss)
     analytic = [grad_of(p).copy() for p in tensors]
     for p in tensors:
         p.grad = None
     numeric = numeric_grads(
-        lambda: float(teacher_forcing_loss(params, cfg, batch, training=False).data),
+        lambda: float(teacher_forcing_loss(params, batch).data),
         tensors, 1e-5,
     )
     results.append(("teacher_forcing", max_rel_error(analytic, numeric)))
@@ -243,26 +243,26 @@ def test_criterion_3_gradient_checks():
         mode=SamplingMode.DECODING_STEPS, schedule=ScheduleSpec(Family.UNIFORM, uniform_p=0.5)
     )
     with no_grad():
-        enc0 = encode(params, cfg, batch.source, batch.source_mask)
-    source0 = source_state(params, cfg, enc0, batch.source_mask)
-    pred0 = first_pass_predictions(params, cfg, batch, source0, sampler).data.copy()
+        enc0 = encode(params, batch.source, batch.source_mask)
+    source0 = source_state(params, enc0, batch.source_mask)
+    pred0 = first_pass_predictions(params, batch, source0, sampler).data.copy()
     mask, _ = sample_selection_mask(
         sampler, 0, batch.size, batch.decoder_inputs().shape[1], named_rng(304, "mask")
     )
     assert mask[:, 1:].any() and not mask[:, 1:].all()  # a genuine mixture
 
     def frozen_prediction_loss():
-        enc = encode(params, cfg, batch.source, batch.source_mask)
+        enc = encode(params, batch.source, batch.source_mask)
         golden = embed_targets(params, batch.decoder_inputs())
         mixed = select(mask[:, :, None], golden, constant(pred0))
-        logits = decode_step_logits(params, cfg, mixed, source_state(params, cfg, enc, batch.source_mask))
+        logits = decode_step_logits(params, source_state(params, enc, batch.source_mask), mixed)
         return cross_entropy_label_smoothed(
             logits, batch.labels(), cfg.label_smoothing, batch.label_mask()
         )
 
     def live_two_pass():
         value, _ = two_pass_loss(
-            params, cfg, sampler, batch, 0, None, None, named_rng(304, "mask"), training=False
+            params, sampler, batch, 0, None, None, named_rng(304, "mask")
         )
         return value
 
@@ -285,7 +285,7 @@ def test_criterion_3_gradient_checks():
 
     def full_two_pass():
         value, _ = two_pass_loss(
-            params, cfg, sampler_bp, batch, 0, None, None, named_rng(304, "mask"), training=False
+            params, sampler_bp, batch, 0, None, None, named_rng(304, "mask")
         )
         return value
 
@@ -330,7 +330,7 @@ def test_criterion_4_degenerate_equivalence_bitwise():
 
         with Tape() as tape:
             tf_loss = teacher_forcing_loss(
-                params, cfg, batch,
+                params, batch,
                 named_rng(seed, "dropout", "encoder", 0),
                 named_rng(seed, "dropout", "decoder", 0),
             )
@@ -341,7 +341,7 @@ def test_criterion_4_degenerate_equivalence_bitwise():
 
         with Tape() as tape:
             tp_loss, _ = two_pass_loss(
-                params, cfg, sampler, batch, 0,
+                params, sampler, batch, 0,
                 named_rng(seed, "dropout", "encoder", 0),
                 named_rng(seed, "dropout", "decoder", 0),
                 named_rng(seed, "sampler", 0),

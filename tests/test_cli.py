@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,21 @@ def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, ov
     assert code == 1
     assert err.startswith("sslab: error:") and "Traceback" not in err
     assert override.split("=")[0].split(".")[-1] in err
+
+
+def test_checkpoint_with_layers_its_sidecar_lacks_fails_without_traceback(tmp_path, capsys):
+    fixture_params, _, vocab = load_model_checkpoint(str(FIXTURE_CHECKPOINT))
+    layers = fixture_params.config.num_decoder_layers
+    deeper = ModelConfig(**{**asdict(fixture_params.config), "num_decoder_layers": layers + 1})
+    ckpt = tmp_path / "deeper.bin"
+    save_model_checkpoint(ckpt, init_params(deeper, named_rng(0, "init")), 1, vocab)
+    # the sidecar names the fixture's shallower model
+    Path(str(ckpt) + ".json").write_bytes(Path(str(FIXTURE_CHECKPOINT) + ".json").read_bytes())
+    code = run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and "Traceback" not in err
+    assert f"dec{layers}/" in err
 
 
 def test_failed_sidecar_write_keeps_the_previous_sidecar(tmp_path, monkeypatch):

@@ -196,9 +196,7 @@ def tiny_config(**kw):
 def test_greedy_max_length_one(trained_copy_model):
     params, cfg = trained_copy_model
     batch = make_batch([([5, 6, 7], [5, 6, 7])])
-    out = greedy_decode(
-        params, cfg, batch.source, batch.source_mask, DecodeConfig(max_length=1)
-    )
+    out = greedy_decode(params, batch.source, batch.source_mask, DecodeConfig(max_length=1))
     assert all(len(seq) <= 1 for seq in out)
 
 
@@ -207,8 +205,8 @@ def test_greedy_deterministic(trained_copy_model):
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 10, seed=45)
     batch = make_batch(corpus.pairs)
     dcfg = DecodeConfig(max_length=12)
-    a = greedy_decode(params, cfg, batch.source, batch.source_mask, dcfg)
-    b = greedy_decode(params, cfg, batch.source, batch.source_mask, dcfg)
+    a = greedy_decode(params, batch.source, batch.source_mask, dcfg)
+    b = greedy_decode(params, batch.source, batch.source_mask, dcfg)
     assert a == b
 
 
@@ -216,7 +214,7 @@ def test_converged_copy_model_copies_heldout(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 40, seed=46)
     batch = make_batch(corpus.pairs)
-    out = greedy_decode(params, cfg, batch.source, batch.source_mask, DecodeConfig(max_length=12))
+    out = greedy_decode(params, batch.source, batch.source_mask, DecodeConfig(max_length=12))
     hits = sum(
         seq == batch.source[i, : batch.source_lengths[i]].tolist() for i, seq in enumerate(out)
     )
@@ -228,8 +226,8 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 20, seed=47)
     batch = make_batch(corpus.pairs)
     dcfg = DecodeConfig(beam_size=1, max_length=12)
-    greedy = greedy_decode(params, cfg, batch.source, batch.source_mask, dcfg)
-    beams = beam_decode(params, cfg, batch.source, batch.source_mask, dcfg)
+    greedy = greedy_decode(params, batch.source, batch.source_mask, dcfg)
+    beams = beam_decode(params, batch.source, batch.source_mask, dcfg)
     assert [r.tokens for r in beams] == greedy
     assert all(r.finished for r in beams)
 
@@ -237,9 +235,7 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
 def test_beam_decode_batch_order_and_scores(trained_copy_model):
     params, cfg = trained_copy_model
     batch = make_batch([([5, 6, 7], [5, 6, 7]), ([8, 9, 10, 11], [8, 9, 10, 11])])
-    results = beam_decode(
-        params, cfg, batch.source, batch.source_mask, DecodeConfig(beam_size=4, max_length=12)
-    )
+    results = beam_decode(params, batch.source, batch.source_mask, DecodeConfig(beam_size=4, max_length=12))
     assert len(results) == 2
     assert results[0].tokens == [5, 6, 7]
     assert results[1].tokens == [8, 9, 10, 11]
@@ -251,9 +247,7 @@ def test_decode_rejects_overlong_max_length(trained_copy_model):
     params, cfg = trained_copy_model
     batch = make_batch([([5], [5])])
     with pytest.raises(DecodeError, match="max_positions"):
-        greedy_decode(
-            params, cfg, batch.source, batch.source_mask, DecodeConfig(max_length=1000)
-        )
+        greedy_decode(params, batch.source, batch.source_mask, DecodeConfig(max_length=1000))
 
 
 def test_decode_module_never_touches_the_sampler():
@@ -268,16 +262,16 @@ def test_decode_module_never_touches_the_sampler():
 SCORER_TOLERANCE = {"float32": dict(rtol=1e-5, atol=1e-5), "float64": dict(rtol=1e-10, atol=1e-11)}
 
 
-def full_prefix_scorer(params, cfg, source, source_mask):
+def full_prefix_scorer(params, source, source_mask):
     """The uncached reference: the whole decoder over the full prefix per call."""
     with no_grad():
-        enc = encode(params, cfg, source, source_mask).data
+        enc = encode(params, source, source_mask).data
 
     def step(prefixes, rows):
         with no_grad():
             emb = embed_targets(params, prefixes)
-            source = source_state(params, cfg, constant(enc[rows]), source_mask[rows])
-            logits = decode_step_logits(params, cfg, emb, source)
+            source = source_state(params, constant(enc[rows]), source_mask[rows])
+            logits = decode_step_logits(params, source, emb)
         return log_softmax(logits.data[:, -1, :], axis=-1)
 
     return step
@@ -288,8 +282,8 @@ def _scorer_pair(dtype, seed=60, b=4):
     params = init_params(cfg, named_rng(seed, "init"))
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 7, b, seed=seed)
     batch = make_batch(corpus.pairs)
-    cached = transformer_scorer(params, cfg, batch.source, batch.source_mask)
-    full = full_prefix_scorer(params, cfg, batch.source, batch.source_mask)
+    cached = transformer_scorer(params, batch.source, batch.source_mask)
+    full = full_prefix_scorer(params, batch.source, batch.source_mask)
 
     def check(prefixes, rows):
         prefixes, rows = np.asarray(prefixes, dtype=np.int64), np.asarray(rows)
@@ -343,7 +337,7 @@ def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, monk
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=48)
     batch = make_batch(corpus.pairs)
-    args = (params, cfg, batch.source, batch.source_mask)
+    args = (params, batch.source, batch.source_mask)
     cached = {
         beam: [r.tokens for r in beam_decode(*args, DecodeConfig(beam_size=beam, max_length=12))]
         for beam in (2, 4)
@@ -374,11 +368,12 @@ def no_eos_scorer(vocab, eos):
     return step
 
 
-def per_source_beam_decode(params, cfg, source, source_mask, dcfg):
+def per_source_beam_decode(params, source, source_mask, dcfg):
     """One search per source row over a shared scorer, as decoding ran before batching."""
-    scorer = transformer_scorer(params, cfg, source, source_mask)
+    scorer = transformer_scorer(params, source, source_mask)
+    vocab = params.config.vocab_size
     return [
-        beam_search(lambda p, r, row=row: scorer(p, np.full(len(p), row)), cfg.vocab_size, dcfg)[0]
+        beam_search(lambda p, r, row=row: scorer(p, np.full(len(p), row)), vocab, dcfg)[0]
         for row in range(source.shape[0])
     ]
 
@@ -436,7 +431,7 @@ def test_batched_beam_decode_equals_per_source_search(trained_copy_model, beam):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=49)
     batch = make_batch(corpus.pairs)
-    args = (params, cfg, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=12))
+    args = (params, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=12))
     got = beam_decode(*args)
     want = per_source_beam_decode(*args)
     assert [r.tokens for r in got] == [r.tokens for r in want]
@@ -453,7 +448,7 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
     dcfg = run.decode
     _, corpus = build_corpora(run)
     batch = make_batch(corpus.pairs)
-    want = per_source_beam_decode(params, cfg, batch.source, batch.source_mask, dcfg)
+    want = per_source_beam_decode(params, batch.source, batch.source_mask, dcfg)
 
     calls = []  # rows of each scorer call, one list per batch
 
@@ -468,7 +463,7 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
         return step
 
     monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
-    hyps = decode_corpus(params, cfg, corpus, dcfg)
+    hyps = decode_corpus(params, corpus, dcfg)
     assert hyps == [r.tokens for r in want]
     assert len(calls) == 3  # 64 rows per call hold 16 sources at beam 4
     assert all(0 < len(batch_calls) <= dcfg.max_length for batch_calls in calls)
@@ -492,8 +487,8 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
         return take(self, rows)
 
     monkeypatch.setattr(model_module.SourceState, "take", spy)
-    scorer = transformer_scorer(params, cfg, batch.source, batch.source_mask)
-    full = full_prefix_scorer(params, cfg, batch.source, batch.source_mask)
+    scorer = transformer_scorer(params, batch.source, batch.source_mask)
+    full = full_prefix_scorer(params, batch.source, batch.source_mask)
     calls = []
 
     def step(prefixes, rows):

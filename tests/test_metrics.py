@@ -269,7 +269,7 @@ def test_perfect_copy_model_has_near_zero_error_table(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 4, 6, 60, seed=91)
     rates, counts = empirical_error_table(
-        params, cfg, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=6
+        params, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=6
     )
     assert len(rates) == 6
     assert all(0.0 <= r <= 1.0 for r in rates)
@@ -288,7 +288,7 @@ def test_untrained_model_error_table_is_high():
     params = init_params(cfg, named_rng(92, "init"))
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 6, 8, 40, seed=93)
     rates, _ = empirical_error_table(
-        params, cfg, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=8
+        params, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=8
     )
     assert all(r > 0.8 for r in rates)
 
@@ -297,7 +297,7 @@ def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 4, 6, 40, seed=94)
     rates, _ = empirical_error_table(
-        params, cfg, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=6
+        params, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=6
     )
     clipped = [min(1.0, max(0.0, r)) for r in rates]
     spec = ScheduleSpec(Family.EMPIRICAL, empirical_table=tuple(clipped))
@@ -308,8 +308,8 @@ def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):
 def test_decode_corpus_preserves_order(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 5, 10, seed=95)
-    greedy = decode_corpus(params, cfg, corpus, DecodeConfig(beam_size=1, max_length=10))
-    beamed = decode_corpus(params, cfg, corpus, DecodeConfig(beam_size=4, max_length=10))
+    greedy = decode_corpus(params, corpus, DecodeConfig(beam_size=1, max_length=10))
+    beamed = decode_corpus(params, corpus, DecodeConfig(beam_size=4, max_length=10))
     assert len(greedy) == len(beamed) == 10
     hits = sum(g == src for (src, _), g in zip(corpus.pairs, greedy))
     assert hits >= 9

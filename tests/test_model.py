@@ -56,7 +56,7 @@ def test_encode_shape_contract():
     cfg = tiny_config()
     params = init_params(cfg, named_rng(0, "init"))
     batch = random_batch(np.random.default_rng(0), cfg.vocab_size, b=4, src_len=7)
-    states = encode(params, cfg, batch.source, batch.source_mask)
+    states = encode(params, batch.source, batch.source_mask)
     assert states.data.shape == (4, 7, cfg.hidden_size)
 
 
@@ -66,9 +66,9 @@ def test_pad_content_cannot_leak_into_real_positions():
     batch = make_batch([([5, 6, 7, 8], [9, 10]), ([11, 5], [6, 7, 8])])
 
     def run(b):
-        states = encode(params, cfg, b.source, b.source_mask)
+        states = encode(params, b.source, b.source_mask)
         emb = embed_targets(params, b.decoder_inputs())
-        logits = decode_step_logits(params, cfg, emb, source_state(params, cfg, states, b.source_mask))
+        logits = decode_step_logits(params, source_state(params, states, b.source_mask), emb)
         return states.data, logits.data
 
     states_a, logits_a = run(batch)
@@ -94,11 +94,11 @@ def test_all_pad_source_row_stays_finite_with_zero_context():
     params = init_params(cfg, named_rng(2, "init"))
     source = np.array([[5, 6, 7], [0, 0, 0]])
     source_mask = np.array([[True, True, True], [False, False, False]])
-    states = encode(params, cfg, source, source_mask)
+    states = encode(params, source, source_mask)
     assert np.isfinite(states.data).all()
     batch = make_batch([([5, 6, 7], [8, 9]), ([5], [10, 11])])
     emb = embed_targets(params, batch.decoder_inputs())
-    logits = decode_step_logits(params, cfg, emb, source_state(params, cfg, states, source_mask))
+    logits = decode_step_logits(params, source_state(params, states, source_mask), emb)
     assert np.isfinite(logits.data).all()
 
 
@@ -107,15 +107,15 @@ def test_causality_of_decoder_logits():
     params = init_params(cfg, named_rng(3, "init"))
     rng = np.random.default_rng(5)
     batch = random_batch(rng, cfg.vocab_size, b=2, src_len=4, tgt_len=5)
-    states = encode(params, cfg, batch.source, batch.source_mask)
+    states = encode(params, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs()).data
 
-    source = source_state(params, cfg, states, batch.source_mask)
-    base = decode_step_logits(params, cfg, constant(emb), source).data
+    source = source_state(params, states, batch.source_mask)
+    base = decode_step_logits(params, source, constant(emb)).data
     t = 3
     bumped = emb.copy()
     bumped[:, t, :] += 0.5
-    changed = decode_step_logits(params, cfg, constant(bumped), source).data
+    changed = decode_step_logits(params, source, constant(bumped)).data
 
     assert base[:, :t].tobytes() == changed[:, :t].tobytes()
     assert not np.allclose(base[:, t:], changed[:, t:])
@@ -125,9 +125,9 @@ def test_single_token_target_logit_shape():
     cfg = tiny_config()
     params = init_params(cfg, named_rng(4, "init"))
     batch = make_batch([([5, 6], [7])])
-    states = encode(params, cfg, batch.source, batch.source_mask)
+    states = encode(params, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs()[:, :1])
-    logits = decode_step_logits(params, cfg, emb, source_state(params, cfg, states, batch.source_mask))
+    logits = decode_step_logits(params, source_state(params, states, batch.source_mask), emb)
     assert logits.data.shape == (1, 1, cfg.vocab_size)
 
 
@@ -163,7 +163,7 @@ def test_untrained_loss_is_near_log_vocab():
                       label_smoothing=0.0, max_positions=64, param_dtype="float64")
     params = init_params(cfg, named_rng(8, "init"))
     batch = random_batch(np.random.default_rng(9), cfg.vocab_size, b=8, src_len=10, tgt_len=10)
-    loss = float(teacher_forcing_loss(params, cfg, batch, training=False).data)
+    loss = float(teacher_forcing_loss(params, batch).data)
     assert abs(loss - math.log(40)) / math.log(40) < 0.10
 
 
@@ -180,8 +180,8 @@ def test_loss_invariant_to_batch_order():
         batch.source_lengths[perm],
         batch.target_lengths[perm],
     )
-    a = float(teacher_forcing_loss(params, cfg, batch, training=False).data)
-    b = float(teacher_forcing_loss(params, cfg, shuffled, training=False).data)
+    a = float(teacher_forcing_loss(params, batch).data)
+    b = float(teacher_forcing_loss(params, shuffled).data)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_length_error():
     params = init_params(cfg, named_rng(12, "init"))
     batch = make_batch([([5, 6, 7, 8, 9], [5])])
     with pytest.raises(LengthError):
-        encode(params, cfg, batch.source, batch.source_mask)
+        encode(params, batch.source, batch.source_mask)
 
 
 def test_sinusoidal_table_properties():
@@ -212,12 +212,12 @@ def test_micro_model_gradient_check():
 
     tensors = params.all_tensors()
     with Tape() as tape:
-        loss = teacher_forcing_loss(params, cfg, batch, training=False)
+        loss = teacher_forcing_loss(params, batch)
         tape.backward(loss)
     analytic = [grad_of(p) for p in tensors]
 
     numeric = numeric_grads(
-        lambda: float(teacher_forcing_loss(params, cfg, batch, training=False).data),
+        lambda: float(teacher_forcing_loss(params, batch).data),
         tensors,
         1e-5,
     )
@@ -246,7 +246,7 @@ def test_teacher_forced_logits_matches_eval_loss_path():
     cfg = tiny_config()
     params = init_params(cfg, named_rng(15, "init"))
     batch = random_batch(np.random.default_rng(16), cfg.vocab_size)
-    logits = teacher_forced_logits(params, cfg, batch)
+    logits = teacher_forced_logits(params, batch)
     assert logits.shape == (batch.size, batch.decoder_inputs().shape[1], cfg.vocab_size)
     assert np.isfinite(logits).all()
 
@@ -266,7 +266,7 @@ def test_loss_decreases_on_tiny_copy_task():
         warm_start_steps=200,
     )
     rows = train(
-        params, cfg, sampler,
+        params, sampler,
         batch_stream(corpus, token_budget=256, seed=23),
         OptimizerConfig(warmup_steps=50),
         total_steps=200,
@@ -288,9 +288,9 @@ def _cache_case(dtype, seed):
     cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2, max_positions=12)
     params = init_params(cfg, named_rng(seed, "init"))
     batch = random_batch(np.random.default_rng(seed), cfg.vocab_size, b=3, src_len=6, tgt_len=7)
-    enc = encode(params, cfg, batch.source, batch.source_mask)
+    enc = encode(params, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs())
-    full = decode_step_logits(params, cfg, emb, source_state(params, cfg, enc, batch.source_mask)).data
+    full = decode_step_logits(params, source_state(params, enc, batch.source_mask), emb).data
     return cfg, params, batch, enc, emb, full
 
 
@@ -298,12 +298,12 @@ def _cache_case(dtype, seed):
 @pytest.mark.parametrize("chunks", [(1,) * 8, (3, 1, 2, 2)])
 def test_cached_steps_match_full_prefix(dtype, chunks):
     cfg, params, batch, enc, emb, full = _cache_case(dtype, seed=30)
-    source = source_state(params, cfg, enc, batch.source_mask)
+    source = source_state(params, enc, batch.source_mask)
     cache = DecoderCache.empty(cfg, 3)
     start = 0
     for n in chunks:
         step = decode_step_logits(
-            params, cfg, constant(emb.data[:, start : start + n]), source, cache=cache
+            params, source, constant(emb.data[:, start : start + n]), cache=cache
         )
         assert step.data.dtype == full.dtype
         np.testing.assert_allclose(step.data, full[:, start : start + n], **CACHE_TOLERANCE[dtype])
@@ -314,13 +314,13 @@ def test_cached_steps_match_full_prefix(dtype, chunks):
 
 def test_cache_take_reorders_and_duplicates_rows():
     cfg, params, batch, enc, emb, full = _cache_case("float64", seed=31)
-    base = source_state(params, cfg, enc, batch.source_mask)
+    base = source_state(params, enc, batch.source_mask)
     cache = DecoderCache.empty(cfg, 3)
-    decode_step_logits(params, cfg, constant(emb.data[:, :4]), base, cache=cache)
+    decode_step_logits(params, base, constant(emb.data[:, :4]), cache=cache)
     order = np.array([2, 0, 2])
     cache = cache.take(order)
     step = decode_step_logits(
-        params, cfg, constant(emb.data[order, 4:5]), base.take(order), cache=cache
+        params, base.take(order), constant(emb.data[order, 4:5]), cache=cache
     )
     np.testing.assert_allclose(step.data[:, 0], full[order, 4], **CACHE_TOLERANCE["float64"])
 
@@ -328,28 +328,29 @@ def test_cache_take_reorders_and_duplicates_rows():
     # self-attention cache by parent; hypothesis 2 pairs source 2 with target 1
     sources, targets = np.array([2, 0, 2]), np.array([2, 0, 1])
     want = decode_step_logits(
-        params, cfg, constant(emb.data[targets]),
-        source_state(params, cfg, constant(enc.data[sources]), batch.source_mask[sources]),
+        params,
+        source_state(params, constant(enc.data[sources]), batch.source_mask[sources]),
+        constant(emb.data[targets]),
     ).data
     kept = base.take(sources)
     cache = DecoderCache.empty(cfg, 3)
-    decode_step_logits(params, cfg, constant(emb.data[targets, :4]), kept, cache=cache)
+    decode_step_logits(params, kept, constant(emb.data[targets, :4]), cache=cache)
     parents = np.array([2, 1, 0])  # reorders hypotheses over the same source rows
     assert np.array_equal(sources[parents], sources)
     cache = cache.take(parents)
-    step = decode_step_logits(params, cfg, constant(emb.data[targets[parents], 4:5]), kept, cache=cache)
+    step = decode_step_logits(params, kept, constant(emb.data[targets[parents], 4:5]), cache=cache)
     np.testing.assert_allclose(step.data[:, 0], want[parents, 4], **CACHE_TOLERANCE["float64"])
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_one_position_step_without_causal_mask_equals_zero_mask(dtype, monkeypatch):
     cfg, params, batch, enc, emb, _ = _cache_case(dtype, seed=34)
-    source = source_state(params, cfg, enc, batch.source_mask)
+    source = source_state(params, enc, batch.source_mask)
     cache = DecoderCache.empty(cfg, 3)
-    decode_step_logits(params, cfg, constant(emb.data[:, :4]), source, cache=cache)
+    decode_step_logits(params, source, constant(emb.data[:, :4]), cache=cache)
     rows = np.arange(3)
     new = constant(emb.data[:, 4:5])
-    without = decode_step_logits(params, cfg, new, source, cache=cache.take(rows)).data
+    without = decode_step_logits(params, source, new, cache=cache.take(rows)).data
 
     attention = model_module._attention
     unmasked = []
@@ -361,31 +362,31 @@ def test_one_position_step_without_causal_mask_equals_zero_mask(dtype, monkeypat
         return attention(params, prefix, queries, additive_mask, *rest)
 
     monkeypatch.setattr(model_module, "_attention", zero_mask)
-    with_zeros = decode_step_logits(params, cfg, new, source, cache=cache.take(rows)).data
+    with_zeros = decode_step_logits(params, source, new, cache=cache.take(rows)).data
     assert unmasked == [f"dec{i}/self_attn" for i in range(cfg.num_decoder_layers)]
     assert without.tobytes() == with_zeros.tobytes()
 
 
 def test_cached_path_records_no_tape_nodes():
     cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=32)
-    source = source_state(params, cfg, enc, batch.source_mask)
+    source = source_state(params, enc, batch.source_mask)
     with Tape() as tape:
         cache = DecoderCache.empty(cfg, 3)
-        decode_step_logits(params, cfg, constant(emb.data[:, :2]), source, cache=cache)
-        decode_step_logits(params, cfg, constant(emb.data[:, 2:3]), source, cache=cache)
+        decode_step_logits(params, source, constant(emb.data[:, :2]), cache=cache)
+        decode_step_logits(params, source, constant(emb.data[:, 2:3]), cache=cache)
     assert len(tape) == 0
 
 
 def test_cached_offset_plus_new_positions_raises_length_error():
     cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=33)
-    source = source_state(params, cfg, enc, batch.source_mask)
+    source = source_state(params, enc, batch.source_mask)
     cache = DecoderCache.empty(cfg, 3)
-    decode_step_logits(params, cfg, constant(emb.data[:, :7]), source, cache=cache)
-    decode_step_logits(params, cfg, constant(emb.data[:, :4]), source, cache=cache)
+    decode_step_logits(params, source, constant(emb.data[:, :7]), cache=cache)
+    decode_step_logits(params, source, constant(emb.data[:, :4]), cache=cache)
     assert cache.offset == cfg.max_positions - 1
     with pytest.raises(LengthError):
-        decode_step_logits(params, cfg, constant(emb.data[:, :2]), source, cache=cache)
+        decode_step_logits(params, source, constant(emb.data[:, :2]), cache=cache)
     assert cache.offset == cfg.max_positions - 1
-    decode_step_logits(params, cfg, constant(emb.data[:, :1]), source, cache=cache)
+    decode_step_logits(params, source, constant(emb.data[:, :1]), cache=cache)
     with pytest.raises(LengthError):
-        decode_step_logits(params, cfg, constant(emb.data[:, :1]), source, cache=cache)
+        decode_step_logits(params, source, constant(emb.data[:, :1]), cache=cache)

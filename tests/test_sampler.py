@@ -86,10 +86,10 @@ def test_soft_mix_predictions_live_in_embedding_hull():
     cfg = config64()
     params = init_params(cfg, named_rng(2, "init"))
     batch = random_batch(np.random.default_rng(3), cfg.vocab_size, b=4)
-    states = encode(params, cfg, batch.source, batch.source_mask)
+    states = encode(params, batch.source, batch.source_mask)
     sampler = uniform_sampler(0.5)
-    source = source_state(params, cfg, states, batch.source_mask)
-    pred = first_pass_predictions(params, cfg, batch, source, sampler).data
+    source = source_state(params, states, batch.source_mask)
+    pred = first_pass_predictions(params, batch, source, sampler).data
     table = params.tgt_embedding().data
     lo, hi = table.min(axis=0), table.max(axis=0)
     # positions >= 1 hold convex mixtures of the embedding rows
@@ -102,10 +102,10 @@ def test_argmax_prediction_matches_embedding_rows():
     cfg = config64()
     params = init_params(cfg, named_rng(4, "init"))
     batch = random_batch(np.random.default_rng(5), cfg.vocab_size, b=2)
-    states = encode(params, cfg, batch.source, batch.source_mask)
+    states = encode(params, batch.source, batch.source_mask)
     sampler = uniform_sampler(0.5, prediction=PredictionMode.ARGMAX_EMBEDDING)
-    source = source_state(params, cfg, states, batch.source_mask)
-    pred = first_pass_predictions(params, cfg, batch, source, sampler).data
+    source = source_state(params, states, batch.source_mask)
+    pred = first_pass_predictions(params, batch, source, sampler).data
     table = params.tgt_embedding().data
     rows = {tuple(np.round(r, 12)) for r in table}
     for b in range(pred.shape[0]):
@@ -205,7 +205,7 @@ def test_degenerate_equivalence_is_bitwise():
 
         enc_rng, dec_rng, _ = _streams(seed, 0)
         with Tape() as tape:
-            tf_loss = teacher_forcing_loss(params, cfg, batch, enc_rng, dec_rng)
+            tf_loss = teacher_forcing_loss(params, batch, enc_rng, dec_rng)
             tape.backward(tf_loss)
         tf_grads = [grad_of(p).copy() for p in params.all_tensors()]
         for p in params.all_tensors():
@@ -214,7 +214,7 @@ def test_degenerate_equivalence_is_bitwise():
         enc_rng, dec_rng, mask_rng = _streams(seed, 0)
         with Tape() as tape:
             tp_loss, diag = two_pass_loss(
-                params, cfg, uniform_sampler(1.0), batch, 0, enc_rng, dec_rng, mask_rng
+                params, uniform_sampler(1.0), batch, 0, enc_rng, dec_rng, mask_rng
             )
             tape.backward(tp_loss)
         tp_grads = [grad_of(p).copy() for p in params.all_tensors()]
@@ -234,10 +234,8 @@ def test_always_sample_loss_near_log_vocab_untrained():
     sampler = SamplerConfig(
         mode=SamplingMode.DECODING_STEPS, schedule=ScheduleSpec(Family.ALWAYS_SAMPLE)
     )
-    enc_rng, dec_rng, mask_rng = _streams(11, 0)
-    loss, diag = two_pass_loss(
-        params, cfg, sampler, batch, 0, enc_rng, dec_rng, mask_rng, training=False
-    )
+    _, _, mask_rng = _streams(11, 0)
+    loss, diag = two_pass_loss(params, sampler, batch, 0, None, None, mask_rng)
     value = float(loss.data)
     assert math.isfinite(value)
     assert abs(value - math.log(30)) / math.log(30) < 0.10
@@ -253,7 +251,7 @@ def test_prediction_fed_positions_connect_gradients():
     )
     enc_rng, dec_rng, mask_rng = _streams(12, 0)
     with Tape() as tape:
-        loss, _ = two_pass_loss(params, cfg, sampler, batch, 0, enc_rng, dec_rng, mask_rng)
+        loss, _ = two_pass_loss(params, sampler, batch, 0, enc_rng, dec_rng, mask_rng)
         tape.backward(loss)
     assert np.abs(grad_of(params.tgt_embedding())).sum() > 0
 
@@ -269,7 +267,7 @@ def test_backprop_toggle_changes_gradients_not_loss():
         sampler = uniform_sampler(0.3, backprop_through_predictions=toggle)
         enc_rng, dec_rng, mask_rng = _streams(15, 0)
         with Tape() as tape:
-            loss, _ = two_pass_loss(params, cfg, sampler, batch, 0, enc_rng, dec_rng, mask_rng)
+            loss, _ = two_pass_loss(params, sampler, batch, 0, enc_rng, dec_rng, mask_rng)
             tape.backward(loss)
         losses.append(float(loss.data))
         grads.append(grad_of(params.tgt_embedding()).copy())
@@ -294,7 +292,7 @@ def test_both_passes_share_one_cross_attention_projection(toggle, monkeypatch):
 
     monkeypatch.setattr(model_module, "_project_kv", spy)
     with Tape() as tape:
-        loss, _ = two_pass_loss(params, cfg, sampler, batch, 0, *_streams(22, 0))
+        loss, _ = two_pass_loss(params, sampler, batch, 0, *_streams(22, 0))
         tape.backward(loss)
     cross = [prefix for prefix in projected if prefix.endswith("/cross_attn")]
     assert cross == [f"dec{i}/cross_attn" for i in range(cfg.num_decoder_layers)]
@@ -311,7 +309,7 @@ def test_zero_steps_leaves_params_untouched():
     before = {k: v.data.copy() for k, v in params.params.items()}
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 2, 5, 10, seed=17)
     rows = train(
-        params, cfg, uniform_sampler(0.5),
+        params, uniform_sampler(0.5),
         batch_stream(corpus, 64, seed=18),
         OptimizerConfig(), total_steps=0, root_seed=19,
     )
@@ -327,7 +325,7 @@ def test_full_warm_start_matches_pure_teacher_forcing():
     def run(sampler):
         params = init_params(cfg, named_rng(21, "init"))
         train(
-            params, cfg, sampler,
+            params, sampler,
             batch_stream(corpus, 96, seed=22),
             OptimizerConfig(), total_steps=8, root_seed=23,
         )
@@ -345,7 +343,7 @@ def test_train_log_rows_have_schedule_diagnostics():
     params = init_params(cfg, named_rng(25, "init"))
     sampler = uniform_sampler(0.5, warm_start_steps=2)
     rows = train(
-        params, cfg, sampler,
+        params, sampler,
         batch_stream(corpus, 96, seed=26),
         OptimizerConfig(), total_steps=5, root_seed=27,
     )
@@ -361,9 +359,9 @@ def test_resume_continues_step_numbering():
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 2, 5, 30, seed=28)
     params = init_params(cfg, named_rng(29, "init"))
     sampler = uniform_sampler(0.5)
-    train(params, cfg, sampler, batch_stream(corpus, 96, seed=30),
+    train(params, sampler, batch_stream(corpus, 96, seed=30),
           OptimizerConfig(), total_steps=3, root_seed=31)
-    rows = train(params, cfg, sampler, batch_stream(corpus, 96, seed=30),
+    rows = train(params, sampler, batch_stream(corpus, 96, seed=30),
                  OptimizerConfig(), total_steps=2, root_seed=31, start_step=3)
     assert [r["step"] for r in rows] == [3, 4]
 
@@ -374,7 +372,7 @@ def test_divergence_aborts_with_diagnostic():
     params = init_params(cfg, named_rng(33, "init"))
     params.tgt_embedding().data[0, 0] = np.nan
     with pytest.raises(DivergenceError, match="step 0"):
-        train(params, cfg, uniform_sampler(0.5), batch_stream(corpus, 64, seed=34),
+        train(params, uniform_sampler(0.5), batch_stream(corpus, 64, seed=34),
               OptimizerConfig(), total_steps=1, root_seed=35)
 
 

@@ -1,11 +1,13 @@
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from scipy.stats import spearmanr
 
 from sslab.cli import RunConfig, main, read_config
 
@@ -64,6 +66,17 @@ def test_strategy_grid_row_reruns_bit_for_bit(tmp_path):
     assert main(["train", "--config", str(row / "config.json"), "--set", f"out_dir={tmp_path / 'rerun'}"]) == 0
     assert (tmp_path / "rerun" / "ckpt_final.bin").read_bytes() == (row / "ckpt_final.bin").read_bytes()
     assert (tmp_path / "rerun" / "steps.csv").read_bytes() == (row / "steps.csv").read_bytes()
+
+
+def test_gap_experiment_spearman_matches_scipy_on_ties_and_is_nan_on_a_flat_curve():
+    cases = [
+        ([0, 1, 2, 3, 4], [1, 1, 2, 0, 0]),
+        ([0, 1, 2, 3, 4, 5, 6, 7], [0.5, 0.25, 0.5, 0.75, 0.25, 0.25, 1.0, 0.5]),
+        ([3, 3, 1, 2, 2, 5], [0.1, 0.2, 0.2, 0.9, 0.4, 0.4]),
+    ]
+    for xs, ys in cases:
+        assert gap_experiment.spearman(xs, ys) == pytest.approx(spearmanr(xs, ys).statistic, abs=1e-12)
+    assert math.isnan(gap_experiment.spearman([0, 1, 2, 3], [0.5, 0.5, 0.5, 0.5]))
 
 
 def test_gap_experiment_is_one_training_run_and_a_gap_curve_per_checkpoint(tmp_path):

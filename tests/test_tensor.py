@@ -113,18 +113,20 @@ def test_cross_entropy_all_pad_rejected():
 
 
 def test_dropout_eval_mode_is_identity_and_leaves_stream():
-    rng = named_rng(0, "drop")
     x = constant(np.ones((4, 4)))
-    out = T.dropout(x, 0.5, rng, training=False)
-    assert out is x
-    # stream untouched: same next draw as a fresh stream
+    # no stream is evaluation mode
+    assert T.dropout(x, 0.5, None) is x
+    # rate 0 with a stream: identity, and the stream is untouched (same
+    # next draw as a fresh stream)
+    rng = named_rng(0, "drop")
+    assert T.dropout(x, 0.0, rng) is x
     assert rng.random() == named_rng(0, "drop").random()
 
 
 def test_dropout_seeded_reproducible():
     x = constant(np.ones((64, 64)))
-    a = T.dropout(x, 0.3, named_rng(7, "d"), training=True).data
-    b = T.dropout(x, 0.3, named_rng(7, "d"), training=True).data
+    a = T.dropout(x, 0.3, named_rng(7, "d")).data
+    b = T.dropout(x, 0.3, named_rng(7, "d")).data
     assert np.array_equal(a, b)
     kept = a[a != 0]
     assert np.allclose(kept, 1.0 / 0.7)
@@ -237,7 +239,7 @@ def _random_graph_loss(arrays, ids, drop_rng):
     probs = T.softmax(T.matmul(normed, w), axis=-1)
     mixed = T.weighted_embedding_mix(probs, table)
     sel = T.select(np.arange(12)[:, None] % 2 == 0, mixed, normed)
-    dropped = T.dropout(sel, 0.25, drop_rng, training=True)
+    dropped = T.dropout(sel, 0.25, drop_rng)
     logits = T.matmul(dropped, w)
     return T.cross_entropy_label_smoothed(
         logits, np.arange(12) % table.data.shape[0], 0.05
@@ -279,7 +281,7 @@ def test_seeded_computation_is_bit_identical():
         x = parameter(rng.normal(size=(6, 6)))
         with Tape() as tape:
             y = T.softmax(T.matmul(x, x), axis=-1)
-            drop = T.dropout(y, 0.5, named_rng(9, "s"), training=True)
+            drop = T.dropout(y, 0.5, named_rng(9, "s"))
             loss = T.cross_entropy_label_smoothed(drop, np.arange(6) % 6, 0.1)
             tape.backward(loss)
         return float(loss.data), x.grad.copy()
