@@ -202,10 +202,14 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
 def _prepare_out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "config.json", asdict(cfg))
     return out
+
+
+def _write_json(path: Path, doc: Mapping) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def build_corpora(cfg: RunConfig, *, train_data: bool = True) -> tuple[Corpus | None, Corpus]:
@@ -223,19 +227,16 @@ def build_corpora(cfg: RunConfig, *, train_data: bool = True) -> tuple[Corpus | 
             raise ConfigError("data.task=tsv needs data.tsv_path")
         corpus = load_tsv_corpus(d.tsv_path)
         return split_corpus(corpus, d.eval_fraction, cfg.seed)
-    kind = TaskKind(d.task)
-    train_corpus = gen_task(
-        kind, d.vocab_size, d.min_len, d.max_len, d.count,
-        seed=hash_seed(cfg.seed, "train-data"), noise=d.noise, map_a=d.map_a, map_b=d.map_b,
-        history_weight=d.history_weight, long_length_mass=d.long_length_mass,
-    ) if train_data else None
-    eval_noise = 0.0 if d.eval_clean_targets else d.noise
-    eval_corpus = gen_task(
-        kind, d.vocab_size, d.min_len, d.max_len, d.eval_count,
-        seed=hash_seed(cfg.seed, "eval-data"), noise=eval_noise, map_a=d.map_a, map_b=d.map_b,
-        history_weight=d.history_weight, long_length_mass=d.long_length_mass,
-    )
-    return train_corpus, eval_corpus
+
+    def generate(count: int, label: str, noise: float) -> Corpus:
+        return gen_task(
+            TaskKind(d.task), d.vocab_size, d.min_len, d.max_len, count,
+            seed=hash_seed(cfg.seed, label), noise=noise, map_a=d.map_a, map_b=d.map_b,
+            history_weight=d.history_weight, long_length_mass=d.long_length_mass,
+        )
+
+    train_corpus = generate(d.count, "train-data", d.noise) if train_data else None
+    return train_corpus, generate(d.eval_count, "eval-data", 0.0 if d.eval_clean_targets else d.noise)
 
 
 def hash_seed(root: int, label: str) -> int:
@@ -425,7 +426,12 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     write_curve_csv(out / "training_precision.csv", train_curve)
     write_curve_csv(out / "inference_precision.csv", infer_curve)
     write_curve_csv(out / "gap.csv", gap_curve)
-    print(f"wrote gap curves for {len(refs)} pairs to {out}")
+    # inference error per decoding step as a ready ``sampler.schedule``; unobserved steps interpolate
+    steps = np.arange(infer_curve.steps[-1] + 1)
+    errors = np.interp(steps, infer_curve.steps, [1.0 - v for v in infer_curve.values])
+    schedule = ScheduleSpec(Family.EMPIRICAL, empirical_table=tuple(errors.tolist()))
+    _write_json(out / "empirical_schedule.json", asdict(schedule))
+    print(f"wrote gap curves and an empirical schedule for {len(refs)} pairs to {out}")
     return 0
 
 
@@ -447,9 +453,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
         "token_accuracy": accuracy,
         "bleu_lite": bleu,
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(f"checkpoint      : {checkpoint} (step {step})\n")
         fh.write(f"eval pairs      : {len(refs)}\n")

@@ -191,25 +191,6 @@ def gen_task(
     return Corpus(pairs, vocab)
 
 
-def apply_noisy_map(
-    src: Sequence[int],
-    vocab_size: int,
-    map_a: int | None = None,
-    map_b: int = 1,
-    history_weight: int = 0,
-) -> list[int]:
-    """The noise-free map target for a source row (the task's true answer)."""
-    content = vocab_size - FIRST_CONTENT_ID
-    a = _pick_coprime(2 if map_a is None else map_a, content)
-    out = []
-    prev = 0
-    for s in src:
-        clean = ((s - FIRST_CONTENT_ID) * a + prev * history_weight + map_b) % content
-        out.append(clean + FIRST_CONTENT_ID)
-        prev = clean
-    return out
-
-
 def load_tsv_corpus(path, vocab: Vocab | None = None) -> Corpus:
     """Read a tab-separated parallel corpus with whitespace tokenization.
 

@@ -5,8 +5,8 @@ pads each hypothesis to its reference length (padding with the reserved
 null token, which never matches) and accepts a token if it occurs
 anywhere in a reference window around the same position. Inference-side
 precision uses a small window; training-side (strict) precision and
-token accuracy are the window-1 case. The per-step error rates double as
-sampling priors for the empirical schedule family.
+token accuracy are the window-1 case. ``sslab gap-curve`` writes one
+minus the inference-side curve as an ``empirical`` schedule.
 
 The BLEU here is a simplified corpus score for synthetic tasks; it is
 not comparable to official evaluation scripts.
@@ -116,19 +116,6 @@ def fuzzy_precision_per_step(
     return _precision_curve(hypotheses, references, window, trailing)
 
 
-def accumulated_error_curve(
-    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int = 3
-) -> StepCurve:
-    """Running sum of the per-step mean error indicator (non-decreasing)."""
-    prec = fuzzy_precision_per_step(hypotheses, references, window)
-    running = 0.0
-    values = []
-    for v in prec.values:
-        running += 1.0 - v
-        values.append(running)
-    return StepCurve(prec.steps, values, prec.counts)
-
-
 def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Micro-averaged strict match over all reference positions."""
     hits, totals = _step_counts(hypotheses, references, window=1, trailing=False)
@@ -155,35 +142,6 @@ def decode_corpus(
             results = beam_decode(params, batch.source, batch.source_mask, decode_cfg)
             hyps.extend(r.tokens for r in results)
     return hyps
-
-
-def empirical_error_table(
-    params: ModelParams,
-    corpus: Corpus,
-    decode_cfg: DecodeConfig,
-    max_t: int,
-    window: int = 3,
-) -> tuple[list[float], list[int]]:
-    """Measured per-step error rates, sized for use as Empirical priors.
-
-    Decodes the corpus, applies fuzzy matching, and returns one error rate
-    per step in [0, max_t) plus the sample count behind it. Steps with no
-    samples are linearly interpolated from their neighbours (edges extend).
-    """
-    hyps = decode_corpus(params, corpus, decode_cfg)
-    refs = [tgt for _, tgt in corpus.pairs]
-    prec = fuzzy_precision_per_step(hyps, refs, window)
-    rates = np.full(max_t, np.nan)
-    counts = np.zeros(max_t, dtype=int)
-    for step, value, count in zip(prec.steps, prec.values, prec.counts):
-        if step < max_t:
-            rates[step] = 1.0 - value
-            counts[step] = count
-    known = np.flatnonzero(~np.isnan(rates))
-    if known.size == 0:
-        raise MetricsError(f"no decoding steps below max_t={max_t} were observed")
-    rates = np.interp(np.arange(max_t), known, rates[known])
-    return rates.tolist(), counts.tolist()
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:

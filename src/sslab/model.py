@@ -65,8 +65,13 @@ class ModelConfig:
     param_dtype: str = "float32"
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
+        for name, low in (("hidden_size", 1), ("filter_size", 1), ("num_heads", 1), ("max_positions", 1),
+                          ("num_encoder_layers", 0), ("num_decoder_layers", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("dropout", "label_smoothing"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"

@@ -157,17 +157,11 @@ def first_pass_predictions(
     """
     golden_in = batch.decoder_inputs()
     n = golden_in.shape[1]
-    on_tape = sampler.backprop_through_predictions
-    with contextlib.nullcontext() if on_tape else no_grad():
+    shift = np.zeros((n, n), dtype=params.config.np_dtype)
+    shift[np.arange(1, n), np.arange(n - 1)] = 1.0
+    with contextlib.nullcontext() if sampler.backprop_through_predictions else no_grad():
         logits = decode_step_logits(params, source, embed_targets(params, golden_in))
-        pred = _prediction_embeddings(params, sampler, logits)
-    if on_tape:
-        shift = np.zeros((n, n), dtype=params.config.np_dtype)
-        shift[np.arange(1, n), np.arange(n - 1)] = 1.0
-        return matmul(constant(shift), pred)
-    shifted = np.zeros_like(pred.data)
-    shifted[:, 1:, :] = pred.data[:, : n - 1, :]
-    return constant(shifted)
+        return matmul(constant(shift), _prediction_embeddings(params, sampler, logits))
 
 
 def two_pass_loss(
@@ -224,6 +218,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 def learning_rate(opt: OptimizerConfig, hidden_size: int, step: int) -> float:

@@ -11,6 +11,7 @@ from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
 from sslab.data import Vocab, gen_task
 from sslab.model import ModelConfig, init_params
 from sslab.rng import named_rng
+from sslab.schedules import Family, ScheduleSpec, eval_schedule
 
 
 def run_cli(*argv):
@@ -180,7 +181,9 @@ def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
     "override",
     [
         "train.log_every=0", "train.checkpoint_every=0", "model.num_heads=0", "optimizer.warmup_steps=0",
-        "train.total_steps=-3",
+        "train.total_steps=-3", "model.hidden_size=0", "model.filter_size=0", "model.max_positions=0",
+        "model.num_encoder_layers=-1", "model.num_decoder_layers=-1", "model.dropout=1.5",
+        "model.label_smoothing=2.0", "optimizer.beta1=1.0", "optimizer.beta2=-0.1", "optimizer.eps=0",
     ],
 )
 def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
@@ -188,6 +191,7 @@ def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sslab: error:") and override.split("=")[0].split(".")[-1] in err
+    assert not (tmp_path / "run" / "config.json").exists()
 
 
 def test_empty_corpus_fails_without_traceback(tmp_path, capsys):
@@ -327,6 +331,16 @@ def test_gap_curve_outputs(trained_run, tmp_path):
     at = {r["step"]: float(r["value"]) for r in infer_rows}
     for tr, gr in zip(train_rows, gap_rows):
         assert float(gr["value"]) == pytest.approx(float(tr["value"]) - at[tr["step"]])
+    # the empirical schedule is one minus the inference curve, and trains as it is
+    schedule_text = (out / "empirical_schedule.json").read_text()
+    spec = cli.read_config(ScheduleSpec, json.loads(schedule_text))
+    assert spec.family is Family.EMPIRICAL
+    for row in infer_rows:
+        assert abs(eval_schedule(spec, int(row["step"])) - float(row["value"])) <= 1e-12
+    run = tmp_path / "train"
+    extra = ["--set", "train.total_steps=1", "--set", f"sampler.schedule={schedule_text}"]
+    assert run_cli(*tiny_train_args(run, extra=extra)) == 0
+    assert json.loads((run / "config.json").read_text())["sampler"]["schedule"] == json.loads(schedule_text)
 
 
 def test_evaluate_memorized_model(trained_run, tmp_path):
@@ -446,6 +460,7 @@ def test_damaged_checkpoint_fails_without_traceback(trained_run, tmp_path, capsy
     [
         ("evaluate", lambda s: {**s, "model": {**s["model"], "hidden": 1}}),
         ("evaluate", lambda s: {**s, "model": 5}),
+        ("evaluate", lambda s: {**s, "model": {**s["model"], "dropout": 1.5}}),
         ("evaluate", lambda s: {**s, "vocab_tokens": 5}),
         ("evaluate", lambda s: {k: v for k, v in s.items() if k != "vocab_tokens"}),
         ("evaluate", lambda s: {**s, "vocab_tokens": s["vocab_tokens"][:-1]}),
@@ -453,7 +468,7 @@ def test_damaged_checkpoint_fails_without_traceback(trained_run, tmp_path, capsy
         ("decode", lambda s: {**s, "vocab_tokens": list(range(len(s["vocab_tokens"])))}),
     ],
     ids=[
-        "unknown-key", "not-mapping", "vocab-not-list", "vocab-missing", "vocab-short",
+        "unknown-key", "not-mapping", "dropout-out-of-range", "vocab-not-list", "vocab-missing", "vocab-short",
         "decode-vocab-short", "decode-vocab-not-strings",
     ],
 )

@@ -13,7 +13,6 @@ from sslab.data import (
     DataError,
     TaskKind,
     Vocab,
-    apply_noisy_map,
     batchify,
     gen_task,
     load_tsv_corpus,
@@ -57,7 +56,8 @@ def test_noisy_map_without_noise_is_tokenwise_bijection():
                 assert mapping[s] == t
             mapping[s] = t
     # brute-force over the whole content vocabulary: injective => bijection
-    full = apply_noisy_map(list(range(FIRST_CONTENT_ID, vocab_size)), vocab_size)
+    a = 2  # first multiplier coprime with 45
+    full = [((s - FIRST_CONTENT_ID) * a + 1) % content + FIRST_CONTENT_ID for s in range(FIRST_CONTENT_ID, vocab_size)]
     assert len(set(full)) == content
     for s, t in mapping.items():
         assert full[s - FIRST_CONTENT_ID] == t
@@ -81,7 +81,6 @@ def test_history_coupled_map_follows_recurrence():
             want = ((s - FIRST_CONTENT_ID) * a + prev + 1) % content + FIRST_CONTENT_ID
             assert t == want
             prev = t - FIRST_CONTENT_ID
-        assert tgt == apply_noisy_map(src, vocab_size, history_weight=1)
 
 
 def test_history_coupled_noise_propagates_through_recurrence():
@@ -113,11 +112,13 @@ def test_history_weight_zero_matches_previous_generation():
 
 def test_noisy_map_noise_rate_close_to_rho():
     vocab_size = 50
+    content = vocab_size - FIRST_CONTENT_ID
     corpus = gen_task(TaskKind.NOISY_MAP, vocab_size, 30, 30, 400, seed=11, noise=0.1)
+    a = 2
     flips = 0
     total = 0
     for src, tgt in corpus.pairs:
-        clean = apply_noisy_map(src, vocab_size)
+        clean = [((s - FIRST_CONTENT_ID) * a + 1) % content + FIRST_CONTENT_ID for s in src]
         flips += sum(1 for c, t in zip(clean, tgt) if c != t)
         total += len(src)
     rate = flips / total

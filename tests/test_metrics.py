@@ -1,7 +1,6 @@
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,16 +10,13 @@ from sslab.decode import DecodeConfig
 from sslab.metrics import (
     MetricsError,
     StepCurve,
-    accumulated_error_curve,
     corpus_bleu_lite,
     decode_corpus,
-    empirical_error_table,
     fuzzy_precision_per_step,
     strict_precision_per_step,
     token_accuracy,
     write_curve_csv,
 )
-from sslab.schedules import Family, ScheduleSpec, eval_schedule
 
 A, B, C, D, E = 5, 6, 7, 8, 9
 
@@ -163,40 +159,6 @@ def test_precision_matches_plain_loop_reference(pairs, window, trailing):
 
 
 # ---------------------------------------------------------------------------
-# accumulated error curve
-# ---------------------------------------------------------------------------
-
-
-def test_accumulated_zero_for_identical():
-    seqs = [[A, B, C, D]]
-    curve = accumulated_error_curve(seqs, seqs)
-    assert curve.values == [0.0] * 4
-
-
-def test_accumulated_half_rate_grows_linearly():
-    # at every step exactly one of two hypotheses misses (window-1 style
-    # tokens far apart so the window cannot rescue them)
-    refs = [[A, B, A, B], [A, B, A, B]]
-    hyps = [[A, B, A, B], [E, E, E, E]]
-    curve = accumulated_error_curve(hyps, refs, window=3)
-    assert curve.values == pytest.approx([0.5, 1.0, 1.5, 2.0])
-
-
-@given(corpus_strategy())
-@settings(max_examples=40, deadline=None)
-def test_accumulated_non_decreasing_and_consistent(pairs):
-    hyps = [h for h, _ in pairs]
-    refs = [r for _, r in pairs]
-    acc = accumulated_error_curve(hyps, refs)
-    fuzzy = fuzzy_precision_per_step(hyps, refs, window=3)
-    assert all(b >= a - 1e-12 for a, b in zip(acc.values, acc.values[1:]))
-    partial = 0.0
-    for av, fv in zip(acc.values, fuzzy.values):
-        partial += 1.0 - fv
-        assert av == pytest.approx(partial)
-
-
-# ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
 
@@ -261,48 +223,8 @@ def test_token_accuracy_micro_average():
 
 
 # ---------------------------------------------------------------------------
-# empirical error tables (need a live model)
+# corpus decoding (needs a live model)
 # ---------------------------------------------------------------------------
-
-
-def test_perfect_copy_model_has_near_zero_error_table(trained_copy_model):
-    params, cfg = trained_copy_model
-    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 4, 6, 60, seed=91)
-    rates, counts = empirical_error_table(
-        params, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=6
-    )
-    assert len(rates) == 6
-    assert all(0.0 <= r <= 1.0 for r in rates)
-    assert np.mean(rates) < 0.05
-    assert counts[0] == 60
-
-
-def test_untrained_model_error_table_is_high():
-    from sslab.model import init_params
-    from sslab.rng import named_rng
-    from sslab.model import ModelConfig
-
-    cfg = ModelConfig(vocab_size=40, hidden_size=16, filter_size=32, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1, dropout=0.0,
-                      max_positions=24)
-    params = init_params(cfg, named_rng(92, "init"))
-    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 6, 8, 40, seed=93)
-    rates, _ = empirical_error_table(
-        params, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=8
-    )
-    assert all(r > 0.8 for r in rates)
-
-
-def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):
-    params, cfg = trained_copy_model
-    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 4, 6, 40, seed=94)
-    rates, _ = empirical_error_table(
-        params, corpus, DecodeConfig(beam_size=1, max_length=10), max_t=6
-    )
-    clipped = [min(1.0, max(0.0, r)) for r in rates]
-    spec = ScheduleSpec(Family.EMPIRICAL, empirical_table=tuple(clipped))
-    for t, r in enumerate(clipped):
-        assert eval_schedule(spec, t) == pytest.approx(1.0 - r, abs=1e-12)
 
 
 def test_decode_corpus_preserves_order(trained_copy_model):
