@@ -32,6 +32,7 @@ from .metrics import (
     StepCurve,
     corpus_bleu_lite,
     decode_corpus,
+    empirical_schedule,
     fuzzy_precision_per_step,
     strict_precision_per_step,
     token_accuracy,
@@ -426,11 +427,8 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     write_curve_csv(out / "training_precision.csv", train_curve)
     write_curve_csv(out / "inference_precision.csv", infer_curve)
     write_curve_csv(out / "gap.csv", gap_curve)
-    # inference error per decoding step as a ready ``sampler.schedule``; unobserved steps interpolate
-    steps = np.arange(infer_curve.steps[-1] + 1)
-    errors = np.interp(steps, infer_curve.steps, [1.0 - v for v in infer_curve.values])
-    schedule = ScheduleSpec(Family.EMPIRICAL, empirical_table=tuple(errors.tolist()))
-    _write_json(out / "empirical_schedule.json", asdict(schedule))
+    # inference error per decoding step as a ready ``sampler.schedule``
+    _write_json(out / "empirical_schedule.json", asdict(empirical_schedule(infer_curve)))
     print(f"wrote gap curves and an empirical schedule for {len(refs)} pairs to {out}")
     return 0
 

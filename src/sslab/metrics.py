@@ -5,8 +5,9 @@ pads each hypothesis to its reference length (padding with the reserved
 null token, which never matches) and accepts a token if it occurs
 anywhere in a reference window around the same position. Inference-side
 precision uses a small window; training-side (strict) precision and
-token accuracy are the window-1 case. ``sslab gap-curve`` writes one
-minus the inference-side curve as an ``empirical`` schedule.
+token accuracy are the window-1 case. ``empirical_schedule`` turns an
+inference-side curve into an ``empirical`` schedule; ``sslab gap-curve``
+writes it next to the curves.
 
 The BLEU here is a simplified corpus score for synthetic tasks; it is
 not comparable to official evaluation scripts.
@@ -25,6 +26,7 @@ import numpy as np
 from .data import Corpus, NULL_ID, make_batch
 from .decode import DecodeConfig, beam_decode, greedy_decode
 from .model import ModelParams
+from .schedules import Family, ScheduleSpec
 
 Tokens = Sequence[int]
 
@@ -114,6 +116,19 @@ def fuzzy_precision_per_step(
     if window < 1 or window % 2 == 0:
         raise MetricsError(f"window must be odd and >= 1, got {window}")
     return _precision_curve(hypotheses, references, window, trailing)
+
+
+def empirical_schedule(curve: StepCurve) -> ScheduleSpec:
+    """One minus ``curve`` per decoding step as an ``empirical`` schedule.
+
+    The table covers steps 0 to the last observed step; steps with no
+    samples are linearly interpolated from their neighbours.
+    """
+    if not curve.steps:
+        raise MetricsError("an empirical schedule needs at least one observed step")
+    steps = np.arange(curve.steps[-1] + 1)
+    errors = np.interp(steps, curve.steps, [1.0 - v for v in curve.values])
+    return ScheduleSpec(Family.EMPIRICAL, empirical_table=tuple(errors.tolist()))
 
 
 def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:

@@ -12,11 +12,13 @@ from sslab.metrics import (
     StepCurve,
     corpus_bleu_lite,
     decode_corpus,
+    empirical_schedule,
     fuzzy_precision_per_step,
     strict_precision_per_step,
     token_accuracy,
     write_curve_csv,
 )
+from sslab.schedules import Family, eval_schedule
 
 A, B, C, D, E = 5, 6, 7, 8, 9
 
@@ -235,6 +237,26 @@ def test_decode_corpus_preserves_order(trained_copy_model):
     assert len(greedy) == len(beamed) == 10
     hits = sum(g == src for (src, _), g in zip(corpus.pairs, greedy))
     assert hits >= 9
+
+
+def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):
+    params, cfg = trained_copy_model
+    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 4, 6, 40, seed=94)
+    hyps = decode_corpus(params, corpus, DecodeConfig(beam_size=1, max_length=10))
+    curve = fuzzy_precision_per_step(hyps, [tgt for _, tgt in corpus.pairs], window=3)
+    spec = empirical_schedule(curve)
+    assert spec.family is Family.EMPIRICAL
+    assert len(spec.empirical_table) == curve.steps[-1] + 1
+    for t, value in zip(curve.steps, curve.values):
+        assert spec.empirical_table[t] == pytest.approx(1.0 - value, abs=1e-12)
+        assert eval_schedule(spec, t) == pytest.approx(value, abs=1e-12)
+
+
+def test_empirical_schedule_interpolates_unobserved_steps():
+    spec = empirical_schedule(StepCurve([0, 2], [1.0, 0.5], [4, 4]))
+    assert spec.empirical_table == pytest.approx((0.0, 0.25, 0.5))
+    with pytest.raises(MetricsError):
+        empirical_schedule(StepCurve([], [], []))
 
 
 # ---------------------------------------------------------------------------
