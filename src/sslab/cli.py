@@ -27,8 +27,9 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import FIRST_CONTENT_ID, Corpus, DataError, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, split_corpus
-from .decode import DecodeConfig, beam_decode, greedy_decode
+from .decode import DecodeConfig
 from .metrics import (
+    BATCH_ROWS,
     StepCurve,
     corpus_bleu_lite,
     decode_corpus,
@@ -67,6 +68,23 @@ class DataConfig:
     eval_fraction: float = 0.05  # tsv only
     token_budget: int = 1024
 
+    def __post_init__(self):
+        tasks = [k.value for k in TaskKind] + ["tsv"]
+        if self.task not in tasks:
+            raise ValueError(f"task must be one of {tasks}, got {self.task!r}")
+        for name in ("noise", "long_length_mass"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise ValueError(f"eval_fraction must lie in (0, 1), got {self.eval_fraction}")
+        if self.task != "tsv":  # a TSV file fixes its own lengths and vocabulary
+            if not 1 <= self.min_len <= self.max_len:
+                raise ValueError(f"min_len must be >= 1 and <= max_len {self.max_len}, got {self.min_len}")
+            if self.vocab_size <= FIRST_CONTENT_ID:
+                raise ValueError(f"vocab_size must exceed {FIRST_CONTENT_ID}, got {self.vocab_size}")
+            if self.token_budget < self.max_len + 2:  # the widest row: max_len tokens plus two sentinels
+                raise ValueError(f"token_budget must be >= max_len + 2 = {self.max_len + 2}, got {self.token_budget}")
+
 
 @dataclass
 class TrainSection:
@@ -104,6 +122,10 @@ class RunConfig:
     dump_max_i: int = 100
     dump_max_t: int = 128
     gap_window: int = 3
+
+    def __post_init__(self):
+        if self.gap_window < 1 or self.gap_window % 2 == 0:
+            raise ValueError(f"gap_window must be odd and >= 1, got {self.gap_window}")
 
 
 def read_config(cls, doc: object, key: str = ""):
@@ -207,8 +229,9 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_json(path: Path, doc: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_json(path, doc: Mapping) -> None:
+    """``doc`` as sorted, indented JSON, written whole or not at all."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -267,9 +290,7 @@ def save_model_checkpoint(
     entries["meta/step"] = np.asarray(step, dtype=np.int64)
     save_checkpoint(path, entries)
     sidecar = {"model": asdict(params.config), "step": step, "vocab_tokens": list(vocab.tokens)}
-    with replacing(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(str(path) + ".json", sidecar)
 
 
 def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
@@ -384,11 +405,11 @@ def _content_targets(corpus: Corpus) -> list[list[int]]:
     return [tgt for _, tgt in corpus.pairs]
 
 
-def _teacher_forced_predictions(params: ModelParams, corpus: Corpus, batch_rows: int = 64) -> list[list[int]]:
+def _teacher_forced_predictions(params: ModelParams, corpus: Corpus) -> list[list[int]]:
     """Argmax continuation at every golden prefix, trimmed to content length."""
     preds: list[list[int]] = []
-    for lo in range(0, len(corpus.pairs), batch_rows):
-        chunk = corpus.pairs[lo : lo + batch_rows]
+    for lo in range(0, len(corpus.pairs), BATCH_ROWS):
+        chunk = corpus.pairs[lo : lo + BATCH_ROWS]
         batch = make_batch(chunk)
         logits = teacher_forced_logits(params, batch)
         argmax = logits.argmax(axis=-1)
@@ -476,15 +497,19 @@ def cmd_decode(cfg: RunConfig, checkpoint: str, output: str | None) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+COMMANDS = {"schedule-dump": cmd_schedule_dump, "train": cmd_train, "gap-curve": cmd_gap_curve,
+            "evaluate": cmd_evaluate, "decode": cmd_decode}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sslab",
         description="Scheduled-sampling laboratory for seq2seq transformers",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("schedule-dump", "train", "gap-curve", "evaluate", "decode"):
+    sub = parser.add_subparsers(required=True)
+    for name, handler in COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument(
             "--set", action="append", default=[], dest="overrides", metavar="KEY=VALUE",
@@ -498,20 +523,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    handler = args.pop("handler")  # what remains after config and overrides is the handler's own options
     try:
-        cfg = load_run_config(args.config, args.overrides)
-        if args.command == "schedule-dump":
-            return cmd_schedule_dump(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "gap-curve":
-            return cmd_gap_curve(cfg, args.checkpoint)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint)
-        if args.command == "decode":
-            return cmd_decode(cfg, args.checkpoint, args.output)
-        raise ConfigError(f"unknown command {args.command}")
+        cfg = load_run_config(args.pop("config"), args.pop("overrides"))
+        return handler(cfg, **args)
     except (ConfigError, DataError, DivergenceError, OSError, KeyError, ValueError) as err:
         print(f"sslab: error: {err}", file=sys.stderr)
         return 1

@@ -9,8 +9,9 @@ beat the best finished hypothesis at its current length.
 Both searches run against a step scorer ((prefix ids, source rows) ->
 next-token log probabilities), so tests can drive them with arbitrary toy
 models. Both decode a batch of sources in lockstep, one scorer call per
-step: greedy scores every unfinished row, beam search the live beams of
-every source whose search has not stopped. The transformer adapter decodes
+step: greedy scores every unfinished row and keeps its hypotheses in the
+prefix array it grows, beam search the live beams of every source whose
+search has not stopped. The transformer adapter decodes
 incrementally: it computes the encoder states and their ``SourceState``
 (cross-attention keys/values and source masks) once per batch and
 regathers that state only when the calls' source rows change; it keeps a
@@ -130,29 +131,24 @@ def _check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
 def greedy_decode(
     params: ModelParams, source: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
 ) -> list[list[int]]:
-    """Argmax continuation per step until the end token or max_length."""
+    """Argmax continuation per step until the end token or max_length.
+
+    A finished row takes the end token in every later column of the
+    prefix array, and each hypothesis is read up to its first end token.
+    """
     _check_against_model(params.config, decode_cfg)
     scorer = transformer_scorer(params, source, source_mask)
-    b = source.shape[0]
+    b, eos = source.shape[0], decode_cfg.eos_id
     prefixes = np.full((b, 1), BOS_ID, dtype=np.int64)
-    rows = np.arange(b)
-    outputs: list[list[int]] = [[] for _ in range(b)]
     alive = np.ones(b, dtype=bool)
     for _ in range(decode_cfg.max_length):
-        logp = scorer(prefixes[alive], rows[alive])
-        next_tokens = logp.argmax(axis=-1)
-        column = np.zeros(b, dtype=np.int64)
-        column[alive] = next_tokens
-        for i, row in enumerate(np.flatnonzero(alive)):
-            tok = int(next_tokens[i])
-            if tok == decode_cfg.eos_id:
-                alive[row] = False
-            else:
-                outputs[row].append(tok)
+        column = np.full(b, eos, dtype=np.int64)
+        column[alive] = scorer(prefixes[alive], np.flatnonzero(alive)).argmax(axis=-1)
         prefixes = np.concatenate([prefixes, column[:, None]], axis=1)
+        alive &= column != eos
         if not alive.any():
             break
-    return outputs
+    return [h[: h.index(eos)] if eos in h else h for h in prefixes[:, 1:].tolist()]
 
 
 @dataclass
@@ -183,14 +179,9 @@ class _SourceSearch:
         k = min(decode_cfg.beam_size, len(self.beams) * (vocab_size - 1))
         top = np.argpartition(-flat, k - 1)[:k]
         top = top[np.argsort(-flat[top])]
-        new_beams: list[list[int]] = []
-        new_scores = []
-        for idx in top:
-            beam_idx, tok = divmod(int(idx), vocab_size)
-            new_beams.append(self.beams[beam_idx] + [tok])
-            new_scores.append(float(flat[idx]))
-        self.beams = new_beams
-        self.scores = np.array(new_scores)
+        parents, tokens = np.divmod(top, vocab_size)
+        self.beams = [self.beams[p] + [tok] for p, tok in zip(parents.tolist(), tokens.tolist())]
+        self.scores = flat[top]
         if not self.finished:
             return False
         attainable = float(self.scores.max()) / length_penalty(t + 1, alpha)
@@ -211,7 +202,6 @@ def beam_search(
     vocab_size: int,
     decode_cfg: DecodeConfig,
     sources: int = 1,
-    bos_id: int = BOS_ID,
 ) -> list[BeamResult]:
     """Beam search over ``sources`` sources in lockstep, one result per source.
 
@@ -232,7 +222,7 @@ def beam_search(
     for t in range(decode_cfg.max_length):
         if not live:
             break
-        prefixes = np.array([[bos_id] + b for s in live for b in searches[s].beams], dtype=np.int64)
+        prefixes = np.array([[BOS_ID] + b for s in live for b in searches[s].beams], dtype=np.int64)
         counts = [len(searches[s].beams) for s in live]
         logp = step_fn(prefixes, np.repeat(live, counts))
         still = []

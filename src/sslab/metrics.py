@@ -3,9 +3,11 @@
 One routine counts hits per step over padded arrays. It truncates or
 pads each hypothesis to its reference length (padding with the reserved
 null token, which never matches) and accepts a token if it occurs
-anywhere in a reference window around the same position. Inference-side
-precision uses a small window; training-side (strict) precision and
-token accuracy are the window-1 case. ``empirical_schedule`` turns an
+anywhere in the reference window centered on the same position.
+Inference-side precision uses a small window; training-side (strict)
+precision and token accuracy are the window-1 case. ``decode_corpus``
+decodes a corpus in calls of at most ``BATCH_ROWS`` rows, the size the
+CLI's teacher-forced pass uses too. ``empirical_schedule`` turns an
 inference-side curve into an ``empirical`` schedule; ``sslab gap-curve``
 writes it next to the curves.
 
@@ -29,6 +31,7 @@ from .model import ModelParams
 from .schedules import Family, ScheduleSpec
 
 Tokens = Sequence[int]
+BATCH_ROWS = 64  # rows per model call when a corpus is decoded or teacher-forced
 
 
 class MetricsError(ValueError):
@@ -60,7 +63,7 @@ def _check_pairs(hypotheses, references):
 
 
 def _step_counts(
-    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int, trailing: bool
+    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Windowed hit and reference-token counts per step, over padded arrays.
 
@@ -70,7 +73,7 @@ def _step_counts(
     """
     _check_pairs(hypotheses, references)
     n, width = len(references), max(len(r) for r in references)
-    before = window - 1 if trailing else (window - 1) // 2
+    before = (window - 1) // 2
     hyp = np.full((n, width), NULL_ID, dtype=np.int64)
     ref = np.full((n, width + window - 1), NULL_ID, dtype=np.int64)
     valid = np.zeros((n, width), dtype=bool)
@@ -86,36 +89,30 @@ def _step_counts(
     return hit.sum(axis=0), valid.sum(axis=0)
 
 
-def _precision_curve(
-    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int, trailing: bool
-) -> StepCurve:
+def _precision_curve(hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int) -> StepCurve:
     # Python ints and floats, not numpy scalars, so CSV reprs stay plain
-    hits, totals = (a.tolist() for a in _step_counts(hypotheses, references, window, trailing))
+    hits, totals = (a.tolist() for a in _step_counts(hypotheses, references, window))
     steps = [t for t, total in enumerate(totals) if total]
     return StepCurve(steps, [hits[t] / totals[t] for t in steps], [totals[t] for t in steps])
 
 
 def strict_precision_per_step(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> StepCurve:
     """Exact position-by-position match rate at each step."""
-    return _precision_curve(hypotheses, references, window=1, trailing=False)
+    return _precision_curve(hypotheses, references, window=1)
 
 
 def fuzzy_precision_per_step(
-    hypotheses: Sequence[Tokens],
-    references: Sequence[Tokens],
-    window: int = 3,
-    trailing: bool = False,
+    hypotheses: Sequence[Tokens], references: Sequence[Tokens], window: int = 3
 ) -> StepCurve:
     """Windowed unigram match rate after truncating/padding to reference length.
 
     A hypothesis token at step t counts as correct when it occurs anywhere
-    in the reference window centered on t (clipped at the boundaries);
-    ``trailing`` switches the window to positions t-window+1 .. t. Null
-    padding never matches, and window=1 is the strict protocol.
+    in the reference window centered on t (clipped at the boundaries).
+    Null padding never matches, and window=1 is the strict protocol.
     """
     if window < 1 or window % 2 == 0:
         raise MetricsError(f"window must be odd and >= 1, got {window}")
-    return _precision_curve(hypotheses, references, window, trailing)
+    return _precision_curve(hypotheses, references, window)
 
 
 def empirical_schedule(curve: StepCurve) -> ScheduleSpec:
@@ -133,20 +130,18 @@ def empirical_schedule(curve: StepCurve) -> ScheduleSpec:
 
 def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Micro-averaged strict match over all reference positions."""
-    hits, totals = _step_counts(hypotheses, references, window=1, trailing=False)
+    hits, totals = _step_counts(hypotheses, references, window=1)
     return int(hits.sum()) / int(totals.sum())
 
 
-def decode_corpus(
-    params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig, batch_rows: int = 64
-) -> list[list[int]]:
+def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[list[int]]:
     """Decode every source in order; greedy unless a wider beam is configured.
 
-    ``batch_rows`` caps the rows of each scorer call: greedy decodes that
-    many sources per batch, beam search ``batch_rows // beam_size`` (at
+    ``BATCH_ROWS`` caps the rows of each scorer call: greedy decodes that
+    many sources per batch, beam search ``BATCH_ROWS // beam_size`` (at
     least one), since each source holds up to ``beam_size`` live beams.
     """
-    per_batch = max(1, batch_rows // decode_cfg.beam_size)
+    per_batch = max(1, BATCH_ROWS // decode_cfg.beam_size)
     hyps: list[list[int]] = []
     for lo in range(0, len(corpus.pairs), per_batch):
         chunk = corpus.pairs[lo : lo + per_batch]

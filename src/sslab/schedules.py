@@ -181,22 +181,19 @@ def _linear_decay_integral(spec: ScheduleSpec, t: float) -> float:
 
 def _empirical_decay_integral(spec: ScheduleSpec, t: float) -> float:
     # The interpolated error curve is piecewise linear with knots at the
-    # integers, so the trapezoid rule over the knots is exact.
+    # integers, so the trapezoid rule is exact: whole segments left to
+    # right, then the partial one ending at t or the flat tail past the table.
     assert spec.empirical_table is not None
     table = spec.empirical_table
     last = len(table) - 1
+    whole = int(t) if t < last else last
     err_area = 0.0
-    x = 0.0
-    j = 0
-    while j < last and x < t:
-        hi = min(t, float(j + 1))
-        e_lo = _interp_table(table, x)
-        e_hi = _interp_table(table, hi)
-        err_area += 0.5 * (e_lo + e_hi) * (hi - x)
-        x = hi
-        j += 1
-    if t > x:
-        err_area += table[last] * (t - x)
+    for j in range(whole):
+        err_area += 0.5 * (table[j] + table[j + 1])
+    if whole < last:
+        err_area += 0.5 * (table[whole] + _interp_table(table, t)) * (t - whole)
+    else:
+        err_area += table[last] * (t - last)
     return t - err_area
 
 

@@ -18,7 +18,7 @@ import contextlib
 import math
 import os
 import struct
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 

@@ -184,6 +184,7 @@ def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
         "train.total_steps=-3", "model.hidden_size=0", "model.filter_size=0", "model.max_positions=0",
         "model.num_encoder_layers=-1", "model.num_decoder_layers=-1", "model.dropout=1.5",
         "model.label_smoothing=2.0", "optimizer.beta1=1.0", "optimizer.beta2=-0.1", "optimizer.eps=0",
+        "gap_window=2", "data.token_budget=0", "data.min_len=0", "data.task=foo",
     ],
 )
 def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
@@ -296,6 +297,34 @@ def test_config_echo_round_trips(tmp_path):
     )
     assert code == 0
     assert (out_a / "ckpt_final.bin").read_bytes() == (out_b / "ckpt_final.bin").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:empty hypothesis corpus")  # two steps do not learn to emit tokens
+def test_tsv_task_runs_through_every_command(tmp_path):
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(8)]
+    lines = []
+    for _ in range(60):
+        src = list(rng.choice(words, size=int(rng.integers(2, 6))))
+        lines.append(" ".join(src) + "\t" + " ".join(reversed(src)))
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("\n".join(lines) + "\n")
+    first = tmp_path / "first"
+    extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.1",
+             "--set", "train.total_steps=2"]
+    assert run_cli(*tiny_train_args(first, extra=extra)) == 0
+    config = str(first / "config.json")
+    again = tmp_path / "again"
+    assert run_cli("train", "--config", config, "--set", f"out_dir={again}") == 0
+    for name in ("ckpt_final.bin", "steps.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+    checkpoint = str(first / "ckpt_final.bin")
+    outputs = {"evaluate": "report.json", "gap-curve": "gap.csv", "decode": "hypotheses.txt"}
+    for command, output in outputs.items():
+        out = tmp_path / command
+        assert run_cli(command, "--config", config, "--set", f"out_dir={out}", "--checkpoint", checkpoint) == 0
+        assert (out / output).is_file()
+    assert len((tmp_path / "decode" / "hypotheses.txt").read_text().splitlines()) == 6  # 10% of 60 pairs
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,6 @@ def test_short_hypothesis_padding_never_matches():
     assert curve.values == [1.0, 0.0, 0.0]
 
 
-def test_trailing_window_variant():
-    ref = [[A, B, C]]
-    hyp = [[B, C, A]]
-    centered = fuzzy_precision_per_step(hyp, ref, window=3)
-    trailing = fuzzy_precision_per_step(hyp, ref, window=3, trailing=True)
-    # step 0: hyp B; centered window {A,B} hits; trailing window {A} misses
-    assert centered.values[0] == 1.0
-    assert trailing.values[0] == 0.0
-
-
 def test_window_validation():
     with pytest.raises(MetricsError, match="odd"):
         fuzzy_precision_per_step([[A]], [[A]], window=2)
@@ -114,7 +104,7 @@ def test_window_one_identity_property(pairs):
     )
 
 
-def reference_precision(hypotheses, references, window, trailing=False):
+def reference_precision(hypotheses, references, window):
     """Plain-loop windowed precision as (steps, hits, counts), one entry per step with a reference token."""
     half = (window - 1) // 2
     steps, hits, counts = [], [], []
@@ -125,8 +115,7 @@ def reference_precision(hypotheses, references, window, trailing=False):
                 continue
             total += 1
             tok = hyp[t] if t < len(hyp) else NULL_ID
-            lo, hi = (t - window + 1, t) if trailing else (t - half, t + half)
-            if tok != NULL_ID and tok in ref[max(0, lo) : min(len(ref) - 1, hi) + 1]:
+            if tok != NULL_ID and tok in ref[max(0, t - half) : min(len(ref) - 1, t + half) + 1]:
                 hit += 1
         if total:
             steps.append(t)
@@ -143,13 +132,13 @@ def reserved_corpus_strategy():
     return st.lists(pair, min_size=1, max_size=10)
 
 
-@given(reserved_corpus_strategy(), st.sampled_from([1, 3, 5]), st.booleans())
+@given(reserved_corpus_strategy(), st.sampled_from([1, 3, 5]))
 @settings(max_examples=200, deadline=None)
-def test_precision_matches_plain_loop_reference(pairs, window, trailing):
+def test_precision_matches_plain_loop_reference(pairs, window):
     hyps = [h for h, _ in pairs]
     refs = [r for _, r in pairs]
-    steps, hits, counts = reference_precision(hyps, refs, window, trailing)
-    curves = [fuzzy_precision_per_step(hyps, refs, window, trailing)]
+    steps, hits, counts = reference_precision(hyps, refs, window)
+    curves = [fuzzy_precision_per_step(hyps, refs, window)]
     if window == 1:
         curves.append(strict_precision_per_step(hyps, refs))
     for curve in curves:

@@ -226,6 +226,38 @@ def test_accumulated_empirical_matches_trapezoid():
         assert accumulated_errors(spec, t) == pytest.approx(want, abs=1e-6)
 
 
+def _knot_walk_accumulated(table, t):
+    # reference: walk the segments one knot at a time, interpolating both ends
+    def interp(x):
+        if x >= len(table) - 1:
+            return table[-1]
+        lo = math.floor(x)
+        frac = x - lo
+        return table[lo] if frac == 0.0 else table[lo] * (1.0 - frac) + table[lo + 1] * frac
+
+    err_area, x, j = 0.0, 0.0, 0
+    while j < len(table) - 1 and x < t:
+        hi = min(t, float(j + 1))
+        err_area += 0.5 * (interp(x) + interp(hi)) * (hi - x)
+        x, j = hi, j + 1
+    if t > x:
+        err_area += table[-1] * (t - x)
+    return err_area
+
+
+def test_accumulated_empirical_equals_the_knot_walk_bit_for_bit():
+    rng = random.Random(2108)
+    for _ in range(400):
+        table = tuple(rng.choice([0.0, 1.0, rng.random()]) for _ in range(rng.randint(1, 12)))
+        spec = ScheduleSpec(Family.EMPIRICAL, empirical_table=table)
+        ts = [0.0, -0.0, float(len(table) - 1), len(table) + 2.5, rng.uniform(0, len(table) + 2),
+              float(rng.randrange(len(table) + 2))]
+        for t in ts:
+            want = t - (t - _knot_walk_accumulated(table, t))  # the decay integral, then its complement
+            got = accumulated_errors(spec, t)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want, (table, t)
+
+
 def _mp_sigmoid_accumulated(spec, t):
     # accumulated errors from the closed form t - k*ln((k + e^(t/k)) / (k + 1))
     # of the decay integral, evaluated at 50 digits
