@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,7 +27,10 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import FIRST_CONTENT_ID, Corpus, DataError, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, split_corpus
+from .data import (
+    FIRST_CONTENT_ID, Corpus, DataError, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, row_width,
+    split_corpus,
+)
 from .decode import DecodeConfig
 from .metrics import (
     BATCH_ROWS,
@@ -124,6 +128,8 @@ class RunConfig:
     gap_window: int = 3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gap_window < 1 or self.gap_window % 2 == 0:
             raise ValueError(f"gap_window must be odd and >= 1, got {self.gap_window}")
 
@@ -267,15 +273,21 @@ def hash_seed(root: int, label: str) -> int:
     return int(named_rng(root, label).integers(0, 2**31 - 1))
 
 
-def _resolve_model_config(cfg: RunConfig, vocab: Vocab) -> ModelConfig:
-    doc = asdict(cfg.model)
+def _resolve_model_config(cfg: RunConfig, corpus: Corpus) -> ModelConfig:
+    doc, vocab = asdict(cfg.model), corpus.vocab
     if doc["vocab_size"] == 0:
         doc["vocab_size"] = vocab.size
     elif doc["vocab_size"] != vocab.size:
         raise ConfigError(
             f"model.vocab_size {doc['vocab_size']} != corpus vocabulary {vocab.size}"
         )
-    if doc["max_positions"] < cfg.data.max_len + 2:
+    if cfg.data.task == "tsv":  # the TSV reader ignores data.max_len
+        widest = max((row_width(pair) for pair in corpus.pairs), default=0)
+        if doc["max_positions"] < widest:
+            raise ConfigError(
+                f"model.max_positions {doc['max_positions']} too small for the widest training pair ({widest} positions)"
+            )
+    elif doc["max_positions"] < cfg.data.max_len + 2:
         raise ConfigError(
             f"model.max_positions {doc['max_positions']} too small for sequences "
             f"up to {cfg.data.max_len} tokens plus sentinels"
@@ -352,7 +364,7 @@ def cmd_schedule_dump(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     out = _prepare_out_dir(cfg)
     train_corpus, _ = build_corpora(cfg)
-    model_cfg = _resolve_model_config(cfg, train_corpus.vocab)
+    model_cfg = _resolve_model_config(cfg, train_corpus)
     if cfg.train.resume_from:
         params, start_step = _load_checkpoint_for(cfg.train.resume_from, train_corpus)
         # the run trains the checkpoint's model, so its model section must name that model
@@ -436,15 +448,9 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     hyps = decode_corpus(params, eval_corpus, cfg.decode)
     infer_curve = fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window)
 
-    infer_at = dict(zip(infer_curve.steps, infer_curve.values))
-    shared = [
-        (s, tv - infer_at[s], c)
-        for s, tv, c in zip(train_curve.steps, train_curve.values, train_curve.counts)
-        if s in infer_at
-    ]
-    gap_curve = StepCurve(
-        [s for s, _, _ in shared], [g for _, g, _ in shared], [c for _, _, c in shared]
-    )
+    # both curves count against ``refs``, so they share their steps and counts
+    gaps = [tv - iv for tv, iv in zip(train_curve.values, infer_curve.values)]
+    gap_curve = StepCurve(train_curve.steps, gaps, train_curve.counts)
     write_curve_csv(out / "training_precision.csv", train_curve)
     write_curve_csv(out / "inference_precision.csv", infer_curve)
     write_curve_csv(out / "gap.csv", gap_curve)
@@ -525,12 +531,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     handler = args.pop("handler")  # what remains after config and overrides is the handler's own options
-    try:
-        cfg = load_run_config(args.pop("config"), args.pop("overrides"))
-        return handler(cfg, **args)
-    except (ConfigError, DataError, DivergenceError, OSError, KeyError, ValueError) as err:
-        print(f"sslab: error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = load_run_config(args.pop("config"), args.pop("overrides"))
+            return handler(cfg, **args)
+        except (ConfigError, DataError, DivergenceError, OSError, KeyError, ValueError) as err:
+            print(f"sslab: error: {err}", file=sys.stderr)
+            return 1
+        finally:
+            for warning in caught:
+                print(f"sslab: warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

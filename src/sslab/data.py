@@ -240,7 +240,8 @@ def make_batch(pairs: Sequence[tuple[list[int], list[int]]]) -> Batch:
     return Batch(source, source_mask, target, target_mask, src_lens, tgt_lens)
 
 
-def _row_width(pair: tuple[list[int], list[int]]) -> int:
+def row_width(pair: tuple[list[int], list[int]]) -> int:
+    """Positions the pair's widest padded row takes: the source, or the target and its two sentinels."""
     src, tgt = pair
     return max(len(src), len(tgt) + 2)
 
@@ -255,21 +256,21 @@ def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> li
     """
     if not corpus.pairs:
         raise DataError("cannot batch an empty corpus")
-    widest = max(_row_width(p) for p in corpus.pairs)
+    widest = max(row_width(p) for p in corpus.pairs)
     if widest > token_budget:
         raise DataError(f"token budget {token_budget} below widest pair ({widest} tokens)")
     rng = named_rng(seed, "batchify", epoch)
     order = rng.permutation(len(corpus.pairs))
-    by_len = sorted(order, key=lambda idx: _row_width(corpus.pairs[idx]))
+    by_len = sorted(order, key=lambda idx: row_width(corpus.pairs[idx]))
     batches: list[list[int]] = []
     current: list[int] = []
     width = 0
     for idx in by_len:
-        w = max(width, _row_width(corpus.pairs[idx]))
+        w = max(width, row_width(corpus.pairs[idx]))
         if current and (len(current) + 1) * w > token_budget:
             batches.append(current)
             current = [idx]
-            width = _row_width(corpus.pairs[idx])
+            width = row_width(corpus.pairs[idx])
         else:
             current.append(idx)
             width = w

@@ -11,7 +11,8 @@ next-token log probabilities), so tests can drive them with arbitrary toy
 models. Both decode a batch of sources in lockstep, one scorer call per
 step: greedy scores every unfinished row and keeps its hypotheses in the
 prefix array it grows, beam search the live beams of every source whose
-search has not stopped. The transformer adapter decodes
+search has not stopped, held in one [sources, beams, length] array that
+each step ranks along one axis. The transformer adapter decodes
 incrementally: it computes the encoder states and their ``SourceState``
 (cross-attention keys/values and source masks) once per batch and
 regathers that state only when the calls' source rows change; it keeps a
@@ -22,7 +23,7 @@ whole prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -151,52 +152,6 @@ def greedy_decode(
     return [h[: h.index(eos)] if eos in h else h for h in prefixes[:, 1:].tolist()]
 
 
-@dataclass
-class _SourceSearch:
-    """One source's beam state: live hypotheses, their raw scores, the finished pool."""
-
-    beams: list[list[int]] = field(default_factory=lambda: [[]])
-    scores: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    finished: list[tuple[list[int], float]] = field(default_factory=list)
-    best_finished: float = -np.inf  # max penalized score in ``finished``
-
-    def advance(self, logp: np.ndarray, t: int, vocab_size: int, decode_cfg: DecodeConfig) -> bool:
-        """Extend every live beam by one token; True once the stopping rule fires."""
-        alpha = decode_cfg.length_penalty
-        eos = decode_cfg.eos_id
-        total = self.scores[:, None] + logp  # [K, V]
-        # every reachable end-token continuation joins the finished pool; it
-        # does not compete for a beam slot, so short finishes with strong
-        # penalized scores cannot be crowded out by raw-score ranking
-        for beam_idx in range(len(self.beams)):
-            raw = float(total[beam_idx, eos])
-            if np.isfinite(raw):
-                pen = raw / length_penalty(t + 1, alpha)
-                self.finished.append((self.beams[beam_idx], pen))
-                self.best_finished = max(self.best_finished, pen)
-        total[:, eos] = -np.inf
-        flat = total.reshape(-1)
-        k = min(decode_cfg.beam_size, len(self.beams) * (vocab_size - 1))
-        top = np.argpartition(-flat, k - 1)[:k]
-        top = top[np.argsort(-flat[top])]
-        parents, tokens = np.divmod(top, vocab_size)
-        self.beams = [self.beams[p] + [tok] for p, tok in zip(parents.tolist(), tokens.tolist())]
-        self.scores = flat[top]
-        if not self.finished:
-            return False
-        attainable = float(self.scores.max()) / length_penalty(t + 1, alpha)
-        return attainable <= self.best_finished
-
-    def result(self, decode_cfg: DecodeConfig) -> BeamResult:
-        if self.finished:
-            ranked = sorted(self.finished, key=lambda item: -item[1])[: decode_cfg.beam_size]
-            ranking = [(list(toks), pen) for toks, pen in ranked]
-            return BeamResult(*ranking[0], True, ranking)
-        best = int(np.argmax(self.scores))
-        pen = float(self.scores[best]) / length_penalty(len(self.beams[best]), decode_cfg.length_penalty)
-        return BeamResult(list(self.beams[best]), pen, False, [(list(self.beams[best]), pen)])
-
-
 def beam_search(
     step_fn: StepScorer,
     vocab_size: int,
@@ -207,32 +162,63 @@ def beam_search(
 
     Each step ranks a source's beam * vocab continuations by raw cumulative
     log-probability and keeps the top beam_size; candidates ending in the
-    end token move to the finished pool (they give up their slot), the
-    rest stay live. A live hypothesis is abandoned once its penalized
-    score at the current length cannot beat the best finished one, and a
-    source whose search has stopped leaves the later calls.
+    end token move to the source's finished pool (they give up their
+    slot), the rest stay live. A source stops once its pool is non-empty
+    and its best live score, penalized at the current length, cannot beat
+    the pool's best; a source with an empty pool never stops.
 
-    At step t every live beam holds t tokens, so one ``step_fn`` call per
-    step scores the live beams of every source, stacked in source order
-    with their source rows; each source's slice is ranked on its own, so
-    its result is that of a search over it alone.
+    The live sources share one array state: their ids [n], their beams
+    with the begin sentinel [n, k, t + 1] and raw scores [n, k]. This rests
+    on one invariant: every live source holds the same number of beams k,
+    one at the start and min(beam_size, k * (vocab_size - 1)) after each
+    step, since the end token never takes a slot. So one ``step_fn`` call
+    per step scores every live beam, in source order with their source
+    rows, and each source's row of candidates is ranked on its own; its
+    result is that of a search over it alone.
     """
-    searches = [_SourceSearch() for _ in range(sources)]
-    live = list(range(sources))
+    alpha, eos = decode_cfg.length_penalty, decode_cfg.eos_id
+    live = np.arange(sources)
+    beams = np.full((sources, 1, 1), BOS_ID, dtype=np.int64)
+    scores = np.zeros((sources, 1))
+    pools: list[list[tuple[list[int], float]]] = [[] for _ in range(sources)]
+    best = np.full(sources, -np.inf)  # max penalized score per pool; finite once the pool is non-empty
     for t in range(decode_cfg.max_length):
-        if not live:
+        if not live.size:
             break
-        prefixes = np.array([[BOS_ID] + b for s in live for b in searches[s].beams], dtype=np.int64)
-        counts = [len(searches[s].beams) for s in live]
-        logp = step_fn(prefixes, np.repeat(live, counts))
-        still = []
-        lo = 0
-        for s, n in zip(live, counts):
-            if not searches[s].advance(logp[lo : lo + n], t, vocab_size, decode_cfg):
-                still.append(s)
-            lo += n
-        live = still
-    return [s.result(decode_cfg) for s in searches]
+        n, k = scores.shape
+        logp = step_fn(beams.reshape(n * k, -1), np.repeat(live, k))
+        total = scores[:, :, None] + logp.reshape(n, k, vocab_size)
+        penalty = length_penalty(t + 1, alpha)
+        # every reachable end-token continuation joins its source's pool; it
+        # does not compete for a beam slot, so short finishes with strong
+        # penalized scores cannot be crowded out by raw-score ranking
+        ends = total[:, :, eos] / penalty
+        reachable = np.isfinite(ends)
+        for i, j in zip(*np.nonzero(reachable)):
+            pools[live[i]].append((beams[i, j, 1:].tolist(), float(ends[i, j])))
+        best[live] = np.maximum(best[live], np.where(reachable, ends, -np.inf).max(axis=1))
+        total[:, :, eos] = -np.inf
+        flat = total.reshape(n, -1)
+        width = min(decode_cfg.beam_size, k * (vocab_size - 1))
+        top = np.argpartition(-flat, width - 1, axis=1)[:, :width]
+        top = np.take_along_axis(top, np.argsort(-np.take_along_axis(flat, top, axis=1), axis=1), axis=1)
+        parents, tokens = np.divmod(top, vocab_size)
+        beams = np.concatenate([np.take_along_axis(beams, parents[:, :, None], axis=1), tokens[:, :, None]], axis=2)
+        scores = np.take_along_axis(flat, top, axis=1)
+        going = ~(np.isfinite(best[live]) & (scores.max(axis=1) / penalty <= best[live]))
+        live, beams, scores = live[going], beams[going], scores[going]
+    results = []
+    for pool in pools:
+        ranking = sorted(pool, key=lambda item: -item[1])[: decode_cfg.beam_size]
+        results.append(BeamResult(*ranking[0], True, ranking) if ranking else None)
+    # a source that finished nothing is still live: its best live beam stands in
+    for i, s in enumerate(live.tolist()):
+        if results[s] is None:
+            j = int(np.argmax(scores[i]))
+            hyp = beams[i, j, 1:].tolist()
+            pen = float(scores[i, j]) / length_penalty(len(hyp), alpha)
+            results[s] = BeamResult(hyp, pen, False, [(hyp, pen)])
+    return results
 
 
 def beam_decode(

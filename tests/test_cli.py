@@ -184,7 +184,7 @@ def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
         "train.total_steps=-3", "model.hidden_size=0", "model.filter_size=0", "model.max_positions=0",
         "model.num_encoder_layers=-1", "model.num_decoder_layers=-1", "model.dropout=1.5",
         "model.label_smoothing=2.0", "optimizer.beta1=1.0", "optimizer.beta2=-0.1", "optimizer.eps=0",
-        "gap_window=2", "data.token_budget=0", "data.min_len=0", "data.task=foo",
+        "gap_window=2", "data.token_budget=0", "data.min_len=0", "data.task=foo", "seed=-1",
     ],
 )
 def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
@@ -299,8 +299,7 @@ def test_config_echo_round_trips(tmp_path):
     assert (out_a / "ckpt_final.bin").read_bytes() == (out_b / "ckpt_final.bin").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:empty hypothesis corpus")  # two steps do not learn to emit tokens
-def test_tsv_task_runs_through_every_command(tmp_path):
+def test_tsv_task_runs_through_every_command(tmp_path, capsys):
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(8)]
     lines = []
@@ -320,11 +319,30 @@ def test_tsv_task_runs_through_every_command(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes()
     checkpoint = str(first / "ckpt_final.bin")
     outputs = {"evaluate": "report.json", "gap-curve": "gap.csv", "decode": "hypotheses.txt"}
+    capsys.readouterr()
     for command, output in outputs.items():
         out = tmp_path / command
         assert run_cli(command, "--config", config, "--set", f"out_dir={out}", "--checkpoint", checkpoint) == 0
         assert (out / output).is_file()
+        err = capsys.readouterr().err
+        if command == "evaluate":  # two steps do not learn to emit tokens, and BLEU warns through the CLI
+            assert err == "sslab: warning: empty hypothesis corpus scores 0\n"
     assert len((tmp_path / "decode" / "hypotheses.txt").read_text().splitlines()) == 6  # 10% of 60 pairs
+
+
+def test_tsv_pair_wider_than_max_positions_fails_before_training(tmp_path, capsys):
+    lines = [" ".join(["w0"] * 300) + "\tw1"] + [f"w{i % 5} w1\tw1 w{i % 5}" for i in range(29)]
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.1",
+             "--set", "train.total_steps=3", "--set", "model.max_positions=256", "--set", "data.token_budget=1024"]
+    code = run_cli(*tiny_train_args(out, extra=extra))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and "model.max_positions" in err and "300" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "steps.csv").exists()
 
 
 # ---------------------------------------------------------------------------

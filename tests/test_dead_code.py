@@ -1,10 +1,12 @@
-"""Every public module-level function and class in ``src/sslab`` has a caller,
-and every name a ``src/sslab`` module imports is used there.
+"""Every module-level function and class in ``src/sslab`` has a caller, and
+every name a ``src/sslab`` module imports is used there.
 
-A definition counts as used when its name occurs in ``src/``, ``scripts/``
-or ``perfbench/`` outside its own definition: as a name, as an attribute,
-or as part of a dotted string such as perfbench's ``"Tape.backward"``
-patch targets. Imports alone do not count, and neither does ``tests/``.
+A public definition counts as used when its name occurs in ``src/``,
+``scripts/`` or ``perfbench/`` outside its own definition: as a name, as an
+attribute, or as part of a dotted string such as perfbench's
+``"Tape.backward"`` patch targets. A private (``_``-prefixed) one counts as
+used only when its name so occurs in ``src/``. Imports alone do not count,
+and neither does ``tests/``.
 An imported name counts as used when it occurs in its own module outside
 the import statements, by the same rule; ``from __future__`` imports are
 exempt.
@@ -33,19 +35,24 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def unreferenced_definitions(root: Path) -> list[str]:
-    """``module.name`` of each public top-level def or class in ``src/sslab`` that nothing references."""
+    """``module.name`` of each top-level def or class in ``src/sslab`` that nothing references."""
     package = root / "src" / "sslab"
     files = [*package.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "perfbench").rglob("*.py")]
     defined: dict[str, str] = {}
     used: set[str] = set()
+    used_in_src: set[str] = set()
     for path in files:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             own = None
-            if path.parent == package and isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
+            if path.parent == package and isinstance(stmt, DEFINITIONS):
                 own = stmt.name
                 defined[own] = f"{path.stem}.{own}"
             used |= _names(stmt) - {own}
-    return sorted(qualified for name, qualified in defined.items() if name not in used)
+            if path.parent == package:
+                used_in_src |= _names(stmt) - {own}
+    return sorted(
+        qualified for name, qualified in defined.items() if name not in (used_in_src if name.startswith("_") else used)
+    )
 
 
 def unused_imports(root: Path) -> list[str]:

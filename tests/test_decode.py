@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
@@ -508,7 +509,7 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
 
 
 @pytest.mark.parametrize("beam", range(1, 6))
-def test_running_best_finished_score_is_the_pool_maximum(beam, monkeypatch):
+def test_running_best_finished_score_is_the_pool_maximum(beam):
     vocab = 6
     cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7, eos_id=0)
     scorers = [
@@ -517,19 +518,152 @@ def test_running_best_finished_score_is_the_pool_maximum(beam, monkeypatch):
         random_scorer(4, vocab, scale=3.0),
         no_eos_scorer(vocab, eos=0),  # its pool stays empty
     ]
-    advance = decode_module._SourceSearch.advance
-    seen = []
-
-    def checked(self, *args):
-        stop = advance(self, *args)
-        seen.append(self.best_finished)
-        assert self.best_finished == max((pen for _, pen in self.finished), default=-np.inf)
-        return stop
-
-    monkeypatch.setattr(decode_module._SourceSearch, "advance", checked)
+    calls = []
 
     def step(prefixes, rows):
-        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
+        logp = np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
+        calls.append((prefixes[:, 1:].tolist(), rows.tolist(), logp))
+        return logp
 
-    beam_search(step, vocab, cfg, len(scorers))
+    results = beam_search(step, vocab, cfg, len(scorers))
+    # rebuild every pool's maximum and each live source's stopping test from
+    # the scored prefixes alone: the search must stop a source exactly when
+    # its best live score, penalized, cannot beat the maximum of its pool
+    raw = {(s, ()): 0.0 for s in range(len(scorers))}
+    pool_max = np.full(len(scorers), -np.inf)
+    seen = []
+    for t, (prefixes, rows, logp) in enumerate(calls):
+        penalty = length_penalty(t + 1, cfg.length_penalty)
+        best_live = {}
+        for p, s, lp in zip(prefixes, rows, logp):
+            base = raw[(s, tuple(p))]
+            for v in range(vocab):
+                if v != cfg.eos_id:
+                    raw[(s, (*p, v))] = base + lp[v]
+            if np.isfinite(base + lp[cfg.eos_id]):
+                pool_max[s] = max(pool_max[s], (base + lp[cfg.eos_id]) / penalty)
+            best_live[s] = max(best_live.get(s, -np.inf), float(np.max(np.delete(base + lp, cfg.eos_id))))
+        stopping = {s for s in best_live if np.isfinite(pool_max[s]) and best_live[s] / penalty <= pool_max[s]}
+        seen.extend(pool_max[sorted(best_live)].tolist())
+        if t + 1 < len(calls):
+            assert sorted(set(calls[t + 1][1])) == sorted(set(best_live) - stopping), f"step {t}"
+        elif t + 1 < cfg.max_length:
+            assert stopping == set(best_live), f"step {t}"
+    for s, result in enumerate(results):
+        assert result.finished == bool(np.isfinite(pool_max[s]))
+        if result.finished:
+            assert result.score == pool_max[s]
     assert np.isfinite(seen).any() and not np.isfinite(seen).all()
+
+
+# ---------------------------------------------------------------------------
+# array-state search against the per-source reference
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ReferenceSourceSearch:
+    """One source's beam state as Python lists: live hypotheses, their raw scores, the finished pool."""
+
+    beams: list[list[int]] = field(default_factory=lambda: [[]])
+    scores: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    finished: list[tuple[list[int], float]] = field(default_factory=list)
+    best_finished: float = -np.inf  # max penalized score in ``finished``
+
+    def advance(self, logp: np.ndarray, t: int, vocab_size: int, decode_cfg: DecodeConfig) -> bool:
+        """Extend every live beam by one token; True once the stopping rule fires."""
+        alpha = decode_cfg.length_penalty
+        eos = decode_cfg.eos_id
+        total = self.scores[:, None] + logp  # [K, V]
+        # every reachable end-token continuation joins the finished pool; it
+        # does not compete for a beam slot, so short finishes with strong
+        # penalized scores cannot be crowded out by raw-score ranking
+        for beam_idx in range(len(self.beams)):
+            raw = float(total[beam_idx, eos])
+            if np.isfinite(raw):
+                pen = raw / length_penalty(t + 1, alpha)
+                self.finished.append((self.beams[beam_idx], pen))
+                self.best_finished = max(self.best_finished, pen)
+        total[:, eos] = -np.inf
+        flat = total.reshape(-1)
+        k = min(decode_cfg.beam_size, len(self.beams) * (vocab_size - 1))
+        top = np.argpartition(-flat, k - 1)[:k]
+        top = top[np.argsort(-flat[top])]
+        parents, tokens = np.divmod(top, vocab_size)
+        self.beams = [self.beams[p] + [tok] for p, tok in zip(parents.tolist(), tokens.tolist())]
+        self.scores = flat[top]
+        if not self.finished:
+            return False
+        attainable = float(self.scores.max()) / length_penalty(t + 1, alpha)
+        return attainable <= self.best_finished
+
+    def result(self, decode_cfg: DecodeConfig) -> BeamResult:
+        if self.finished:
+            ranked = sorted(self.finished, key=lambda item: -item[1])[: decode_cfg.beam_size]
+            ranking = [(list(toks), pen) for toks, pen in ranked]
+            return BeamResult(*ranking[0], True, ranking)
+        best = int(np.argmax(self.scores))
+        pen = float(self.scores[best]) / length_penalty(len(self.beams[best]), decode_cfg.length_penalty)
+        return BeamResult(list(self.beams[best]), pen, False, [(list(self.beams[best]), pen)])
+
+
+def reference_beam_search(step_fn, vocab_size, decode_cfg, sources=1):
+    """Beam search with one ``ReferenceSourceSearch`` per source, stacked into one scorer call per step."""
+    searches = [ReferenceSourceSearch() for _ in range(sources)]
+    live = list(range(sources))
+    for t in range(decode_cfg.max_length):
+        if not live:
+            break
+        prefixes = np.array([[BOS_ID] + b for s in live for b in searches[s].beams], dtype=np.int64)
+        counts = [len(searches[s].beams) for s in live]
+        logp = step_fn(prefixes, np.repeat(live, counts))
+        still = []
+        lo = 0
+        for s, n in zip(live, counts):
+            if not searches[s].advance(logp[lo : lo + n], t, vocab_size, decode_cfg):
+                still.append(s)
+            lo += n
+        live = still
+    return [s.result(decode_cfg) for s in searches]
+
+
+def random_toy_search(rng):
+    """A drawn toy search: its config, vocabulary and one stub scorer per source."""
+    vocab = int(rng.integers(3, 8))  # below beam_size, the width is capped at step 0
+    cfg = DecodeConfig(
+        beam_size=int(rng.integers(1, 7)), length_penalty=float(rng.choice([0.0, 0.6, 1.2])),
+        max_length=int(rng.integers(1, 9)), eos_id=0,
+    )
+    scorers = []
+    for _ in range(int(rng.integers(0, 6))):
+        kind = rng.integers(5)
+        if kind == 0:
+            scorers.append(no_eos_scorer(vocab, eos=0))
+        elif kind == 1:
+            pattern = rng.integers(1, vocab, size=int(rng.integers(0, 6))).tolist()
+            scorers.append(pattern_scorer(pattern, vocab, eos=0, peak=float(rng.choice([2.0, 8.0]))))
+        elif kind == 2:  # every token ties, so the stopping rule meets equal scores
+            scorers.append(lambda prefixes, vocab=vocab: np.full((len(prefixes), vocab), -np.log(vocab)))
+        else:
+            scorers.append(random_scorer(int(rng.integers(1000)), vocab, scale=float(rng.choice([0.3, 1.0, 3.0]))))
+    return vocab, cfg, scorers
+
+
+def test_array_search_equals_per_source_reference_on_random_toy_searches():
+    rng = np.random.default_rng(13)
+    seen = set()  # (finished, width capped below beam_size at step 0) over every result
+    for draw in range(300):
+        vocab, cfg, scorers = random_toy_search(rng)
+        runs = []
+        for search in (beam_search, reference_beam_search):
+            calls = []
+
+            def step(prefixes, rows):
+                calls.append((prefixes.tolist(), rows.tolist()))
+                return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
+
+            results = [(r.tokens, r.score, r.finished, r.ranking) for r in search(step, vocab, cfg, len(scorers))]
+            runs.append((results, calls))
+        assert runs[0] == runs[1], f"draw {draw}: vocab {vocab}, {cfg}, {len(scorers)} sources"
+        seen |= {(finished, vocab - 1 < cfg.beam_size) for _, _, finished, _ in runs[0][0]}
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
