@@ -3,10 +3,9 @@
 Configuration is file-first: a JSON document holding every module's
 settings, overridable with repeated ``--set dotted.key=value`` flags.
 Each command writes the fully resolved configuration next to its outputs,
-so re-running from that echo reproduces the run bit for bit. The output
-directory can be overridden with the ``SSLAB_OUT_DIR`` environment
-variable. All randomness derives from one root seed split into named
-streams (data, init, dropout, sampler).
+so re-running from that echo reproduces the run bit for bit. All
+randomness derives from one root seed split into named streams (data,
+init, dropout, sampler).
 
 Subcommands: schedule-dump, train, gap-curve, evaluate, decode.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -221,11 +219,7 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
                 raise ConfigError(f"unknown config path {'.'.join(keys)!r}")
             node = node[k]
         node[keys[-1]] = value  # an unknown key is the reader's to reject
-    cfg = read_config(RunConfig, base)
-    env_out = os.environ.get("SSLAB_OUT_DIR")
-    if env_out:
-        cfg.out_dir = env_out
-    return cfg
+    return read_config(RunConfig, base)
 
 
 def _prepare_out_dir(cfg: RunConfig) -> Path:
@@ -286,6 +280,10 @@ def _resolve_model_config(cfg: RunConfig, corpus: Corpus) -> ModelConfig:
         if doc["max_positions"] < widest:
             raise ConfigError(
                 f"model.max_positions {doc['max_positions']} too small for the widest training pair ({widest} positions)"
+            )
+        if cfg.data.token_budget < widest:
+            raise ConfigError(
+                f"data.token_budget {cfg.data.token_budget} below the widest training pair ({widest} positions)"
             )
     elif doc["max_positions"] < cfg.data.max_len + 2:
         raise ConfigError(
@@ -435,6 +433,14 @@ def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelPar
     out = _prepare_out_dir(cfg)
     _, eval_corpus = build_corpora(cfg, train_data=False)
     params, step = _load_checkpoint_for(checkpoint, eval_corpus)
+    # checked here so that no command runs a model pass it cannot finish
+    limit = params.config.max_positions
+    widest = max((row_width(pair) for pair in eval_corpus.pairs), default=0)
+    if widest > limit:
+        raise ConfigError(f"the checkpoint's model.max_positions {limit} is too small for the widest eval pair "
+                          f"({widest} positions)")
+    if cfg.decode.max_length > limit:
+        raise ConfigError(f"decode.max_length {cfg.decode.max_length} exceeds the checkpoint's model.max_positions {limit}")
     return out, eval_corpus, params, step
 
 

@@ -1,9 +1,13 @@
 """Dense arrays with reverse-mode differentiation on an explicit tape.
 
 The primitive set is closed: matmul, add, mul, relu, softmax, layer_norm,
-embedding_lookup, weighted_embedding_mix, cross_entropy_label_smoothed,
-dropout, reshape, transpose and select. Higher layers build only
-on these, which bounds the backward-rule surface that has to be trusted.
+embedding_lookup, cross_entropy_label_smoothed, reshape, transpose and
+select. Only these record with a backward rule of their own; higher layers
+build only on them, which bounds the backward-rule surface that has to be
+trusted. The compositions ``dropout`` (``mul`` by a constant keep mask) and
+``weighted_embedding_mix`` (``reshape -> matmul -> reshape``) run the same
+numpy products forward and backward that dedicated rules would, so they
+are exact, bit for bit.
 
 Recording happens inside a ``with Tape():`` block; outside a block (or
 under ``no_grad``) the same functions run as plain numpy math. Creation
@@ -286,24 +290,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _apply(data, (table,), bwd)
 
 
-def weighted_embedding_mix(probs: Tensor, table: Tensor) -> Tensor:
-    """Probability-weighted average of embedding rows: [.., V] x [V, H] -> [.., H]."""
-    v, h = table.data.shape
-    if probs.data.shape[-1] != v:
-        raise ShapeError(f"mix needs [.., V] probs for a [V, H] table, got {probs.data.shape} and {table.data.shape}")
-    lead = probs.data.shape[:-1]
-    flat = probs.data.reshape(-1, v)
-    data = (flat @ table.data).reshape(*lead, h)
-
-    def bwd(g):
-        gflat = g.reshape(-1, h)
-        gprobs = (gflat @ table.data.T).reshape(probs.data.shape)
-        gtable = flat.T @ gflat
-        return gprobs, gtable
-
-    return _apply(data, (probs, table), bwd)
-
-
 def cross_entropy_label_smoothed(
     logits: Tensor,
     targets: np.ndarray,
@@ -352,27 +338,6 @@ def cross_entropy_label_smoothed(
     return _apply(data, (logits,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout with an explicit stream; the stream is the training switch.
-
-    Without a stream (evaluation) or at rate 0 it is the identity and draws
-    nothing, so a pass that skips dropout leaves any stream untouched.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
-        return x
-    draw_dtype = x.data.dtype if x.data.dtype in (np.float32, np.float64) else np.float64
-    keep = (rng.random(x.data.shape, dtype=draw_dtype) >= rate).astype(x.data.dtype)
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
-    mask = keep * scale
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _apply(x.data * mask, (x,), bwd)
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     data = x.data.reshape(shape)
 
@@ -411,6 +376,36 @@ def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _apply(data, (a, b), bwd)
+
+
+# ---------------------------------------------------------------------------
+# compositions: no backward rule of their own
+# ---------------------------------------------------------------------------
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with an explicit stream; the stream is the training switch.
+
+    Without a stream (evaluation) or at rate 0 it is the identity and draws
+    nothing, so a pass that skips dropout leaves any stream untouched.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return x
+    draw_dtype = x.data.dtype if x.data.dtype in (np.float32, np.float64) else np.float64
+    keep = (rng.random(x.data.shape, dtype=draw_dtype) >= rate).astype(x.data.dtype)
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
+    return mul(x, constant(keep * scale))
+
+
+def weighted_embedding_mix(probs: Tensor, table: Tensor) -> Tensor:
+    """Probability-weighted average of embedding rows: [.., V] x [V, H] -> [.., H]."""
+    v, h = table.data.shape
+    if probs.data.shape[-1] != v:
+        raise ShapeError(f"mix needs [.., V] probs for a [V, H] table, got {probs.data.shape} and {table.data.shape}")
+    lead = probs.data.shape[:-1]
+    return reshape(matmul(reshape(probs, (-1, v)), table), (*lead, h))
 
 
 # ---------------------------------------------------------------------------

@@ -202,18 +202,19 @@ def test_empty_corpus_fails_without_traceback(tmp_path, capsys):
     assert err.startswith("sslab: error:") and "empty corpus" in err
 
 
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
+def test_outputs_land_in_out_dir_whatever_the_environment(tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SSLAB_OUT_DIR", str(env_dir))
+    out = tmp_path / "run"
     code = run_cli(
         "schedule-dump",
-        "--set", "out_dir=should/not/be/used",
+        "--set", f"out_dir={out}",
         "--set", "dump_max_t=4",
         "--set", 'schedules={"u": {"family": "uniform", "uniform_p": 0.5}}',
     )
     assert code == 0
-    assert (env_dir / "values.csv").exists()
-    assert not Path("should/not/be/used").exists()
+    assert (out / "values.csv").exists()
+    assert not env_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +331,27 @@ def test_tsv_task_runs_through_every_command(tmp_path, capsys):
     assert len((tmp_path / "decode" / "hypotheses.txt").read_text().splitlines()) == 6  # 10% of 60 pairs
 
 
-def test_tsv_pair_wider_than_max_positions_fails_before_training(tmp_path, capsys):
-    lines = [" ".join(["w0"] * 300) + "\tw1"] + [f"w{i % 5} w1\tw1 w{i % 5}" for i in range(29)]
-    tsv = tmp_path / "pairs.tsv"
-    tsv.write_text("\n".join(lines) + "\n")
+def write_tsv_with_a_wide_pair(path: Path, words: int) -> Path:
+    """30 pairs over five words; the first has a ``words``-word source, the rest are two words wide."""
+    lines = [" ".join(["w0"] * words) + "\tw1"] + [f"w{i % 5} w1\tw1 w{i % 5}" for i in range(29)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "words, budget, key",
+    [(300, 1024, "model.max_positions"), (40, 30, "data.token_budget")],
+    ids=["model.max_positions", "data.token_budget"],
+)
+def test_tsv_pair_wider_than_the_run_allows_fails_before_training(tmp_path, capsys, words, budget, key):
+    tsv = write_tsv_with_a_wide_pair(tmp_path / "pairs.tsv", words)
     out = tmp_path / "run"
     extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.1",
-             "--set", "train.total_steps=3", "--set", "model.max_positions=256", "--set", "data.token_budget=1024"]
+             "--set", "train.total_steps=3", "--set", "model.max_positions=256", "--set", f"data.token_budget={budget}"]
     code = run_cli(*tiny_train_args(out, extra=extra))
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("sslab: error:") and "model.max_positions" in err and "300" in err
+    assert err.startswith("sslab: error:") and key in err and str(words) in err
     assert len(err.splitlines()) == 1
     assert not (out / "steps.csv").exists()
 
@@ -422,6 +433,43 @@ def test_evaluate_deterministic(trained_run, tmp_path):
         )
         outs.append((out / "report.json").read_text())
     assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def wide_eval_pair_run(tmp_path_factory):
+    """A 2-step TSV checkpoint with ``model.max_positions=30`` whose 40-word pair fell in the eval split."""
+    root = tmp_path_factory.mktemp("cli_wide_eval_pair")
+    tsv = write_tsv_with_a_wide_pair(root / "pairs.tsv", 40)
+    extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.5",
+             "--set", "seed=3", "--set", "model.max_positions=30", "--set", "train.total_steps=2"]
+    assert main(tiny_train_args(root / "train", extra=extra)) == 0
+    return root / "train"
+
+
+EVAL_OUTPUTS = {
+    "evaluate": ("report.json", "report.txt", "strict_precision.csv", "fuzzy_precision.csv"),
+    "gap-curve": ("training_precision.csv", "inference_precision.csv", "gap.csv", "empirical_schedule.json"),
+    "decode": ("hypotheses.txt",),
+}
+
+
+@pytest.mark.parametrize("command", list(EVAL_OUTPUTS))
+@pytest.mark.parametrize("case", ["wide eval pair", "long decode"])
+def test_eval_commands_check_the_run_against_the_checkpoint_model(
+    trained_run, wide_eval_pair_run, tmp_path, capsys, command, case
+):
+    if case == "wide eval pair":  # decode.max_length 8 fits the checkpoint's 30 positions
+        run, override, key = wide_eval_pair_run, "decode.max_length=8", "model.max_positions"
+    else:  # the checkpoint has 16 positions
+        run, override, key = trained_run, "decode.max_length=17", "decode.max_length"
+    out = tmp_path / "out"
+    code = run_cli(command, "--config", str(run / "config.json"), "--set", f"out_dir={out}",
+                   "--set", override, "--checkpoint", str(run / "ckpt_final.bin"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and key in err
+    assert len(err.splitlines()) == 1
+    assert not [name for name in EVAL_OUTPUTS[command] if (out / name).exists()]
 
 
 def test_decode_writes_one_line_per_pair(trained_run, tmp_path):

@@ -293,6 +293,96 @@ def test_seeded_computation_is_bit_identical():
 
 
 # ---------------------------------------------------------------------------
+# compositions against the hand-written rules they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with an explicit stream; the stream is the training switch.
+
+    Without a stream (evaluation) or at rate 0 it is the identity and draws
+    nothing, so a pass that skips dropout leaves any stream untouched.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return x
+    draw_dtype = x.data.dtype if x.data.dtype in (np.float32, np.float64) else np.float64
+    keep = (rng.random(x.data.shape, dtype=draw_dtype) >= rate).astype(x.data.dtype)
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
+    mask = keep * scale
+
+    def bwd(g):
+        return (g * mask,)
+
+    return T._apply(x.data * mask, (x,), bwd)
+
+
+def reference_weighted_embedding_mix(probs: Tensor, table: Tensor) -> Tensor:
+    """Probability-weighted average of embedding rows: [.., V] x [V, H] -> [.., H]."""
+    v, h = table.data.shape
+    if probs.data.shape[-1] != v:
+        raise ShapeError(f"mix needs [.., V] probs for a [V, H] table, got {probs.data.shape} and {table.data.shape}")
+    lead = probs.data.shape[:-1]
+    flat = probs.data.reshape(-1, v)
+    data = (flat @ table.data).reshape(*lead, h)
+
+    def bwd(g):
+        gflat = g.reshape(-1, h)
+        gprobs = (gflat @ table.data.T).reshape(probs.data.shape)
+        gtable = flat.T @ gflat
+        return gprobs, gtable
+
+    return T._apply(data, (probs, table), bwd)
+
+
+def _run_against_upstream(fn, inputs, upstream):
+    """Forward bytes, the input gradients' bytes and the tape length of ``sum(fn(*inputs) * upstream)``.
+
+    The weighted sum is one [1, N] @ [N, 1] product, so the gradient that
+    reaches ``fn``'s output is ``upstream`` exactly.
+    """
+    with Tape() as tape:
+        out = fn(*inputs)
+        total = T.matmul(T.reshape(out, (1, -1)), constant(upstream.reshape(-1, 1)))
+        tape.backward(T.reshape(total, ()))
+    grads = [grad_of(x) for x in inputs]
+    return out.data.tobytes(), [(g.dtype, g.shape, g.tobytes()) for g in grads], len(tape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_dropout_composition_equals_its_reference_rule(dtype, ndim, rate):
+    rng = np.random.default_rng([ndim, int(rate * 10), np.dtype(dtype).itemsize])
+    shape = tuple(int(n) for n in rng.integers(1, 7, size=ndim))
+    data = rng.normal(size=shape).astype(dtype)
+    upstream = rng.normal(size=shape).astype(dtype)
+    results = [
+        _run_against_upstream(lambda x: fn(x, rate, named_rng(ndim, "drop")), [parameter(data)], upstream)
+        for fn in (T.dropout, reference_dropout)
+    ]
+    assert results[0] == results[1]
+    assert results[0][2] == 4  # one dropout node, and the sum's three
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [3, 50])
+@pytest.mark.parametrize("h", [1, 16])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 7)])
+def test_weighted_embedding_mix_composition_equals_its_reference_rule(dtype, v, h, lead):
+    rng = np.random.default_rng([v, h, len(lead), np.dtype(dtype).itemsize])
+    probs = rng.dirichlet(np.ones(v), size=lead).astype(dtype)
+    table = rng.normal(size=(v, h)).astype(dtype)
+    upstream = rng.normal(size=(*lead, h)).astype(dtype)
+    results = [
+        _run_against_upstream(fn, [parameter(probs), parameter(table)], upstream)[:2]
+        for fn in (T.weighted_embedding_mix, reference_weighted_embedding_mix)
+    ]
+    assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
 # checkpoint container
 # ---------------------------------------------------------------------------
 
