@@ -26,10 +26,10 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (
-    FIRST_CONTENT_ID, Corpus, DataError, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, row_width,
+    FIRST_CONTENT_ID, Corpus, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, row_width,
     split_corpus,
 )
-from .decode import DecodeConfig
+from .decode import DecodeConfig, check_against_model
 from .metrics import (
     BATCH_ROWS,
     StepCurve,
@@ -45,7 +45,7 @@ from .model import ModelConfig, ModelParams, init_params, teacher_forced_logits
 from .rng import named_rng
 from .sampler import DivergenceError, OptimizerConfig, SamplerConfig, SamplingMode, train
 from .schedules import Family, JointSpec, ScheduleSpec, dump_curves
-from .tensor import load_checkpoint, replacing, save_checkpoint
+from .tensor import CheckpointError, load_checkpoint, replacing, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -320,7 +320,10 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
         raise ConfigError(f"checkpoint sidecar {sidecar_path}: {err}") from err
     vocab = Vocab(tuple(tokens))
     entries = load_checkpoint(path)
-    step = int(entries.pop("meta/step"))
+    step = entries.pop("meta/step", None)
+    if step is None or step.shape or step.dtype != np.int64 or step < 0:
+        raise CheckpointError(f"{path}: meta/step must be a 0-d int64 >= 0")
+    step = int(step)
     params = init_params(config, named_rng(0, "init"))
     params.load_arrays(entries)
     return params, step, vocab
@@ -439,8 +442,7 @@ def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelPar
     if widest > limit:
         raise ConfigError(f"the checkpoint's model.max_positions {limit} is too small for the widest eval pair "
                           f"({widest} positions)")
-    if cfg.decode.max_length > limit:
-        raise ConfigError(f"decode.max_length {cfg.decode.max_length} exceeds the checkpoint's model.max_positions {limit}")
+    check_against_model(params.config, cfg.decode)
     return out, eval_corpus, params, step
 
 
@@ -541,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = load_run_config(args.pop("config"), args.pop("overrides"))
             return handler(cfg, **args)
-        except (ConfigError, DataError, DivergenceError, OSError, KeyError, ValueError) as err:
+        except (DivergenceError, OSError, ValueError) as err:
             print(f"sslab: error: {err}", file=sys.stderr)
             return 1
         finally:

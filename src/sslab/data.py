@@ -246,13 +246,14 @@ def row_width(pair: tuple[list[int], list[int]]) -> int:
     return max(len(src), len(tgt) + 2)
 
 
-def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> list[Batch]:
+def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> Iterator[Batch]:
     """Length-bucketed batches whose padded size never exceeds the budget.
 
     The cap is rows x widest row <= token_budget (the padded matrix is
     what costs memory and compute). Pair order is shuffled per epoch,
     grouped by length, and batch order is shuffled again; everything is
-    deterministic given (seed, epoch).
+    deterministic given (seed, epoch). The checks and the plan run at the
+    call; each batch is built when it is drawn.
     """
     if not corpus.pairs:
         raise DataError("cannot batch an empty corpus")
@@ -277,7 +278,7 @@ def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> li
     if current:
         batches.append(current)
     rng.shuffle(batches)
-    return [make_batch([corpus.pairs[i] for i in group]) for group in batches]
+    return (make_batch([corpus.pairs[i] for i in group]) for group in batches)
 
 
 def batch_stream(corpus: Corpus, token_budget: int, seed: int) -> Iterator[Batch]:

@@ -1,24 +1,24 @@
 """Single-pass autoregressive inference: greedy and beam search.
 
 Decoding is plain next-token prediction from the begin sentinel onward;
-no sampling machinery is involved. Beam search keeps finished hypotheses
-in a separate pool scored by sum-log-probability divided by the length
-penalty ((5 + len) / 6) ** alpha, and stops once no live beam could still
-beat the best finished hypothesis at its current length.
+no sampling machinery is involved. Beam search keeps each source's best
+finished hypothesis apart from its beams, scored by sum-log-probability
+divided by the length penalty ((5 + len) / 6) ** alpha, and stops once no
+live beam could still beat it at its current length.
 
-Both searches run against a step scorer ((prefix ids, source rows) ->
-next-token log probabilities), so tests can drive them with arbitrary toy
-models. Both decode a batch of sources in lockstep, one scorer call per
-step: greedy scores every unfinished row and keeps its hypotheses in the
-prefix array it grows, beam search the live beams of every source whose
-search has not stopped, held in one [sources, beams, length] array that
-each step ranks along one axis. The transformer adapter decodes
-incrementally: it computes the encoder states and their ``SourceState``
-(cross-attention keys/values and source masks) once per batch and
-regathers that state only when the calls' source rows change; it keeps a
-self-attention key/value cache across calls, gathered by parent at every
-step, and so projects one new position per row and step instead of the
-whole prefix.
+Both searches run against a step scorer ((prefix ids, source rows,
+parents) -> next-token log probabilities), so tests can drive them with
+arbitrary toy models. Both decode a batch of sources in lockstep, one
+scorer call per step: greedy scores every unfinished row and keeps its
+hypotheses in the prefix array it grows, beam search the live beams of
+every source whose search has not stopped, held in one [sources, beams,
+length] array that each step ranks along one axis; every call after the
+first names each row's parent among the previous call's rows. The
+transformer adapter decodes incrementally: it computes the encoder states
+and their ``SourceState`` (cross-attention keys/values and source masks)
+once per batch and regathers that state only when the calls' source rows
+change; it keeps a self-attention key/value cache across calls, gathered
+by those parents, and so projects one new position per row and step.
 """
 
 from __future__ import annotations
@@ -64,11 +64,12 @@ class BeamResult:
     tokens: list[int]  # generated tokens, end sentinel excluded
     score: float  # penalized score of the returned hypothesis
     finished: bool  # False when nothing finished within max_length
-    ranking: list[tuple[list[int], float]] | None = None  # finished pool, best first
 
 
-StepScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-"""Maps prefix ids [K, t] (begin sentinel included) and their source rows [K] to log-probs [K, V]."""
+StepScorer = Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
+"""Maps prefix ids [K, t] (begin sentinel included), their source rows [K] and parents [K] to log-probs [K, V].
+
+``parents[i]`` indexes the previous call's row that ``prefixes[i]`` extends; a search's first call passes ``None``."""
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -81,52 +82,49 @@ def length_penalty(length: int, alpha: float) -> float:
 
 
 def transformer_scorer(params: ModelParams, source: np.ndarray, source_mask: np.ndarray) -> StepScorer:
-    """Batch scorer: (prefixes [K, t], source rows [K]) -> log-probs [K, V].
+    """Batch scorer: (prefixes [K, t], source rows [K], parents [K] | None) -> log-probs [K, V].
 
     Encoder states, every layer's cross-attention keys/values and the
     source masks are computed once here, in a base ``SourceState`` over the
     batch's rows. The state a call reads is regathered from that base only
     when the call's ``rows`` differ from the previous call's. The
-    per-hypothesis self-attention cache follows the beams: each call finds
-    every row's parent among the previous call's rows, keyed by (source
-    row, prefix[:-1]), gathers the cache in that order and decodes only the
-    newest position; that one gather follows greedy's shrinking alive set
-    and beam reordering alike. A call in which some row has no parent (the
-    first step, or a caller that jumps) decodes its full prefixes from an
-    empty cache through the same step function.
+    per-hypothesis self-attention cache follows ``parents``: a call gathers
+    it in that order, unless every row extends the previous call's row at
+    its own index, and decodes only the newest position; that one gather
+    follows greedy's shrinking alive set and beam reordering alike. A call
+    without parents decodes its full prefixes from an empty cache through
+    the same step function.
     """
     with no_grad():
         enc = encode(params, source, source_mask)
         base = source_state(params, enc, source_mask)
     state, state_rows = base, np.arange(source.shape[0])
     cache: DecoderCache | None = None
-    index: dict[tuple[int, bytes], int] = {}  # (source row, prefix) -> row of ``cache``
 
-    def step(prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        nonlocal state, state_rows, cache, index
-        parents = [index.get((int(r), p[:-1].tobytes()), -1) for r, p in zip(rows, prefixes)]
-        if not np.array_equal(rows, state_rows):
-            state, state_rows = base.take(rows), np.array(rows)
-        if -1 in parents:
+    def step(prefixes: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
+        nonlocal state, state_rows, cache
+        if parents is None:
             cache, new = DecoderCache.empty(params.config, len(rows)), prefixes
         else:
-            if parents != list(range(len(index))):
-                cache = cache.take(np.array(parents))
+            if not np.array_equal(parents, np.arange(len(state_rows))):  # still the previous call's rows
+                cache = cache.take(parents)
             new = prefixes[:, -1:]
+        if not np.array_equal(rows, state_rows):
+            state, state_rows = base.take(rows), np.array(rows)
         logits = decode_step_logits(params, state, embed_targets(params, new), cache=cache)
-        index = {(int(r), p.tobytes()): i for i, (r, p) in enumerate(zip(rows, prefixes))}
         return _log_softmax(logits.data[:, -1, :])
 
     return step
 
 
-def _check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
+def check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
+    """Reject a decode configuration the model cannot run, naming the keys."""
     if decode_cfg.max_length > config.max_positions:
         raise DecodeError(
-            f"max_length {decode_cfg.max_length} exceeds max_positions {config.max_positions}"
+            f"decode.max_length {decode_cfg.max_length} exceeds model.max_positions {config.max_positions}"
         )
     if not 0 <= decode_cfg.eos_id < config.vocab_size:
-        raise DecodeError(f"eos_id {decode_cfg.eos_id} is outside the vocabulary of {config.vocab_size}")
+        raise DecodeError(f"decode.eos_id {decode_cfg.eos_id} is outside model.vocab_size {config.vocab_size}")
 
 
 def greedy_decode(
@@ -137,17 +135,18 @@ def greedy_decode(
     A finished row takes the end token in every later column of the
     prefix array, and each hypothesis is read up to its first end token.
     """
-    _check_against_model(params.config, decode_cfg)
+    check_against_model(params.config, decode_cfg)
     scorer = transformer_scorer(params, source, source_mask)
     b, eos = source.shape[0], decode_cfg.eos_id
     prefixes = np.full((b, 1), BOS_ID, dtype=np.int64)
-    alive = np.ones(b, dtype=bool)
+    rows, parents = np.arange(b), None  # the unfinished rows, and their parents among the previous call's
     for _ in range(decode_cfg.max_length):
         column = np.full(b, eos, dtype=np.int64)
-        column[alive] = scorer(prefixes[alive], np.flatnonzero(alive)).argmax(axis=-1)
+        column[rows] = scorer(prefixes[rows], rows, parents).argmax(axis=-1)
         prefixes = np.concatenate([prefixes, column[:, None]], axis=1)
-        alive &= column != eos
-        if not alive.any():
+        parents = np.flatnonzero(column[rows] != eos)
+        rows = rows[parents]
+        if not rows.size:
             break
     return [h[: h.index(eos)] if eos in h else h for h in prefixes[:, 1:].tolist()]
 
@@ -162,10 +161,10 @@ def beam_search(
 
     Each step ranks a source's beam * vocab continuations by raw cumulative
     log-probability and keeps the top beam_size; candidates ending in the
-    end token move to the source's finished pool (they give up their
-    slot), the rest stay live. A source stops once its pool is non-empty
-    and its best live score, penalized at the current length, cannot beat
-    the pool's best; a source with an empty pool never stops.
+    end token give up their slot, and the best of them (the first beam on
+    ties) becomes the source's finish if it beats the finish so far. A
+    source stops once it has a finish that its best live score, penalized
+    at the current length, cannot beat; a source with none never stops.
 
     The live sources share one array state: their ids [n], their beams
     with the begin sentinel [n, k, t + 1] and raw scores [n, k]. This rests
@@ -173,30 +172,31 @@ def beam_search(
     one at the start and min(beam_size, k * (vocab_size - 1)) after each
     step, since the end token never takes a slot. So one ``step_fn`` call
     per step scores every live beam, in source order with their source
-    rows, and each source's row of candidates is ranked on its own; its
-    result is that of a search over it alone.
+    rows and parents, and each source's row of candidates is ranked on its
+    own; its result is that of a search over it alone.
     """
     alpha, eos = decode_cfg.length_penalty, decode_cfg.eos_id
     live = np.arange(sources)
     beams = np.full((sources, 1, 1), BOS_ID, dtype=np.int64)
     scores = np.zeros((sources, 1))
-    pools: list[list[tuple[list[int], float]]] = [[] for _ in range(sources)]
-    best = np.full(sources, -np.inf)  # max penalized score per pool; finite once the pool is non-empty
+    parent_rows = None  # each beam's parent among the previous step_fn call's rows
+    best = np.full(sources, -np.inf)  # penalized score of each source's finish; finite once it has one
+    finishes: list[list[int]] = [[] for _ in range(sources)]
     for t in range(decode_cfg.max_length):
         if not live.size:
             break
         n, k = scores.shape
-        logp = step_fn(beams.reshape(n * k, -1), np.repeat(live, k))
+        logp = step_fn(beams.reshape(n * k, -1), np.repeat(live, k), parent_rows)
         total = scores[:, :, None] + logp.reshape(n, k, vocab_size)
         penalty = length_penalty(t + 1, alpha)
-        # every reachable end-token continuation joins its source's pool; it
-        # does not compete for a beam slot, so short finishes with strong
-        # penalized scores cannot be crowded out by raw-score ranking
+        # end-token continuations do not compete for a beam slot, so short
+        # finishes with strong penalized scores cannot be crowded out by
+        # raw-score ranking
         ends = total[:, :, eos] / penalty
-        reachable = np.isfinite(ends)
-        for i, j in zip(*np.nonzero(reachable)):
-            pools[live[i]].append((beams[i, j, 1:].tolist(), float(ends[i, j])))
-        best[live] = np.maximum(best[live], np.where(reachable, ends, -np.inf).max(axis=1))
+        ending = ends.argmax(axis=1)
+        for i in np.flatnonzero(ends[np.arange(n), ending] > best[live]):
+            best[live[i]] = ends[i, ending[i]]
+            finishes[live[i]] = beams[i, ending[i], 1:].tolist()
         total[:, :, eos] = -np.inf
         flat = total.reshape(n, -1)
         width = min(decode_cfg.beam_size, k * (vocab_size - 1))
@@ -206,19 +206,16 @@ def beam_search(
         beams = np.concatenate([np.take_along_axis(beams, parents[:, :, None], axis=1), tokens[:, :, None]], axis=2)
         scores = np.take_along_axis(flat, top, axis=1)
         going = ~(np.isfinite(best[live]) & (scores.max(axis=1) / penalty <= best[live]))
+        parent_rows = (np.arange(n)[:, None] * k + parents)[going].reshape(-1)
         live, beams, scores = live[going], beams[going], scores[going]
-    results = []
-    for pool in pools:
-        ranking = sorted(pool, key=lambda item: -item[1])[: decode_cfg.beam_size]
-        results.append(BeamResult(*ranking[0], True, ranking) if ranking else None)
+    finished = np.isfinite(best)
     # a source that finished nothing is still live: its best live beam stands in
     for i, s in enumerate(live.tolist()):
-        if results[s] is None:
+        if not finished[s]:
             j = int(np.argmax(scores[i]))
-            hyp = beams[i, j, 1:].tolist()
-            pen = float(scores[i, j]) / length_penalty(len(hyp), alpha)
-            results[s] = BeamResult(hyp, pen, False, [(hyp, pen)])
-    return results
+            finishes[s] = beams[i, j, 1:].tolist()
+            best[s] = scores[i, j] / length_penalty(len(finishes[s]), alpha)
+    return [BeamResult(hyp, float(score), bool(done)) for hyp, score, done in zip(finishes, best, finished)]
 
 
 def beam_decode(
@@ -229,6 +226,6 @@ def beam_decode(
     Every row's beams go through one lockstep ``beam_search``, so each
     decoding step is one scorer call for the whole batch.
     """
-    _check_against_model(params.config, decode_cfg)
+    check_against_model(params.config, decode_cfg)
     scorer = transformer_scorer(params, source, source_mask)
     return beam_search(scorer, params.config.vocab_size, decode_cfg, source.shape[0])

@@ -124,7 +124,7 @@ class ModelParams:
     def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
         missing = set(self.params) - set(arrays)
         if missing:
-            raise KeyError(f"checkpoint is missing parameters: {sorted(missing)}")
+            raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")
         unexpected = set(arrays) - set(self.params)
         if unexpected:
             raise ValueError(f"checkpoint has parameters the model lacks: {sorted(unexpected)}")

@@ -442,7 +442,7 @@ def test_criterion_6_beam_oracle():
         vocab = 4 + seed % 2
         cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3, eos_id=0)
         scorer = PrefixTableScorer(seed, vocab)
-        got = beam_search(lambda p, r: scorer(p), vocab, cfg)[0]
+        got = beam_search(lambda p, r, _: scorer(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(scorer, vocab, cfg)
         assert got.finished, f"model {seed} returned unfinished"
         assert got.tokens == want_tokens, f"model {seed}: {got.tokens} != {want_tokens}"

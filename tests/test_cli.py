@@ -12,6 +12,7 @@ from sslab.data import Vocab, gen_task
 from sslab.model import ModelConfig, init_params
 from sslab.rng import named_rng
 from sslab.schedules import Family, ScheduleSpec, eval_schedule
+from sslab.tensor import load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -607,6 +608,48 @@ def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, ov
     assert code == 1
     assert err.startswith("sslab: error:") and "Traceback" not in err
     assert override.split("=")[0].split(".")[-1] in err
+
+
+def _drop(name):
+    return lambda entries: entries.pop(name)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_drop("meta/step"), "meta/step"),
+        (lambda entries: entries.update({"meta/step": np.arange(2)}), "meta/step"),
+        (lambda entries: entries.update({"meta/step": np.asarray(1.5)}), "meta/step"),
+        (lambda entries: entries.update({"meta/step": np.asarray(-1)}), "meta/step"),
+        (_drop("enc0/ffn/b1"), "enc0/ffn/b1"),
+    ],
+    ids=["step-missing", "step-not-scalar", "step-not-integer", "step-negative", "parameter-missing"],
+)
+def test_malformed_checkpoint_entries_fail_without_traceback(tmp_path, capsys, edit, named):
+    entries = load_checkpoint(FIXTURE_CHECKPOINT)
+    edit(entries)
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(ckpt, entries)
+    Path(str(ckpt) + ".json").write_bytes(Path(str(FIXTURE_CHECKPOINT) + ".json").read_bytes())
+    code = run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+    if named == "meta/step":
+        assert f"{ckpt}: meta/step" in err
+    else:  # the message itself, not a KeyError's quoted repr of it
+        assert err.startswith(f"sslab: error: checkpoint is missing parameters: ['{named}']")
+
+
+def test_gap_curve_checks_the_decode_section_before_any_model_pass(tmp_path, capsys, monkeypatch):
+    passes = []
+    monkeypatch.setattr(cli, "_teacher_forced_predictions", lambda *args: passes.append(args))
+    code = run_cli("gap-curve", "--checkpoint", str(FIXTURE_CHECKPOINT), "--set", f"out_dir={tmp_path}",
+                   "--set", "decode.eos_id=999")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error: decode.eos_id 999") and len(err.splitlines()) == 1
+    assert passes == []
 
 
 def test_checkpoint_with_layers_its_sidecar_lacks_fails_without_traceback(tmp_path, capsys):

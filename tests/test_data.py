@@ -157,19 +157,19 @@ def test_batchify_respects_budget_and_partitions_corpus():
 
 def test_batchify_single_pair():
     corpus = Corpus([([5, 6, 7], [8, 9])], Vocab.numeric(12))
-    batches = batchify(corpus, token_budget=512, seed=0)
+    batches = list(batchify(corpus, token_budget=512, seed=0))
     assert len(batches) == 1 and batches[0].size == 1
 
 
 def test_batchify_deterministic_per_seed_and_epoch():
     corpus = gen_task(TaskKind.COPY, 30, 2, 14, 100, seed=2)
-    a = batchify(corpus, 128, seed=4, epoch=1)
-    b = batchify(corpus, 128, seed=4, epoch=1)
+    a = list(batchify(corpus, 128, seed=4, epoch=1))
+    b = list(batchify(corpus, 128, seed=4, epoch=1))
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert np.array_equal(x.source, y.source)
         assert np.array_equal(x.target, y.target)
-    c = batchify(corpus, 128, seed=4, epoch=2)
+    c = list(batchify(corpus, 128, seed=4, epoch=2))
     assert any(not np.array_equal(x.source, y.source) for x, y in zip(a, c))
 
 

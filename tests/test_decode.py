@@ -106,7 +106,7 @@ def test_beam_matches_exhaustive_enumeration(seed):
     vocab = 4 + seed % 2
     cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3, eos_id=0)
     step = random_scorer(seed, vocab)
-    got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
+    got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
     want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
     assert got.finished
     assert got.tokens == want_tokens
@@ -118,7 +118,7 @@ def test_alpha_zero_is_pure_logprob_ranking():
         vocab = 5
         cfg = DecodeConfig(beam_size=vocab, length_penalty=0.0, max_length=3, eos_id=0)
         step = random_scorer(seed, vocab)
-        got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
+        got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
         assert got.tokens == want_tokens
         assert got.score == pytest.approx(want_pen, abs=1e-12)
@@ -133,7 +133,7 @@ def test_beam_one_equals_greedy_on_peaked_models():
         pattern = rng.integers(2, vocab, size=n).tolist()
         step = pattern_scorer(pattern, vocab, eos=0)
         cfg = DecodeConfig(beam_size=1, length_penalty=0.6, max_length=8, eos_id=0)
-        got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
+        got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
         assert got.tokens == greedy_by_steps(step, cfg)
         assert got.tokens == pattern
 
@@ -145,18 +145,9 @@ def test_enlarging_beam_never_hurts():
         prev = -np.inf
         for bs in range(1, 6):
             cfg = DecodeConfig(beam_size=bs, length_penalty=0.6, max_length=4, eos_id=0)
-            got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
+            got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
             assert got.score >= prev - 1e-12
             prev = got.score
-
-
-def test_ranking_is_monotone_non_increasing():
-    step = random_scorer(7, 5)
-    cfg = DecodeConfig(beam_size=5, length_penalty=0.6, max_length=4, eos_id=0)
-    got = beam_search(lambda p, r: step(p), 5, cfg)[0]
-    scores = [s for _, s in got.ranking]
-    assert scores == sorted(scores, reverse=True)
-    assert got.score == scores[0]
 
 
 def test_unreachable_eos_returns_unfinished_with_warning_flag():
@@ -168,7 +159,7 @@ def test_unreachable_eos_returns_unfinished_with_warning_flag():
         return out
 
     cfg = DecodeConfig(beam_size=2, length_penalty=0.6, max_length=3, eos_id=0)
-    got = beam_search(lambda p, r: step(p), vocab, cfg)[0]
+    got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
     assert not got.finished
     assert len(got.tokens) == 3
 
@@ -268,7 +259,7 @@ def full_prefix_scorer(params, source, source_mask):
     with no_grad():
         enc = encode(params, source, source_mask).data
 
-    def step(prefixes, rows):
+    def step(prefixes, rows, parents):
         with no_grad():
             emb = embed_targets(params, prefixes)
             source = source_state(params, constant(enc[rows]), source_mask[rows])
@@ -285,11 +276,19 @@ def _scorer_pair(dtype, seed=60, b=4):
     batch = make_batch(corpus.pairs)
     cached = transformer_scorer(params, batch.source, batch.source_mask)
     full = full_prefix_scorer(params, batch.source, batch.source_mask)
+    previous = None  # the previous call's (rows, prefixes)
 
-    def check(prefixes, rows):
+    def check(prefixes, rows, fresh=False):
+        """Score through both scorers; unless ``fresh``, each row's parent is found among the previous call's rows."""
+        nonlocal previous
         prefixes, rows = np.asarray(prefixes, dtype=np.int64), np.asarray(rows)
-        got = cached(prefixes, rows)
-        np.testing.assert_allclose(got, full(prefixes, rows), **SCORER_TOLERANCE[dtype])
+        parents = None
+        if previous is not None and not fresh:
+            index = {(r, p.tobytes()): i for i, (r, p) in enumerate(zip(*previous))}
+            parents = np.array([index[(r, p[:-1].tobytes())] for r, p in zip(rows.tolist(), prefixes)])
+        got = cached(prefixes, rows, parents)
+        np.testing.assert_allclose(got, full(prefixes, rows, parents), **SCORER_TOLERANCE[dtype])
+        previous = (rows.tolist(), prefixes)
         return got
 
     return cfg, check
@@ -322,15 +321,15 @@ def test_cached_scorer_follows_beam_reordering_and_duplicated_parents(dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_cached_scorer_recomputes_on_a_cache_miss(dtype):
+def test_call_without_parents_mid_search_recomputes_from_an_empty_cache(dtype):
     cfg, check = _scorer_pair(dtype)
     bos = BOS_ID
     check([[bos], [bos]], [0, 2])
     check([[bos, 5], [bos, 6]], [0, 2])
-    check([[bos, 5, 7, 8], [bos, 6, 9, 9]], [0, 2])  # jumps two positions ahead
+    check([[bos, 5, 7, 8], [bos, 6, 9, 9]], [0, 2], fresh=True)  # jumps two positions ahead
     check([[bos, 5, 7, 8, 10], [bos, 6, 9, 9, 5]], [0, 2])  # extends the jump
-    check([[bos, 5, 7, 8, 10, 5], [bos, 6, 9, 9, 5, 5]], [0, 3])  # same prefix, other source
-    check([[bos], [bos], [bos]], [3, 2, 1])  # a new search restarts at the sentinel
+    check([[bos, 5, 7, 8, 10, 5], [bos, 6, 9, 9, 5, 5]], [0, 3], fresh=True)  # same prefix, other source
+    check([[bos], [bos], [bos]], [3, 2, 1], fresh=True)  # a new search restarts at the sentinel
     check([[bos, 5], [bos, 6], [bos, 7]], [3, 2, 1])
 
 
@@ -374,7 +373,7 @@ def per_source_beam_decode(params, source, source_mask, dcfg):
     scorer = transformer_scorer(params, source, source_mask)
     vocab = params.config.vocab_size
     return [
-        beam_search(lambda p, r, row=row: scorer(p, np.full(len(p), row)), vocab, dcfg)[0]
+        beam_search(lambda p, r, parents, row=row: scorer(p, np.full(len(p), row), parents), vocab, dcfg)[0]
         for row in range(source.shape[0])
     ]
 
@@ -396,7 +395,7 @@ def test_lockstep_search_equals_one_search_per_source(beam):
     for scorer in scorers:
         rows = []
 
-        def step(prefixes, _, scorer=scorer, rows=rows):
+        def step(prefixes, _, __, scorer=scorer, rows=rows):
             rows.append(len(prefixes))
             return scorer(prefixes)
 
@@ -406,14 +405,12 @@ def test_lockstep_search_equals_one_search_per_source(beam):
 
     calls = []
 
-    def step(prefixes, rows):
+    def step(prefixes, rows, parents):
         calls.append(rows.tolist())
         return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
 
     got = beam_search(step, vocab, cfg, len(scorers))
-    assert [(r.tokens, r.score, r.finished, r.ranking) for r in got] == [
-        (r.tokens, r.score, r.finished, r.ranking) for r in want
-    ]
+    assert got == want
     # one call per step; a stopped source leaves every later call
     assert len(calls) == max(len(rows) for rows in want_rows)
     for i, rows in enumerate(calls):
@@ -421,7 +418,7 @@ def test_lockstep_search_equals_one_search_per_source(beam):
 
 
 def test_lockstep_search_over_no_sources_makes_no_call():
-    def step(prefixes, rows):
+    def step(prefixes, rows, parents):
         raise AssertionError("scorer called")
 
     assert beam_search(step, 5, DecodeConfig(beam_size=3), 0) == []
@@ -437,9 +434,7 @@ def test_batched_beam_decode_equals_per_source_search(trained_copy_model, beam):
     want = per_source_beam_decode(*args)
     assert [r.tokens for r in got] == [r.tokens for r in want]
     assert [r.finished for r in got] == [r.finished for r in want]
-    for g, w in zip(got, want):
-        assert [t for t, _ in g.ranking] == [t for t, _ in w.ranking]
-        np.testing.assert_allclose([s for _, s in g.ranking], [s for _, s in w.ranking], rtol=1e-5)
+    np.testing.assert_allclose([r.score for r in got], [r.score for r in want], rtol=1e-5)
 
 
 def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeypatch):
@@ -457,9 +452,9 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
         scorer = transformer_scorer(*args)
         calls.append([])
 
-        def step(prefixes, rows):
+        def step(prefixes, rows, parents):
             calls[-1].append(len(rows))
-            return scorer(prefixes, rows)
+            return scorer(prefixes, rows, parents)
 
         return step
 
@@ -492,10 +487,10 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
     full = full_prefix_scorer(params, batch.source, batch.source_mask)
     calls = []
 
-    def step(prefixes, rows):
+    def step(prefixes, rows, parents):
         calls.append(rows)
-        got = scorer(prefixes, rows)
-        np.testing.assert_allclose(got, full(prefixes, rows), **SCORER_TOLERANCE["float32"])
+        got = scorer(prefixes, rows, parents)
+        np.testing.assert_allclose(got, full(prefixes, rows, parents), **SCORER_TOLERANCE["float32"])
         return got
 
     beam_search(step, cfg.vocab_size, DecodeConfig(beam_size=3, max_length=12), len(corpus.pairs))
@@ -520,7 +515,7 @@ def test_running_best_finished_score_is_the_pool_maximum(beam):
     ]
     calls = []
 
-    def step(prefixes, rows):
+    def step(prefixes, rows, parents):
         logp = np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
         calls.append((prefixes[:, 1:].tolist(), rows.tolist(), logp))
         return logp
@@ -599,12 +594,11 @@ class ReferenceSourceSearch:
 
     def result(self, decode_cfg: DecodeConfig) -> BeamResult:
         if self.finished:
-            ranked = sorted(self.finished, key=lambda item: -item[1])[: decode_cfg.beam_size]
-            ranking = [(list(toks), pen) for toks, pen in ranked]
-            return BeamResult(*ranking[0], True, ranking)
+            tokens, pen = sorted(self.finished, key=lambda item: -item[1])[0]
+            return BeamResult(list(tokens), pen, True)
         best = int(np.argmax(self.scores))
         pen = float(self.scores[best]) / length_penalty(len(self.beams[best]), decode_cfg.length_penalty)
-        return BeamResult(list(self.beams[best]), pen, False, [(list(self.beams[best]), pen)])
+        return BeamResult(list(self.beams[best]), pen, False)
 
 
 def reference_beam_search(step_fn, vocab_size, decode_cfg, sources=1):
@@ -616,7 +610,7 @@ def reference_beam_search(step_fn, vocab_size, decode_cfg, sources=1):
             break
         prefixes = np.array([[BOS_ID] + b for s in live for b in searches[s].beams], dtype=np.int64)
         counts = [len(searches[s].beams) for s in live]
-        logp = step_fn(prefixes, np.repeat(live, counts))
+        logp = step_fn(prefixes, np.repeat(live, counts), None)
         still = []
         lo = 0
         for s, n in zip(live, counts):
@@ -658,12 +652,62 @@ def test_array_search_equals_per_source_reference_on_random_toy_searches():
         for search in (beam_search, reference_beam_search):
             calls = []
 
-            def step(prefixes, rows):
+            def step(prefixes, rows, parents):
                 calls.append((prefixes.tolist(), rows.tolist()))
                 return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
 
-            results = [(r.tokens, r.score, r.finished, r.ranking) for r in search(step, vocab, cfg, len(scorers))]
+            results = [(r.tokens, r.score, r.finished) for r in search(step, vocab, cfg, len(scorers))]
             runs.append((results, calls))
         assert runs[0] == runs[1], f"draw {draw}: vocab {vocab}, {cfg}, {len(scorers)} sources"
-        seen |= {(finished, vocab - 1 < cfg.beam_size) for _, _, finished, _ in runs[0][0]}
+        seen |= {(finished, vocab - 1 < cfg.beam_size) for _, _, finished in runs[0][0]}
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# ---------------------------------------------------------------------------
+# parents: each call after a search's first names every row's parent
+# ---------------------------------------------------------------------------
+
+
+def recording_step(scorers, calls):
+    """A toy scorer per source row that records every call's (prefixes, rows, parents)."""
+
+    def step(prefixes, rows, parents):
+        calls.append((prefixes, rows, parents))
+        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
+
+    return step
+
+
+def assert_parent_contract(calls):
+    """The first call has no parents; every later row extends its parent, a row of the previous call."""
+    assert calls[0][2] is None
+    for (prev_prefixes, prev_rows, _), (prefixes, rows, parents) in zip(calls, calls[1:]):
+        np.testing.assert_array_equal(prev_rows[parents], rows)
+        np.testing.assert_array_equal(prev_prefixes[parents], prefixes[:, :-1])
+
+
+def test_greedy_names_every_rows_parent(monkeypatch):
+    cfg = tiny_config()
+    vocab = cfg.vocab_size
+    scorers = [pattern_scorer(list(range(5, 5 + n)), vocab, eos=EOS_ID) for n in (3, 0, 5, 1)]
+    scorers += [no_eos_scorer(vocab, eos=EOS_ID), random_scorer(8, vocab, scale=3.0)]
+    calls = []
+    monkeypatch.setattr(decode_module, "transformer_scorer", lambda *args: recording_step(scorers, calls))
+    source = np.full((len(scorers), 2), 5, dtype=np.int64)
+    hyps = greedy_decode(init_params(cfg, named_rng(0, "init")), source, source != 0, DecodeConfig(max_length=9))
+    assert [len(h) for h in hyps[:4]] == [3, 0, 5, 1] and len(hyps[4]) == 9
+    assert len({len(rows) for _, rows, _ in calls}) > 3  # the alive set shrinks step by step
+    assert_parent_contract(calls)
+
+
+def test_beam_search_names_every_rows_parent_on_random_toy_searches():
+    rng = np.random.default_rng(15)
+    reordered = 0  # calls whose parents are not the previous call's rows in order
+    for draw in range(300):
+        vocab, cfg, scorers = random_toy_search(rng)
+        calls = []
+        beam_search(recording_step(scorers, calls), vocab, cfg, len(scorers))
+        if scorers:
+            assert_parent_contract(calls)
+        reordered += sum(not np.array_equal(parents, np.arange(len(parents))) for _, _, parents in calls[1:])
+    assert reordered
