@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -32,11 +33,11 @@ from .data import (
 from .decode import DecodeConfig, check_against_model
 from .metrics import (
     BATCH_ROWS,
-    StepCurve,
     corpus_bleu_lite,
     decode_corpus,
     empirical_schedule,
     fuzzy_precision_per_step,
+    gap_curve,
     strict_precision_per_step,
     token_accuracy,
     write_curve_csv,
@@ -138,9 +139,9 @@ def read_config(cls, doc: object, key: str = ""):
     Each field is read by its type annotation: a nested dataclass from a
     mapping of its field names, an enum from its value, a float tuple from
     a list of numbers, and a scalar by type (an int is stored as a float
-    for a float field; a bool is only a bool). Fields not given take the
-    class's defaults. Every error is a ``ConfigError`` naming the dotted
-    ``key`` of the offending entry.
+    for a float field; a float must be finite; a bool is only a bool).
+    Fields not given take the class's defaults. Every error is a
+    ``ConfigError`` naming the dotted ``key`` of the offending entry.
     """
     where = f"section {key!r}" if key else "document"
     if not isinstance(doc, Mapping):
@@ -171,7 +172,7 @@ def _read_value(hint, value: object, key: str) -> object:
     if get_origin(hint) is tuple:  # tuple[float, ...]
         if not (isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)):
             raise ConfigError(f"config key {key!r} must be a list of numbers, got {value!r}")
-        return tuple(float(v) for v in value)
+        return tuple(_read_value(float, v, key) for v in value)
     if issubclass(hint, Enum):
         try:
             return hint(value)
@@ -184,7 +185,13 @@ def _read_value(hint, value: object, key: str) -> object:
             raise ConfigError(f"config key {key!r} must be a mapping, got {type(value).__name__}")
         return value
     if hint is float and _is_number(value):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+        return number
     if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
         return value
     raise ConfigError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
@@ -324,8 +331,15 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
     if step is None or step.shape or step.dtype != np.int64 or step < 0:
         raise CheckpointError(f"{path}: meta/step must be a 0-d int64 >= 0")
     step = int(step)
+    if "step" in sidecar and (type(sidecar["step"]) is not int or sidecar["step"] != step):
+        raise CheckpointError(
+            f"{path}: meta/step is {step} but the sidecar {sidecar_path} says step {sidecar['step']!r}"
+        )
     params = init_params(config, named_rng(0, "init"))
-    params.load_arrays(entries)
+    try:
+        params.load_arrays(entries)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
     return params, step, vocab
 
 
@@ -345,13 +359,13 @@ def _load_checkpoint_for(path: str, corpus: Corpus) -> tuple[ModelParams, int]:
 
 
 def cmd_schedule_dump(cfg: RunConfig) -> int:
-    out = _prepare_out_dir(cfg)
     if not cfg.schedules:
         raise ConfigError("schedule-dump needs at least one entry under 'schedules'")
     specs = {}
     for name, doc in cfg.schedules.items():
         spec_cls = JointSpec if isinstance(doc, Mapping) and "method" in doc else ScheduleSpec
         specs[name] = read_config(spec_cls, doc, f"schedules.{name}")
+    out = _prepare_out_dir(cfg)
     tables = dump_curves(specs, cfg.dump_max_i, cfg.dump_max_t)
     for key, (header, rows) in tables.items():
         with open(out / f"{key}.csv", "w", newline="", encoding="utf-8") as fh:
@@ -456,12 +470,9 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     hyps = decode_corpus(params, eval_corpus, cfg.decode)
     infer_curve = fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window)
 
-    # both curves count against ``refs``, so they share their steps and counts
-    gaps = [tv - iv for tv, iv in zip(train_curve.values, infer_curve.values)]
-    gap_curve = StepCurve(train_curve.steps, gaps, train_curve.counts)
     write_curve_csv(out / "training_precision.csv", train_curve)
     write_curve_csv(out / "inference_precision.csv", infer_curve)
-    write_curve_csv(out / "gap.csv", gap_curve)
+    write_curve_csv(out / "gap.csv", gap_curve(train_curve, infer_curve))
     # inference error per decoding step as a ready ``sampler.schedule``
     _write_json(out / "empirical_schedule.json", asdict(empirical_schedule(infer_curve)))
     print(f"wrote gap curves and an empirical schedule for {len(refs)} pairs to {out}")

@@ -13,8 +13,9 @@ scorer call per step: greedy scores every unfinished row and keeps its
 hypotheses in the prefix array it grows, beam search the live beams of
 every source whose search has not stopped, held in one [sources, beams,
 length] array that each step ranks along one axis; every call after the
-first names each row's parent among the previous call's rows. The
-transformer adapter decodes incrementally: it computes the encoder states
+first names each row's parent among the previous call's rows. The one
+model adapter, ``decode_batch``, runs either search on the transformer
+scorer, which decodes incrementally: it computes the encoder states
 and their ``SourceState`` (cross-attention keys/values and source masks)
 once per batch and regathers that state only when the calls' source rows
 change; it keeps a self-attention key/value cache across calls, gathered
@@ -127,27 +128,23 @@ def check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
         raise DecodeError(f"decode.eos_id {decode_cfg.eos_id} is outside model.vocab_size {config.vocab_size}")
 
 
-def greedy_decode(
-    params: ModelParams, source: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
-) -> list[list[int]]:
-    """Argmax continuation per step until the end token or max_length.
+def greedy_decode(step_fn: StepScorer, decode_cfg: DecodeConfig, sources: int) -> list[list[int]]:
+    """Argmax continuation per step for ``sources`` rows until the end token or max_length.
 
     A finished row takes the end token in every later column of the
     prefix array, and each hypothesis is read up to its first end token.
     """
-    check_against_model(params.config, decode_cfg)
-    scorer = transformer_scorer(params, source, source_mask)
-    b, eos = source.shape[0], decode_cfg.eos_id
-    prefixes = np.full((b, 1), BOS_ID, dtype=np.int64)
-    rows, parents = np.arange(b), None  # the unfinished rows, and their parents among the previous call's
+    eos = decode_cfg.eos_id
+    prefixes = np.full((sources, 1), BOS_ID, dtype=np.int64)
+    rows, parents = np.arange(sources), None  # the unfinished rows, and their parents among the previous call's
     for _ in range(decode_cfg.max_length):
-        column = np.full(b, eos, dtype=np.int64)
-        column[rows] = scorer(prefixes[rows], rows, parents).argmax(axis=-1)
+        if not rows.size:
+            break
+        column = np.full(sources, eos, dtype=np.int64)
+        column[rows] = step_fn(prefixes[rows], rows, parents).argmax(axis=-1)
         prefixes = np.concatenate([prefixes, column[:, None]], axis=1)
         parents = np.flatnonzero(column[rows] != eos)
         rows = rows[parents]
-        if not rows.size:
-            break
     return [h[: h.index(eos)] if eos in h else h for h in prefixes[:, 1:].tolist()]
 
 
@@ -218,14 +215,16 @@ def beam_search(
     return [BeamResult(hyp, float(score), bool(done)) for hyp, score, done in zip(finishes, best, finished)]
 
 
-def beam_decode(
+def decode_batch(
     params: ModelParams, source: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
-) -> list[BeamResult]:
-    """Best finished hypothesis per source row (best unfinished as fallback).
+) -> list[list[int]]:
+    """One hypothesis per source row: greedy at beam_size 1, else beam search's best.
 
-    Every row's beams go through one lockstep ``beam_search``, so each
-    decoding step is one scorer call for the whole batch.
+    The batch's scorer is built once, by this module's ``transformer_scorer``
+    as bound at call time, so each decoding step is one scorer call.
     """
     check_against_model(params.config, decode_cfg)
-    scorer = transformer_scorer(params, source, source_mask)
-    return beam_search(scorer, params.config.vocab_size, decode_cfg, source.shape[0])
+    scorer, sources = transformer_scorer(params, source, source_mask), source.shape[0]
+    if decode_cfg.beam_size == 1:
+        return greedy_decode(scorer, decode_cfg, sources)
+    return [r.tokens for r in beam_search(scorer, params.config.vocab_size, decode_cfg, sources)]

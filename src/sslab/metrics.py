@@ -8,8 +8,9 @@ Inference-side precision uses a small window; training-side (strict)
 precision and token accuracy are the window-1 case. ``decode_corpus``
 decodes a corpus in calls of at most ``BATCH_ROWS`` rows, the size the
 CLI's teacher-forced pass uses too. ``empirical_schedule`` turns an
-inference-side curve into an ``empirical`` schedule; ``sslab gap-curve``
-writes it next to the curves.
+inference-side curve into an ``empirical`` schedule, and ``gap_curve``
+subtracts an inference-side curve from a training-side one; ``sslab
+gap-curve`` writes the gap and the schedule next to the two curves.
 
 The BLEU here is a simplified corpus score for synthetic tasks; it is
 not comparable to official evaluation scripts.
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Corpus, NULL_ID, make_batch
-from .decode import DecodeConfig, beam_decode, greedy_decode
+from .decode import DecodeConfig, decode_batch
 from .model import ModelParams
 from .schedules import Family, ScheduleSpec
 
@@ -128,6 +129,17 @@ def empirical_schedule(curve: StepCurve) -> ScheduleSpec:
     return ScheduleSpec(Family.EMPIRICAL, empirical_table=tuple(errors.tolist()))
 
 
+def gap_curve(train: StepCurve, infer: StepCurve) -> StepCurve:
+    """Training-side minus inference-side precision per step, as ``gap.csv`` holds it.
+
+    Both curves must count against the same references, so they share
+    their steps and counts.
+    """
+    if train.steps != infer.steps or train.counts != infer.counts:
+        raise MetricsError("a gap needs two curves over the same steps and counts")
+    return StepCurve(train.steps, [tv - iv for tv, iv in zip(train.values, infer.values)], train.counts)
+
+
 def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Micro-averaged strict match over all reference positions."""
     hits, totals = _step_counts(hypotheses, references, window=1)
@@ -135,22 +147,17 @@ def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -
 
 
 def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[list[int]]:
-    """Decode every source in order; greedy unless a wider beam is configured.
+    """Decode every source in order through ``decode.decode_batch``.
 
-    ``BATCH_ROWS`` caps the rows of each scorer call: greedy decodes that
-    many sources per batch, beam search ``BATCH_ROWS // beam_size`` (at
-    least one), since each source holds up to ``beam_size`` live beams.
+    ``BATCH_ROWS`` caps the rows of each scorer call: a batch holds
+    ``BATCH_ROWS // beam_size`` sources (at least one), since each source
+    holds up to ``beam_size`` live beams; greedy decodes ``BATCH_ROWS``.
     """
     per_batch = max(1, BATCH_ROWS // decode_cfg.beam_size)
     hyps: list[list[int]] = []
     for lo in range(0, len(corpus.pairs), per_batch):
-        chunk = corpus.pairs[lo : lo + per_batch]
-        batch = make_batch(chunk)
-        if decode_cfg.beam_size == 1:
-            hyps.extend(greedy_decode(params, batch.source, batch.source_mask, decode_cfg))
-        else:
-            results = beam_decode(params, batch.source, batch.source_mask, decode_cfg)
-            hyps.extend(r.tokens for r in results)
+        batch = make_batch(corpus.pairs[lo : lo + per_batch])
+        hyps.extend(decode_batch(params, batch.source, batch.source_mask, decode_cfg))
     return hyps
 
 

@@ -216,6 +216,8 @@ class OptimizerConfig:
     eps: float = 1e-9
 
     def __post_init__(self):
+        if not self.lr_factor > 0.0:
+            raise ValueError(f"lr_factor must be > 0, got {self.lr_factor}")
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         for name in ("beta1", "beta2"):

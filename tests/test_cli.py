@@ -12,7 +12,7 @@ from sslab.data import Vocab, gen_task
 from sslab.model import ModelConfig, init_params
 from sslab.rng import named_rng
 from sslab.schedules import Family, ScheduleSpec, eval_schedule
-from sslab.tensor import load_checkpoint, save_checkpoint
+from sslab.tensor import CheckpointError, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -194,6 +194,32 @@ def test_zero_step_count_fails_without_traceback(tmp_path, capsys, override):
     assert code == 1
     assert err.startswith("sslab: error:") and override.split("=")[0].split(".")[-1] in err
     assert not (tmp_path / "run" / "config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("schedule-dump", 'schedules={"s": {"family": "sigmoid", "k": Infinity}}', "schedules.s.k"),
+        ("schedule-dump", 'schedules={"s": {"family": "empirical", "empirical_table": [0.1, NaN]}}',
+         "schedules.s.empirical_table"),
+        ("train", "decode.length_penalty=NaN", "decode.length_penalty"),
+        ("train", "model.dropout=-Infinity", "model.dropout"),
+        ("train", 'sampler.schedule={"family": "exponential", "k": NaN}', "sampler.schedule.k"),
+        ("train", "optimizer.lr_factor=-1", "lr_factor"),
+        ("train", "optimizer.lr_factor=0", "lr_factor"),
+        ("train", "optimizer.lr_factor=1" + "0" * 400, "optimizer.lr_factor"),
+    ],
+    ids=["schedule-k-inf", "table-nan", "length-penalty-nan", "dropout-minus-inf", "sampler-k-nan",
+         "lr-factor-negative", "lr-factor-zero", "int-beyond-float-range"],
+)
+def test_non_finite_or_non_positive_floats_fail_before_any_output(tmp_path, capsys, command, override, key):
+    out = tmp_path / "run"
+    argv = tiny_train_args(out) if command == "train" else ["schedule-dump", "--set", f"out_dir={out}"]
+    code = run_cli(*argv, "--set", override)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error:") and len(err.splitlines()) == 1 and key in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_empty_corpus_fails_without_traceback(tmp_path, capsys):
@@ -637,8 +663,32 @@ def test_malformed_checkpoint_entries_fail_without_traceback(tmp_path, capsys, e
     assert err.startswith("sslab: error:") and len(err.splitlines()) == 1 and "Traceback" not in err
     if named == "meta/step":
         assert f"{ckpt}: meta/step" in err
-    else:  # the message itself, not a KeyError's quoted repr of it
-        assert err.startswith(f"sslab: error: checkpoint is missing parameters: ['{named}']")
+    else:  # the file, then the message itself, not a KeyError's quoted repr of it
+        assert err.startswith(f"sslab: error: {ckpt}: checkpoint is missing parameters: ['{named}']")
+
+
+@pytest.mark.parametrize("step", [7, "1500", 1500.0, None], ids=["other", "string", "float", "null"])
+def test_sidecar_step_must_agree_with_meta_step(tmp_path, capsys, step):
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes(FIXTURE_CHECKPOINT.read_bytes())
+    sidecar = json.loads(Path(str(FIXTURE_CHECKPOINT) + ".json").read_text())
+    Path(str(ckpt) + ".json").write_text(json.dumps({**sidecar, "step": step}))
+    code = run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"sslab: error: {ckpt}: meta/step is 1500 but the sidecar {ckpt}.json says step {step!r}")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
+def test_sidecar_without_step_loads(tmp_path):
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes(FIXTURE_CHECKPOINT.read_bytes())
+    sidecar = json.loads(Path(str(FIXTURE_CHECKPOINT) + ".json").read_text())
+    assert sidecar["step"] == 1500  # the fixture's sidecar agrees with its meta/step
+    Path(str(ckpt) + ".json").write_text(json.dumps({k: v for k, v in sidecar.items() if k != "step"}))
+    _, step, _ = load_model_checkpoint(str(ckpt))
+    assert step == load_model_checkpoint(str(FIXTURE_CHECKPOINT))[1] == 1500
 
 
 def test_gap_curve_checks_the_decode_section_before_any_model_pass(tmp_path, capsys, monkeypatch):
@@ -657,8 +707,8 @@ def test_checkpoint_with_layers_its_sidecar_lacks_fails_without_traceback(tmp_pa
     layers = fixture_params.config.num_decoder_layers
     deeper = ModelConfig(**{**asdict(fixture_params.config), "num_decoder_layers": layers + 1})
     ckpt = tmp_path / "deeper.bin"
-    save_model_checkpoint(ckpt, init_params(deeper, named_rng(0, "init")), 1, vocab)
-    # the sidecar names the fixture's shallower model
+    save_model_checkpoint(ckpt, init_params(deeper, named_rng(0, "init")), 1500, vocab)
+    # the sidecar names the fixture's shallower model, at the fixture's step
     Path(str(ckpt) + ".json").write_bytes(Path(str(FIXTURE_CHECKPOINT) + ".json").read_bytes())
     code = run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
     err = capsys.readouterr().err
@@ -686,5 +736,6 @@ def test_failed_sidecar_write_keeps_the_previous_sidecar(tmp_path, monkeypatch):
     assert sidecar.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.bin.json"]
     monkeypatch.undo()
-    _, step, vocab = load_model_checkpoint(str(path))  # the new .bin was written before the sidecar
-    assert step == 2 and vocab.tokens == ("a", "b", "c")
+    assert int(load_checkpoint(path)["meta/step"]) == 2  # the new .bin was written before the sidecar
+    with pytest.raises(CheckpointError, match="meta/step is 2 but the sidecar .* says step 1"):
+        load_model_checkpoint(str(path))  # the pair left behind is caught, not read as step 2

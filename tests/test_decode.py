@@ -12,8 +12,8 @@ from sslab.decode import (
     BeamResult,
     DecodeConfig,
     DecodeError,
-    beam_decode,
     beam_search,
+    decode_batch,
     greedy_decode,
     length_penalty,
     transformer_scorer,
@@ -136,6 +136,7 @@ def test_beam_one_equals_greedy_on_peaked_models():
         got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
         assert got.tokens == greedy_by_steps(step, cfg)
         assert got.tokens == pattern
+        assert greedy_decode(lambda p, r, _: step(p), cfg, 1) == [pattern]
 
 
 def test_enlarging_beam_never_hurts():
@@ -188,7 +189,7 @@ def tiny_config(**kw):
 def test_greedy_max_length_one(trained_copy_model):
     params, cfg = trained_copy_model
     batch = make_batch([([5, 6, 7], [5, 6, 7])])
-    out = greedy_decode(params, batch.source, batch.source_mask, DecodeConfig(max_length=1))
+    out = decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=1, max_length=1))
     assert all(len(seq) <= 1 for seq in out)
 
 
@@ -196,9 +197,9 @@ def test_greedy_deterministic(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 10, seed=45)
     batch = make_batch(corpus.pairs)
-    dcfg = DecodeConfig(max_length=12)
-    a = greedy_decode(params, batch.source, batch.source_mask, dcfg)
-    b = greedy_decode(params, batch.source, batch.source_mask, dcfg)
+    dcfg = DecodeConfig(beam_size=1, max_length=12)
+    a = decode_batch(params, batch.source, batch.source_mask, dcfg)
+    b = decode_batch(params, batch.source, batch.source_mask, dcfg)
     assert a == b
 
 
@@ -206,7 +207,7 @@ def test_converged_copy_model_copies_heldout(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 40, seed=46)
     batch = make_batch(corpus.pairs)
-    out = greedy_decode(params, batch.source, batch.source_mask, DecodeConfig(max_length=12))
+    out = decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=1, max_length=12))
     hits = sum(
         seq == batch.source[i, : batch.source_lengths[i]].tolist() for i, seq in enumerate(out)
     )
@@ -218,28 +219,30 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 20, seed=47)
     batch = make_batch(corpus.pairs)
     dcfg = DecodeConfig(beam_size=1, max_length=12)
-    greedy = greedy_decode(params, batch.source, batch.source_mask, dcfg)
-    beams = beam_decode(params, batch.source, batch.source_mask, dcfg)
+    greedy = decode_batch(params, batch.source, batch.source_mask, dcfg)
+    scorer = transformer_scorer(params, batch.source, batch.source_mask)
+    beams = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
     assert [r.tokens for r in beams] == greedy
     assert all(r.finished for r in beams)
 
 
-def test_beam_decode_batch_order_and_scores(trained_copy_model):
+def test_decode_batch_order_and_beam_scores(trained_copy_model):
     params, cfg = trained_copy_model
     batch = make_batch([([5, 6, 7], [5, 6, 7]), ([8, 9, 10, 11], [8, 9, 10, 11])])
-    results = beam_decode(params, batch.source, batch.source_mask, DecodeConfig(beam_size=4, max_length=12))
-    assert len(results) == 2
-    assert results[0].tokens == [5, 6, 7]
-    assert results[1].tokens == [8, 9, 10, 11]
+    dcfg = DecodeConfig(beam_size=4, max_length=12)
+    results = beam_search(transformer_scorer(params, batch.source, batch.source_mask), cfg.vocab_size, dcfg, 2)
+    assert [r.tokens for r in results] == [[5, 6, 7], [8, 9, 10, 11]]
+    assert decode_batch(params, batch.source, batch.source_mask, dcfg) == [[5, 6, 7], [8, 9, 10, 11]]
     for r in results:
         assert r.score <= 0.0
 
 
-def test_decode_rejects_overlong_max_length(trained_copy_model):
+@pytest.mark.parametrize("beam", [1, 4])
+def test_decode_rejects_overlong_max_length(trained_copy_model, beam):
     params, cfg = trained_copy_model
     batch = make_batch([([5], [5])])
     with pytest.raises(DecodeError, match="max_positions"):
-        greedy_decode(params, batch.source, batch.source_mask, DecodeConfig(max_length=1000))
+        decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=1000))
 
 
 def test_decode_module_never_touches_the_sampler():
@@ -333,21 +336,20 @@ def test_call_without_parents_mid_search_recomputes_from_an_empty_cache(dtype):
     check([[bos, 5], [bos, 6], [bos, 7]], [3, 2, 1])
 
 
-def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, monkeypatch):
+@pytest.mark.parametrize("beam", [1, 2, 4])
+def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, beam):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=48)
     batch = make_batch(corpus.pairs)
-    args = (params, batch.source, batch.source_mask)
-    cached = {
-        beam: [r.tokens for r in beam_decode(*args, DecodeConfig(beam_size=beam, max_length=12))]
-        for beam in (2, 4)
-    }
-    cached[1] = greedy_decode(*args, DecodeConfig(max_length=12))
-    monkeypatch.setattr(decode_module, "transformer_scorer", full_prefix_scorer)
-    assert greedy_decode(*args, DecodeConfig(max_length=12)) == cached[1]
-    for beam in (2, 4):
-        results = beam_decode(*args, DecodeConfig(beam_size=beam, max_length=12))
-        assert [r.tokens for r in results] == cached[beam]
+    dcfg = DecodeConfig(beam_size=beam, max_length=12)
+    hyps = []
+    for make_scorer in (transformer_scorer, full_prefix_scorer):
+        scorer = make_scorer(params, batch.source, batch.source_mask)
+        if beam == 1:
+            hyps.append(greedy_decode(scorer, dcfg, len(corpus.pairs)))
+        else:
+            hyps.append([r.tokens for r in beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))])
+    assert hyps[0] == hyps[1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,31 +424,47 @@ def test_lockstep_search_over_no_sources_makes_no_call():
         raise AssertionError("scorer called")
 
     assert beam_search(step, 5, DecodeConfig(beam_size=3), 0) == []
+    assert greedy_decode(step, DecodeConfig(beam_size=1), 0) == []
 
 
 @pytest.mark.parametrize("beam", [2, 3, 4])
-def test_batched_beam_decode_equals_per_source_search(trained_copy_model, beam):
+def test_batched_beam_search_equals_per_source_search(trained_copy_model, beam):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=49)
     batch = make_batch(corpus.pairs)
-    args = (params, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=12))
-    got = beam_decode(*args)
-    want = per_source_beam_decode(*args)
+    dcfg = DecodeConfig(beam_size=beam, max_length=12)
+    scorer = transformer_scorer(params, batch.source, batch.source_mask)
+    got = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
+    want = per_source_beam_decode(params, batch.source, batch.source_mask, dcfg)
     assert [r.tokens for r in got] == [r.tokens for r in want]
     assert [r.finished for r in got] == [r.finished for r in want]
     np.testing.assert_allclose([r.score for r in got], [r.score for r in want], rtol=1e-5)
 
 
-def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeypatch):
+def per_source_greedy_decode(params, source, source_mask, dcfg):
+    """One greedy search per source row over a shared scorer."""
+    scorer = transformer_scorer(params, source, source_mask)
+    return [
+        greedy_decode(lambda p, r, parents, row=row: scorer(p, np.full(len(p), row), parents), dcfg, 1)[0]
+        for row in range(source.shape[0])
+    ]
+
+
+# (beam_size, eval pairs, batches): gap-greedy's shape and evaluate-beam's
+@pytest.mark.parametrize("beam, pairs, batches", [(1, 72, 2), (4, 48, 3)])
+def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeypatch, beam, pairs, batches):
     params, _, _ = load_model_checkpoint(str(FIXTURE_CHECKPOINT))
-    cfg = params.config
-    run = load_run_config(None, ["seed=1", "data.eval_count=48"])
+    run = load_run_config(None, ["seed=1", f"data.eval_count={pairs}", f"decode.beam_size={beam}"])
     dcfg = run.decode
     _, corpus = build_corpora(run)
     batch = make_batch(corpus.pairs)
-    want = per_source_beam_decode(params, batch.source, batch.source_mask, dcfg)
+    if beam == 1:
+        want = per_source_greedy_decode(params, batch.source, batch.source_mask, dcfg)
+    else:
+        want = [r.tokens for r in per_source_beam_decode(params, batch.source, batch.source_mask, dcfg)]
 
     calls = []  # rows of each scorer call, one list per batch
+    model_steps = []  # rows of each decoder pass
 
     def counting_scorer(*args):
         scorer = transformer_scorer(*args)
@@ -458,12 +476,19 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
 
         return step
 
+    def counting_step_logits(params, source, emb, **kwargs):
+        model_steps.append(emb.data.shape[0])
+        return decode_step_logits(params, source, emb, **kwargs)
+
+    # the benchmark cuts tokens_per_s at each call of the scorer bound on sslab.decode
     monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
+    monkeypatch.setattr(decode_module, "decode_step_logits", counting_step_logits)
     hyps = decode_corpus(params, corpus, dcfg)
-    assert hyps == [r.tokens for r in want]
-    assert len(calls) == 3  # 64 rows per call hold 16 sources at beam 4
+    assert hyps == want
+    assert len(calls) == batches  # 64 rows per call hold 64 sources at beam 1, 16 at beam 4
+    assert [n for batch_calls in calls for n in batch_calls] == model_steps  # the probe sees every decoder pass
     assert all(0 < len(batch_calls) <= dcfg.max_length for batch_calls in calls)
-    assert max(max(batch_calls) for batch_calls in calls) <= 64
+    assert max(model_steps) <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +711,12 @@ def assert_parent_contract(calls):
         np.testing.assert_array_equal(prev_prefixes[parents], prefixes[:, :-1])
 
 
-def test_greedy_names_every_rows_parent(monkeypatch):
-    cfg = tiny_config()
-    vocab = cfg.vocab_size
+def test_greedy_names_every_rows_parent():
+    vocab = 15
     scorers = [pattern_scorer(list(range(5, 5 + n)), vocab, eos=EOS_ID) for n in (3, 0, 5, 1)]
     scorers += [no_eos_scorer(vocab, eos=EOS_ID), random_scorer(8, vocab, scale=3.0)]
     calls = []
-    monkeypatch.setattr(decode_module, "transformer_scorer", lambda *args: recording_step(scorers, calls))
-    source = np.full((len(scorers), 2), 5, dtype=np.int64)
-    hyps = greedy_decode(init_params(cfg, named_rng(0, "init")), source, source != 0, DecodeConfig(max_length=9))
+    hyps = greedy_decode(recording_step(scorers, calls), DecodeConfig(max_length=9), len(scorers))
     assert [len(h) for h in hyps[:4]] == [3, 0, 5, 1] and len(hyps[4]) == 9
     assert len({len(rows) for _, rows, _ in calls}) > 3  # the alive set shrinks step by step
     assert_parent_contract(calls)

@@ -1,12 +1,13 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslab.data import NULL_ID, TaskKind, gen_task
-from sslab.decode import DecodeConfig
+from sslab.data import BOS_ID, EOS_ID, FIRST_CONTENT_ID, NULL_ID, TaskKind, gen_task
+from sslab.decode import DecodeConfig, greedy_decode
 from sslab.metrics import (
     MetricsError,
     StepCurve,
@@ -14,6 +15,7 @@ from sslab.metrics import (
     decode_corpus,
     empirical_schedule,
     fuzzy_precision_per_step,
+    gap_curve,
     strict_precision_per_step,
     token_accuracy,
     write_curve_csv,
@@ -147,6 +149,83 @@ def test_precision_matches_plain_loop_reference(pairs, window):
         assert curve.values == [h / c for h, c in zip(hits, counts)]
     if window == 1 and counts:
         assert token_accuracy(hyps, refs) == sum(hits) / sum(counts)
+
+
+# ---------------------------------------------------------------------------
+# the gap instrument in closed form: decode, per-step precision, gap.csv
+# ---------------------------------------------------------------------------
+
+MAP_VOCAB, MAP_A, MAP_B, CONTENT = 50, 2, 1, 45  # content ids 5..49
+
+
+def error_table_scorer(sources, lengths, errors):
+    """A toy h = 1 noisy-map model whose mistakes are exactly the True cells of ``errors`` [rows, steps].
+
+    At step t it continues the recurrence from its own previous token,
+    adds 1 (mod 45) where the table marks (row, t), and emits the end token
+    at the row's reference length. An error offsets every later token by
+    the same amount, so a row is right at t iff it made no error in [0, t],
+    for t < 45.
+    """
+
+    def step(prefixes, rows, parents):
+        t = prefixes.shape[1] - 1
+        out = np.full((len(rows), MAP_VOCAB), -np.inf)
+        for i, r in enumerate(rows.tolist()):
+            if t == lengths[r]:
+                out[i, EOS_ID] = 0.0
+                continue
+            prev = prefixes[i, -1] - FIRST_CONTENT_ID if t else 0
+            token = ((sources[r][t] - FIRST_CONTENT_ID) * MAP_A + prev + MAP_B + errors[r, t]) % CONTENT
+            out[i, token + FIRST_CONTENT_ID] = 0.0
+        return out
+
+    return step
+
+
+def test_gap_instrument_matches_the_error_table_in_closed_form():
+    corpus = gen_task(
+        TaskKind.NOISY_MAP, MAP_VOCAB, 10, 40, 300, seed=7, noise=0.0, map_a=MAP_A, map_b=MAP_B, history_weight=1
+    )
+    sources, refs = [src for src, _ in corpus.pairs], [tgt for _, tgt in corpus.pairs]
+    lengths = np.array([len(r) for r in refs])
+    errors = np.random.default_rng(11).random((len(refs), 40)) < 0.05
+    scorer = error_table_scorer(sources, lengths, errors)
+
+    hyps = greedy_decode(scorer, DecodeConfig(beam_size=1, max_length=64), len(refs))
+    # teacher forcing: the argmax at every golden prefix, as the CLI's teacher-forced pass reads it
+    train_preds = [[] for _ in refs]
+    for t in range(lengths.max()):
+        rows = np.flatnonzero(lengths > t)
+        golden = np.array([[BOS_ID, *refs[r][:t]] for r in rows])
+        for r, token in zip(rows.tolist(), scorer(golden, rows, None).argmax(axis=-1).tolist()):
+            train_preds[r].append(token)
+    train = strict_precision_per_step(train_preds, refs)
+    strict = strict_precision_per_step(hyps, refs)
+    infer = fuzzy_precision_per_step(hyps, refs, window=3)
+
+    steps = np.arange(lengths.max())
+    counts = [int((lengths > t).sum()) for t in steps]
+    clean = ~np.logical_or.accumulate(errors, axis=1)  # no error in [0, t]
+    assert [len(h) for h in hyps] == lengths.tolist()
+    assert strict.steps == train.steps == steps.tolist()
+    assert strict.counts == train.counts == counts
+    assert strict.values == [int(clean[lengths > t, t].sum()) / n for t, n in zip(steps, counts)]
+    assert train.values == [(n - int(errors[lengths > t, t].sum())) / n for t, n in zip(steps, counts)]
+    ref_steps, ref_hits, ref_counts = reference_precision(hyps, refs, 3)
+    assert (infer.steps, infer.counts) == (ref_steps, ref_counts)
+    assert infer.values == [h / n for h, n in zip(ref_hits, ref_counts)]
+
+    gap = gap_curve(train, infer)
+    assert (gap.steps, gap.counts) == (train.steps, train.counts)
+    assert gap.values == [tv - iv for tv, iv in zip(train.values, infer.values)]
+    # errors compound along the hypothesis, so the gap grows with the decoding step
+    assert np.mean(gap.values[-12:]) > np.mean(gap.values[:12]) + 0.3
+
+
+def test_gap_curve_needs_curves_over_the_same_steps_and_counts():
+    with pytest.raises(MetricsError, match="same steps"):
+        gap_curve(StepCurve([0, 1], [1.0, 1.0], [2, 2]), StepCurve([0, 1], [0.5, 0.5], [2, 1]))
 
 
 # ---------------------------------------------------------------------------
