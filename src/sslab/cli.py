@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import sys
@@ -306,7 +307,7 @@ def save_model_checkpoint(
     entries = dict(params.as_arrays())
     entries["meta/step"] = np.asarray(step, dtype=np.int64)
     save_checkpoint(path, entries)
-    sidecar = {"model": asdict(params.config), "step": step, "vocab_tokens": list(vocab.tokens)}
+    sidecar = {"model": asdict(params.config), "vocab_tokens": list(vocab.tokens)}
     _write_json(str(path) + ".json", sidecar)
 
 
@@ -331,6 +332,7 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
     if step is None or step.shape or step.dtype != np.int64 or step < 0:
         raise CheckpointError(f"{path}: meta/step must be a 0-d int64 >= 0")
     step = int(step)
+    # meta/step is the step; sidecars written by earlier versions also carry one, which must agree
     if "step" in sidecar and (type(sidecar["step"]) is not int or sidecar["step"] != step):
         raise CheckpointError(
             f"{path}: meta/step is {step} but the sidecar {sidecar_path} says step {sidecar['step']!r}"
@@ -547,7 +549,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_THRESHOLD = 256 << 20
+
+
+def _keep_freed_memory_in_the_heap() -> None:
+    """Let glibc's heap keep the memory that a training step frees.
+
+    By default each large array the next step allocates again comes as
+    fresh zeroed pages from the kernel (mmap threshold), and the heap top is
+    trimmed. Raising both thresholds changes no float. This is a no-op where
+    the C library has no ``mallopt``; ``main`` calls it, so importing
+    ``sslab`` leaves the host process's allocator alone.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+            mallopt(param, _MALLOC_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory_in_the_heap()
     args = vars(_build_parser().parse_args(argv))
     handler = args.pop("handler")  # what remains after config and overrides is the handler's own options
     with warnings.catch_warnings(record=True) as caught:

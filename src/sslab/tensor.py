@@ -12,8 +12,11 @@ are exact, bit for bit.
 Recording happens inside a ``with Tape():`` block; outside a block (or
 under ``no_grad``) the same functions run as plain numpy math. Creation
 order on the tape is the topological order, so backward is a single
-reverse sweep. Accumulation order is fixed by the tape, which keeps
-repeated runs of a seeded computation bit-identical.
+reverse sweep. It runs once per tape and releases each node as it passes
+it, so forward activations and intermediate gradients are freed during
+the sweep and only the leaves keep ``grad``. Accumulation order is fixed
+by the tape, which keeps repeated runs of a seeded computation
+bit-identical.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class Tape:
     """Ordered record of primitive applications for one backward sweep."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[_Node | None] = []
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -114,14 +118,25 @@ class Tape:
         self._nodes.append(_Node(out, parents, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Fill ``grad`` on every tensor the scalar ``loss`` depends on."""
+        """Fill ``grad`` on every leaf the scalar ``loss`` depends on.
+
+        The sweep runs once per tape. It releases each node, and takes its
+        output's ``grad``, as it passes it, so activations and intermediate
+        gradients die during the sweep; only the leaves keep ``grad``. The
+        tape keeps its length.
+        """
         if loss.data.ndim != 0:
             raise TapeError(f"backward root must be a scalar, got shape {loss.data.shape}")
         if loss.node_id is None:
             raise TapeError("loss is not on this tape")
+        if self._swept:
+            raise TapeError("backward already swept this tape and released its nodes")
+        self._swept = True
+        nodes = self._nodes
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        for node in reversed(self._nodes[: loss.node_id + 1]):
-            out_grad = node.out.grad
+        for i in range(loss.node_id, -1, -1):
+            node, nodes[i] = nodes[i], None
+            out_grad, node.out.grad = node.out.grad, None
             if out_grad is None:
                 continue
             parent_grads = node.backward_fn(out_grad)

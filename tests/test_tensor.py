@@ -1,5 +1,6 @@
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,35 @@ def test_grad_accumulates_across_uses():
         out = T.reshape(T.add(T.mul(x, x), x), ())  # x^2 + x -> 2x + 1 = 7
         tape.backward(out)
     assert x.grad.tolist() == [7.0]
+
+
+def test_backward_releases_intermediates_once_and_keeps_leaf_grads():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 4))
+    targets = rng.integers(0, 3, size=6)
+    w = parameter(rng.normal(size=(4, 3)))
+    b = parameter(rng.normal(size=3))
+    with Tape() as tape:
+        hidden = T.matmul(constant(x), w)
+        released = weakref.ref(hidden.data)
+        logits = T.add(hidden, b)
+        loss = T.cross_entropy_label_smoothed(logits, targets, 0.0)
+        del hidden
+        assert released() is not None  # the tape alone keeps it alive
+        recorded = len(tape)
+        tape.backward(loss)
+        assert released() is None  # gone while the tape itself still lives
+        assert len(tape) == recorded
+        assert logits.grad is None and loss.grad is None  # only the leaves keep grad
+        with pytest.raises(TapeError, match="already swept"):
+            tape.backward(loss)
+    logits = x @ w.data + b.data
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs[np.arange(6), targets] -= 1.0
+    d_logits = probs / 6
+    np.testing.assert_allclose(w.grad, x.T @ d_logits, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(b.grad, d_logits.sum(axis=0), rtol=1e-10, atol=1e-14)
 
 
 def test_no_grad_suppresses_recording():
