@@ -84,6 +84,9 @@ class DataConfig:
         if self.task != "tsv":  # a TSV file fixes its own lengths and vocabulary
             if not 1 <= self.min_len <= self.max_len:
                 raise ValueError(f"min_len must be >= 1 and <= max_len {self.max_len}, got {self.min_len}")
+            for name in ("count", "eval_count"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
             if self.vocab_size <= FIRST_CONTENT_ID:
                 raise ValueError(f"vocab_size must exceed {FIRST_CONTENT_ID}, got {self.vocab_size}")
             if self.token_budget < self.max_len + 2:  # the widest row: max_len tokens plus two sentinels

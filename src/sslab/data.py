@@ -145,10 +145,20 @@ def gen_task(
     diverts that probability to the top length band (the last four
     lengths), which flattens per-position sample counts so per-step
     curves are comparable across the whole range.
+
+    The corpus is drawn in one pass of array expressions, in this order
+    from the task's stream: every length, then (when ``long_length_mass``
+    is set) one Bernoulli block and one block of top-band lengths, then
+    the sources as one flat block, then the noise flips and substitutes
+    as flat blocks. Pairs are slices of the flat blocks. The h != 0
+    recurrence runs as one loop over positions, covering at each
+    position every pair that long.
     """
     kind = TaskKind(kind)
     vocab = Vocab.numeric(vocab_size)
     content = vocab_size - FIRST_CONTENT_ID
+    if count < 0:
+        raise DataError(f"count must be >= 0, got {count}")
     if not 1 <= min_len <= max_len:
         raise DataError(f"bad length range [{min_len}, {max_len}]")
     if not 0.0 <= noise <= 1.0:
@@ -160,34 +170,37 @@ def gen_task(
         raise DataError(f"map_a={map_a} shares a factor with content vocab {content}")
 
     rng = named_rng(seed, "gen", kind.value)
-    long_floor = max(min_len, max_len - 3)
-    pairs = []
-    for _ in range(count):
-        if long_length_mass and rng.random() < long_length_mass:
-            n = int(rng.integers(long_floor, max_len + 1))
+    lengths = rng.integers(min_len, max_len + 1, size=count)
+    if long_length_mass:
+        long = rng.random(count) < long_length_mass
+        lengths = np.where(long, rng.integers(max(min_len, max_len - 3), max_len + 1, size=count), lengths)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(lengths.sum())
+    src = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total)
+    if kind is TaskKind.COPY:
+        tgt = src
+    elif kind is TaskKind.REVERSE:  # position p of the pair on [start, end) reads end - 1 - p + start
+        tgt = src[np.repeat(ends - 1 + starts, lengths) - np.arange(total)]
+    else:
+        flip = rng.random(total) < noise if noise > 0.0 else np.zeros(total, dtype=bool)
+        subs = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total) if noise > 0.0 else src
+        clean = (src - FIRST_CONTENT_ID) * a + map_b  # the map before the history term and the modulus
+        if history_weight == 0:
+            tgt = np.where(flip, subs, clean % content + FIRST_CONTENT_ID)
         else:
-            n = int(rng.integers(min_len, max_len + 1))
-        src = rng.integers(FIRST_CONTENT_ID, vocab_size, size=n)
-        if kind is TaskKind.COPY:
-            tgt = src.copy()
-        elif kind is TaskKind.REVERSE:
-            tgt = src[::-1].copy()
-        elif history_weight == 0:
-            tgt = ((src - FIRST_CONTENT_ID) * a + map_b) % content + FIRST_CONTENT_ID
-            if noise > 0.0:
-                flip = rng.random(n) < noise
-                tgt = np.where(flip, rng.integers(FIRST_CONTENT_ID, vocab_size, size=n), tgt)
-        else:
-            flip = rng.random(n) < noise if noise > 0.0 else np.zeros(n, dtype=bool)
-            subs = rng.integers(FIRST_CONTENT_ID, vocab_size, size=n) if noise > 0.0 else src
-            tgt = np.empty(n, dtype=np.int64)
-            prev = 0
-            for t in range(n):
-                clean = ((src[t] - FIRST_CONTENT_ID) * a + prev * history_weight + map_b) % content
-                tok = int(subs[t]) if flip[t] else clean + FIRST_CONTENT_ID
-                tgt[t] = tok
+            tgt = np.empty(total, dtype=np.int64)
+            first = starts[np.argsort(-lengths)]  # longest pairs first
+            alive = count - np.cumsum(np.bincount(lengths, minlength=max_len + 1))  # pairs longer than t
+            prev = np.zeros(count, dtype=np.int64)
+            for t in range(max_len):
+                pos = first[: alive[t]] + t
+                history = prev[: alive[t]] * history_weight
+                tok = np.where(flip[pos], subs[pos], (clean[pos] + history) % content + FIRST_CONTENT_ID)
+                tgt[pos] = tok
                 prev = tok - FIRST_CONTENT_ID
-        pairs.append((src.tolist(), tgt.tolist()))
+    src_ids, tgt_ids = src.tolist(), tgt.tolist()
+    pairs = [(src_ids[s:e], tgt_ids[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
     return Corpus(pairs, vocab)
 
 
@@ -252,31 +265,29 @@ def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> It
     The cap is rows x widest row <= token_budget (the padded matrix is
     what costs memory and compute). Pair order is shuffled per epoch,
     grouped by length, and batch order is shuffled again; everything is
-    deterministic given (seed, epoch). The checks and the plan run at the
-    call; each batch is built when it is drawn.
+    deterministic given (seed, epoch). Each pair's ``row_width`` is taken
+    once; a stable argsort of the shuffled widths gives the order a stable
+    sort by ``row_width`` gives, and rows are packed in ascending width, so
+    a row's own width is its batch's widest. The checks and the plan run
+    at the call; each batch is built when it is drawn.
     """
     if not corpus.pairs:
         raise DataError("cannot batch an empty corpus")
-    widest = max(row_width(p) for p in corpus.pairs)
+    widths = np.fromiter(map(row_width, corpus.pairs), dtype=np.int64, count=len(corpus.pairs))
+    widest = int(widths.max())
     if widest > token_budget:
         raise DataError(f"token budget {token_budget} below widest pair ({widest} tokens)")
     rng = named_rng(seed, "batchify", epoch)
     order = rng.permutation(len(corpus.pairs))
-    by_len = sorted(order, key=lambda idx: row_width(corpus.pairs[idx]))
+    by_width = order[np.argsort(widths[order], kind="stable")]
     batches: list[list[int]] = []
     current: list[int] = []
-    width = 0
-    for idx in by_len:
-        w = max(width, row_width(corpus.pairs[idx]))
-        if current and (len(current) + 1) * w > token_budget:
+    for idx, width in zip(by_width.tolist(), widths[by_width].tolist()):
+        if current and (len(current) + 1) * width > token_budget:
             batches.append(current)
-            current = [idx]
-            width = row_width(corpus.pairs[idx])
-        else:
-            current.append(idx)
-            width = w
-    if current:
-        batches.append(current)
+            current = []
+        current.append(idx)
+    batches.append(current)
     rng.shuffle(batches)
     return (make_batch([corpus.pairs[i] for i in group]) for group in batches)
 

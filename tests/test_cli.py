@@ -223,11 +223,21 @@ def test_non_finite_or_non_positive_floats_fail_before_any_output(tmp_path, caps
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_empty_corpus_fails_without_traceback(tmp_path, capsys):
-    code = run_cli(*tiny_train_args(tmp_path / "run", extra=["--set", "data.count=0"]))
+@pytest.mark.parametrize("value", [0, -5])
+@pytest.mark.parametrize(
+    "command, key", [("train", "count"), ("train", "eval_count"), ("evaluate", "count"), ("evaluate", "eval_count")]
+)
+def test_corpus_count_below_one_fails_before_any_output(tmp_path, capsys, command, key, value):
+    out = tmp_path / "run"
+    if command == "train":
+        argv = tiny_train_args(out)
+    else:
+        argv = ["evaluate", "--checkpoint", str(FIXTURE_CHECKPOINT), "--set", f"out_dir={out}"]
+    code = run_cli(*argv, "--set", f"data.{key}={value}")
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("sslab: error:") and "empty corpus" in err
+    assert err == f"sslab: error: config section 'data': {key} must be >= 1, got {value}\n"
+    assert not list(tmp_path.rglob("*"))
 
 
 def test_outputs_land_in_out_dir_whatever_the_environment(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sslab.data import (
@@ -17,8 +20,10 @@ from sslab.data import (
     gen_task,
     load_tsv_corpus,
     make_batch,
+    row_width,
     split_corpus,
 )
+from sslab.rng import named_rng
 
 
 def test_copy_task_deterministic():
@@ -125,6 +130,101 @@ def test_noisy_map_noise_rate_close_to_rho():
     # substituted tokens can coincide with the clean one, so the observed
     # rate sits slightly below rho
     assert 0.06 < rate < 0.12
+
+
+def _digest(corpus):
+    canonical = json.dumps(corpus.pairs, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, want",
+    [
+        (TaskKind.COPY, {},
+         "1e95be836203067cf2c51391cf32d8d3ea49ba99772c12c88df253c11f4af87f"),
+        (TaskKind.REVERSE, {},
+         "6b3a4d3c58a72328b9dc82a98b1daccdc38e0b13ed40083a91722d6d5b77b30d"),
+        (TaskKind.NOISY_MAP, {"noise": 0.1},
+         "1b1fd8f85c67cd79fea681ca16a36f90fc93834e67f74b2c8ace8510713950be"),
+        (TaskKind.NOISY_MAP, {"noise": 0.1, "history_weight": 1},
+         "619e6f14dc5016488c3aef21f6346bfb9ffcf2c6b27db30c6e96e88040900e5c"),
+        (TaskKind.NOISY_MAP, {"noise": 0.1, "long_length_mass": 0.5},
+         "6d577378e4df020711c9e99a13ebabaddcc1f45ae6782f996217fb00f418fb4e"),
+    ],
+    ids=["copy", "reverse", "map-h0", "map-h1", "long-mass"],
+)
+def test_generated_stream_is_pinned(kind, kwargs, want):
+    # a change here moves every synthetic corpus, checkpoint and curve:
+    # make it on purpose, and name it a data change
+    assert _digest(gen_task(kind, 20, 2, 9, 25, seed=17, **kwargs)) == want
+
+
+def test_negative_count_is_rejected_and_zero_gives_an_empty_corpus():
+    with pytest.raises(DataError, match="count"):
+        gen_task(TaskKind.COPY, 20, 2, 9, -1, seed=0)
+    for kind in TaskKind:
+        assert gen_task(kind, 20, 2, 9, 0, seed=0, noise=0.1, history_weight=1).pairs == []
+
+
+def _lengths(mass, count, min_len=3, max_len=20):
+    corpus = gen_task(TaskKind.COPY, 20, min_len, max_len, count, seed=21, long_length_mass=mass)
+    return np.array([len(src) for src, _ in corpus.pairs])
+
+
+def test_full_long_length_mass_keeps_every_length_in_the_top_band():
+    lengths = _lengths(1.0, 500)
+    assert set(lengths.tolist()) == {17, 18, 19, 20}
+    # a range narrower than the band keeps its floor
+    assert set(_lengths(1.0, 200, min_len=5, max_len=6).tolist()) == {5, 6}
+
+
+def test_zero_long_length_mass_covers_the_whole_range():
+    assert set(_lengths(0.0, 2000).tolist()) == set(range(3, 21))
+
+
+def test_half_long_length_mass_puts_its_share_in_the_top_band():
+    n = 4000
+    band, span = 4, 20 - 3 + 1
+    p = 0.5 + 0.5 * band / span  # the diverted half, plus the uniform half's share of the band
+    share = np.mean(_lengths(0.5, n) >= 17)
+    assert abs(share - p) < 5 * np.sqrt(p * (1 - p) / n)  # five binomial standard deviations
+
+
+def _sorted_plan(pairs, token_budget, seed, epoch):
+    """The batch plan as a stable sort by row_width and a running widest row."""
+    rng = named_rng(seed, "batchify", epoch)
+    order = rng.permutation(len(pairs))
+    by_len = sorted(order, key=lambda idx: row_width(pairs[idx]))
+    batches, current, width = [], [], 0
+    for idx in by_len:
+        w = max(width, row_width(pairs[idx]))
+        if current and (len(current) + 1) * w > token_budget:
+            batches.append(current)
+            current, width = [idx], row_width(pairs[idx])
+        else:
+            current.append(idx)
+            width = w
+    if current:
+        batches.append(current)
+    rng.shuffle(batches)
+    return [[int(i) for i in group] for group in batches]
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 9), st.integers(0, 9)), min_size=1, max_size=80),
+    st.integers(0, 40),
+    st.integers(0, 1000),
+    st.integers(0, 3),
+)
+@example([(1, 0)] * 5 + [(4, 2)] * 7 + [(3, 0)] * 4, 0, 1, 0)  # ties, and a budget equal to the widest row
+@settings(max_examples=60, deadline=None)
+def test_batch_plan_matches_a_stable_sort_by_row_width(shape, slack, seed, epoch):
+    # pair i's source opens with token 5 + i, so each batch names its pairs
+    pairs = [([FIRST_CONTENT_ID + i] * s, [FIRST_CONTENT_ID] * t) for i, (s, t) in enumerate(shape)]
+    corpus = Corpus(pairs, Vocab.numeric(FIRST_CONTENT_ID + len(pairs)))
+    budget = max(map(row_width, pairs)) + slack
+    got = [(b.source[:, 0] - FIRST_CONTENT_ID).tolist() for b in batchify(corpus, budget, seed, epoch)]
+    assert got == _sorted_plan(pairs, budget, seed, epoch)
 
 
 def test_make_batch_sentinels_and_masks():
