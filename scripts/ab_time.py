@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Time one sslab command on two source trees, interleaved in one process.
+
+    python3 scripts/ab_time.py A/src B/src --reps 20 -- evaluate --checkpoint perfbench/fixture/ckpt.bin
+
+Each tree's ``sslab`` package is loaded under its own name (``sslab_a``,
+``sslab_b``); this works because the package imports itself only
+relatively. Every repetition runs the command once per side through that
+tree's ``cli.main``, so the allocator setting ``main`` makes applies to
+both, and the side that goes first alternates. Each command writes to its
+own ``out_dir`` in a temporary directory (appended as ``--set out_dir=...``),
+which is emptied before every run.
+
+Prints, per side, the minimum, quartiles and median of the commands' CPU
+seconds, and how many pairs B won. Exits 1 if a command fails or if the two
+sides' output files differ in name or bytes in any pair (``config.json``,
+which echoes the out_dir, is not compared). BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import os
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import numpy as np
+
+SIDES = ("a", "b")
+
+
+def load_cli(src: Path, side: str):
+    """The ``cli`` module of the ``sslab`` package under ``src``, imported as ``sslab_<side>``."""
+    init = src / "sslab" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"ab_time: no sslab package under {src}")
+    name = f"sslab_{side}"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def run(cli, argv: list[str], out: Path) -> float:
+    """CPU seconds of one command writing to an emptied ``out``."""
+    shutil.rmtree(out, ignore_errors=True)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        start = time.process_time()
+        code = cli.main([*argv, "--set", f"out_dir={out}"])
+        seconds = time.process_time() - start
+    if code != 0:
+        raise SystemExit(f"ab_time: command exited {code}: {sink.getvalue().strip()[-300:]}")
+    return seconds
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """Output files, ``config.json`` aside, missing on one side or differing in bytes."""
+    names = {p.name for d in (a, b) for p in d.iterdir() if p.is_file()} - {"config.json"}
+    return sorted(n for n in names if not ((a / n).is_file() and (b / n).is_file()
+                                           and (a / n).read_bytes() == (b / n).read_bytes()))
+
+
+def summary(seconds: list[float]) -> str:
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return f"min {min(seconds):.3f}  q1 {q1:.3f}  median {median:.3f}  q3 {q3:.3f}  (CPU s, n={len(seconds)})"
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], usage="%(prog)s A_SRC B_SRC [--reps N] -- SSLAB_ARGS..."
+    )
+    p.add_argument("a_src", type=Path, help="the src directory of tree A (the baseline)")
+    p.add_argument("b_src", type=Path, help="the src directory of tree B")
+    p.add_argument("--reps", type=int, default=10, help="pairs of commands to run")
+    argv = sys.argv[1:] if argv is None else argv
+    split = argv.index("--") if "--" in argv else len(argv)
+    args, command = p.parse_args(argv[:split]), argv[split + 1 :]
+    if not command or args.reps < 1:
+        p.error("give --reps >= 1 and the sslab command line after --")
+    clis = {side: load_cli(src.resolve(), side) for side, src in zip(SIDES, (args.a_src, args.b_src))}
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    mismatched: set[str] = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for rep in range(args.reps):
+            for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
+                times[side].append(run(clis[side], command, work / side))
+            mismatched.update(differing(work / "a", work / "b"))
+    for side in SIDES:
+        print(f"{side.upper()}  {summary(times[side])}")
+    won = sum(b < a for a, b in zip(times["a"], times["b"]))
+    change = np.median(times["b"]) / np.median(times["a"]) - 1.0
+    print(f"B faster in {won} of {args.reps} pairs; median {100 * change:+.1f}%")
+    if mismatched:
+        print(f"ab_time: outputs differ between A and B: {sorted(mismatched)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,6 +56,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise DecodeError(f"beam_size must be >= 1, got {self.beam_size}")
+        if self.length_penalty < 0:
+            raise DecodeError(f"length_penalty must be >= 0, got {self.length_penalty}")
         if self.max_length < 1:
             raise DecodeError(f"max_length must be >= 1, got {self.max_length}")
 
@@ -183,6 +185,7 @@ def beam_search(
         if not live.size:
             break
         n, k = scores.shape
+        at = np.arange(n)[:, None]  # each source's row, for indexing along the beam or candidate axis
         logp = step_fn(beams.reshape(n * k, -1), np.repeat(live, k), parent_rows)
         total = scores[:, :, None] + logp.reshape(n, k, vocab_size)
         penalty = length_penalty(t + 1, alpha)
@@ -191,19 +194,19 @@ def beam_search(
         # raw-score ranking
         ends = total[:, :, eos] / penalty
         ending = ends.argmax(axis=1)
-        for i in np.flatnonzero(ends[np.arange(n), ending] > best[live]):
+        for i in np.flatnonzero(ends[at[:, 0], ending] > best[live]):
             best[live[i]] = ends[i, ending[i]]
             finishes[live[i]] = beams[i, ending[i], 1:].tolist()
         total[:, :, eos] = -np.inf
         flat = total.reshape(n, -1)
         width = min(decode_cfg.beam_size, k * (vocab_size - 1))
         top = np.argpartition(-flat, width - 1, axis=1)[:, :width]
-        top = np.take_along_axis(top, np.argsort(-np.take_along_axis(flat, top, axis=1), axis=1), axis=1)
+        top = top[at, np.argsort(-flat[at, top], axis=1)]
         parents, tokens = np.divmod(top, vocab_size)
-        beams = np.concatenate([np.take_along_axis(beams, parents[:, :, None], axis=1), tokens[:, :, None]], axis=2)
-        scores = np.take_along_axis(flat, top, axis=1)
+        beams = np.concatenate([beams[at, parents], tokens[:, :, None]], axis=2)
+        scores = flat[at, top]
         going = ~(np.isfinite(best[live]) & (scores.max(axis=1) / penalty <= best[live]))
-        parent_rows = (np.arange(n)[:, None] * k + parents)[going].reshape(-1)
+        parent_rows = (at * k + parents)[going].reshape(-1)
         live, beams, scores = live[going], beams[going], scores[going]
     finished = np.isfinite(best)
     # a source that finished nothing is still live: its best live beam stands in

@@ -179,13 +179,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` bit for bit: numpy's sum then in-place ``intp`` divide, minus its wrapper."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+
+
 def _apply(
     data: np.ndarray,
     parents: tuple[Tensor, ...],
     backward_fn: Callable,
 ) -> Tensor:
     requires = _ACTIVE_TAPE is not None and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
+    out = Tensor.__new__(Tensor)  # slots set directly, without __init__'s keyword call
+    out.data, out.grad, out.requires_grad, out.node_id = np.asarray(data), None, requires, None
     if requires:
         _ACTIVE_TAPE.record(out, parents, backward_fn)
     return out
@@ -261,17 +268,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
             f"layer_norm gain/bias must match the last axis: x {x.data.shape}, "
             f"gain {gain.data.shape}, bias {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x.data)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _mean_last(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
 
     def bwd(g):
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = _mean_last(dxhat)
+        m2 = _mean_last(dxhat * xhat)
         dx = inv_std * (dxhat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead)
@@ -364,9 +371,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
 
     def bwd(g):
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
         return (g.transpose(inverse),)
 
     return _apply(x.data.transpose(axes), (x,), bwd)

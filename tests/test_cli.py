@@ -240,6 +240,16 @@ def test_corpus_count_below_one_fails_before_any_output(tmp_path, capsys, comman
     assert not list(tmp_path.rglob("*"))
 
 
+@pytest.mark.parametrize("command", ["evaluate", "decode"])
+def test_negative_length_penalty_fails_before_any_output(tmp_path, capsys, command):
+    code = run_cli(command, "--checkpoint", str(FIXTURE_CHECKPOINT), "--set", f"out_dir={tmp_path / 'run'}",
+                   "--set", "decode.length_penalty=-1")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "sslab: error: config section 'decode': length_penalty must be >= 0, got -1.0\n"
+    assert not list(tmp_path.rglob("*"))
+
+
 def test_outputs_land_in_out_dir_whatever_the_environment(tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SSLAB_OUT_DIR", str(env_dir))

@@ -90,3 +90,41 @@ def test_gap_experiment_is_one_training_run_and_a_gap_curve_per_checkpoint(tmp_p
     for step in (2, 4):
         for name in ("training_precision.csv", "inference_precision.csv", "gap.csv"):
             assert (out / f"step{step}" / name).is_file()
+
+
+AB_TIME = [sys.executable, str(SCRIPTS / "ab_time.py")]
+SRC = SCRIPTS.parent / "src"
+FIXTURE_CHECKPOINT = SCRIPTS.parent / "perfbench" / "fixture" / "ckpt.bin"
+
+
+def test_ab_time_compares_a_tree_with_itself():
+    done = subprocess.run(
+        [*AB_TIME, str(SRC), str(SRC), "--reps", "2", "--",
+         "evaluate", "--checkpoint", str(FIXTURE_CHECKPOINT), "--set", "data.eval_count=4"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[:2]] == [["A", "min"], ["B", "min"]]
+    assert lines[2].startswith("B faster in ") and " of 2 pairs" in lines[2]
+
+
+def test_ab_time_fails_when_the_trees_write_different_outputs(tmp_path):
+    trees = []
+    for side, text in (("a", "one"), ("b", "two")):
+        package = tmp_path / side / "sslab"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(
+            "from pathlib import Path\n\n\n"
+            "def main(argv):\n"
+            "    out = Path(argv[-1].split('=', 1)[1])\n"
+            "    out.mkdir(parents=True)\n"
+            f"    (out / 'config.json').write_text({text!r})\n"
+            f"    (out / 'result.txt').write_text({text!r})\n"
+            "    return 0\n"
+        )
+        trees.append(str(tmp_path / side))
+    done = subprocess.run([*AB_TIME, *trees, "--reps", "1", "--", "any"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "outputs differ between A and B: ['result.txt']" in done.stderr

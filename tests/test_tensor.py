@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 import weakref
@@ -410,6 +411,39 @@ def test_weighted_embedding_mix_composition_equals_its_reference_rule(dtype, v, 
         for fn in (T.weighted_embedding_mix, reference_weighted_embedding_mix)
     ]
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# wrapper-free forms against the numpy calls they replaced
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.one_of(st.sampled_from([45, 50, 63]), st.integers(1, 300)),
+    st.floats(-1e3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_mean_helper_equals_ndarray_mean_bit_for_bit(dtype, lead, width, loc, seed):
+    a = np.random.default_rng(seed).normal(loc, 1.0 + abs(loc), size=(*lead, width)).astype(dtype)
+    got, want = T._mean_last(a), a.mean(axis=-1, keepdims=True)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_transpose_backward_undoes_every_permutation(rank):
+    shape = tuple(range(2, 2 + rank))  # distinct sizes, so a wrong inverse cannot fit
+    data = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+    for axes in itertools.permutations(range(rank)):
+        upstream = np.random.default_rng(list(axes)).normal(size=data.transpose(axes).shape)
+        _, [(_, grad_shape, grad_bytes)], _ = _run_against_upstream(
+            lambda x: T.transpose(x, axes), [parameter(data)], upstream
+        )
+        assert grad_shape == shape
+        assert grad_bytes == upstream.transpose(np.argsort(axes)).tobytes()
 
 
 # ---------------------------------------------------------------------------
