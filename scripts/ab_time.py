@@ -12,9 +12,13 @@ own ``out_dir`` in a temporary directory (appended as ``--set out_dir=...``),
 which is emptied before every run.
 
 Prints, per side, the minimum, quartiles and median of the commands' CPU
-seconds, and how many pairs B won. Exits 1 if a command fails or if the two
-sides' output files differ in name or bytes in any pair (``config.json``,
-which echoes the out_dir, is not compared). BLAS runs on one thread.
+seconds, and how many pairs B won. When the command decodes, it prints the
+same for the CPU seconds spent inside ``cli.decode_corpus`` alone (the time
+the benchmark's decode rates divide by), since set-up, a teacher-forced
+pass and the metrics dilute a change to decoding. Exits 1 if a command
+fails or if the two sides' output files differ in name or bytes in any
+pair (``config.json``, which echoes the out_dir, is not compared). BLAS
+runs on one thread.
 """
 
 from __future__ import annotations
@@ -52,17 +56,33 @@ def load_cli(src: Path, side: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run(cli, argv: list[str], out: Path) -> float:
-    """CPU seconds of one command writing to an emptied ``out``."""
+def run(cli, argv: list[str], out: Path) -> tuple[float, float | None]:
+    """CPU seconds of one command writing to an emptied ``out``, and of its ``decode_corpus`` calls (None if none)."""
     shutil.rmtree(out, ignore_errors=True)
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    decoding: list[float] = []
+    decode_corpus = getattr(cli, "decode_corpus", None)
+
+    def timed(*args, **kwargs):
         start = time.process_time()
-        code = cli.main([*argv, "--set", f"out_dir={out}"])
-        seconds = time.process_time() - start
+        try:
+            return decode_corpus(*args, **kwargs)
+        finally:
+            decoding.append(time.process_time() - start)
+
+    sink = io.StringIO()
+    if decode_corpus is not None:
+        cli.decode_corpus = timed
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            start = time.process_time()
+            code = cli.main([*argv, "--set", f"out_dir={out}"])
+            seconds = time.process_time() - start
+    finally:
+        if decode_corpus is not None:
+            cli.decode_corpus = decode_corpus
     if code != 0:
         raise SystemExit(f"ab_time: command exited {code}: {sink.getvalue().strip()[-300:]}")
-    return seconds
+    return seconds, sum(decoding) if decoding else None
 
 
 def differing(a: Path, b: Path) -> list[str]:
@@ -75,6 +95,15 @@ def differing(a: Path, b: Path) -> list[str]:
 def summary(seconds: list[float]) -> str:
     q1, median, q3 = np.percentile(seconds, [25, 50, 75])
     return f"min {min(seconds):.3f}  q1 {q1:.3f}  median {median:.3f}  q3 {q3:.3f}  (CPU s, n={len(seconds)})"
+
+
+def compare(times: dict[str, list[float]], label: str = "") -> None:
+    """Each side's summary, then the pairs B won and the change in the median, tagged with ``label``."""
+    for side in SIDES:
+        print("  ".join(filter(None, (side.upper(), label, summary(times[side])))))
+    won = sum(b < a for a, b in zip(times["a"], times["b"]))
+    change = np.median(times["b"]) / np.median(times["a"]) - 1.0
+    print(f"{label + ': ' if label else ''}B faster in {won} of {len(times['a'])} pairs; median {100 * change:+.1f}%")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,18 +120,19 @@ def main(argv: list[str] | None = None) -> int:
         p.error("give --reps >= 1 and the sslab command line after --")
     clis = {side: load_cli(src.resolve(), side) for side, src in zip(SIDES, (args.a_src, args.b_src))}
     times: dict[str, list[float]] = {side: [] for side in SIDES}
+    decoding: dict[str, list[float | None]] = {side: [] for side in SIDES}
     mismatched: set[str] = set()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for rep in range(args.reps):
             for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
-                times[side].append(run(clis[side], command, work / side))
+                seconds, decode_seconds = run(clis[side], command, work / side)
+                times[side].append(seconds)
+                decoding[side].append(decode_seconds)
             mismatched.update(differing(work / "a", work / "b"))
-    for side in SIDES:
-        print(f"{side.upper()}  {summary(times[side])}")
-    won = sum(b < a for a, b in zip(times["a"], times["b"]))
-    change = np.median(times["b"]) / np.median(times["a"]) - 1.0
-    print(f"B faster in {won} of {args.reps} pairs; median {100 * change:+.1f}%")
+    compare(times)
+    if all(s is not None for side in SIDES for s in decoding[side]):
+        compare(decoding, "decode_corpus")
     if mismatched:
         print(f"ab_time: outputs differ between A and B: {sorted(mismatched)}", file=sys.stderr)
         return 1

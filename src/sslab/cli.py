@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import hashlib
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (
-    FIRST_CONTENT_ID, Corpus, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, make_batch, row_width,
+    FIRST_CONTENT_ID, Corpus, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, row_width,
     split_corpus,
 )
 from .decode import DecodeConfig, check_against_model
@@ -39,6 +40,7 @@ from .metrics import (
     empirical_schedule,
     fuzzy_precision_per_step,
     gap_curve,
+    length_sorted_batches,
     strict_precision_per_step,
     token_accuracy,
     write_curve_csv,
@@ -438,15 +440,12 @@ def _content_targets(corpus: Corpus) -> list[list[int]]:
 
 
 def _teacher_forced_predictions(params: ModelParams, corpus: Corpus) -> list[list[int]]:
-    """Argmax continuation at every golden prefix, trimmed to content length."""
-    preds: list[list[int]] = []
-    for lo in range(0, len(corpus.pairs), BATCH_ROWS):
-        chunk = corpus.pairs[lo : lo + BATCH_ROWS]
-        batch = make_batch(chunk)
-        logits = teacher_forced_logits(params, batch)
-        argmax = logits.argmax(axis=-1)
-        for i, (_, tgt) in enumerate(chunk):
-            preds.append(argmax[i, : len(tgt)].tolist())
+    """Argmax continuation at every golden prefix, trimmed to content length, in corpus order."""
+    preds: list[list[int]] = [[] for _ in corpus.pairs]
+    for indices, batch in length_sorted_batches(corpus, BATCH_ROWS):
+        argmax = teacher_forced_logits(params, batch).argmax(axis=-1)
+        for row, i in enumerate(indices.tolist()):
+            preds[i] = argmax[row, : len(corpus.pairs[i][1])].tolist()
     return preds
 
 
@@ -495,8 +494,10 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
     fuzzy = fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window)
     write_curve_csv(out / "strict_precision.csv", strict)
     write_curve_csv(out / "fuzzy_precision.csv", fuzzy)
+    # the checkpoint's digest, not its path, so that a report does not depend on where the run sits
+    digest = hashlib.sha256(Path(checkpoint).read_bytes()).hexdigest()
     report = {
-        "checkpoint": str(checkpoint),
+        "checkpoint_sha256": digest,
         "checkpoint_step": step,
         "pairs": len(refs),
         "token_accuracy": accuracy,
@@ -504,7 +505,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
     }
     _write_json(out / "report.json", report)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"checkpoint      : {checkpoint} (step {step})\n")
+        fh.write(f"checkpoint      : sha256 {digest} (step {step})\n")
         fh.write(f"eval pairs      : {len(refs)}\n")
         fh.write(f"token accuracy  : {accuracy:.4f}\n")
         fh.write(f"bleu (toy scale): {bleu:.4f}\n")

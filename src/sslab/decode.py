@@ -17,9 +17,10 @@ first names each row's parent among the previous call's rows. The one
 model adapter, ``decode_batch``, runs either search on the transformer
 scorer, which decodes incrementally: it computes the encoder states
 and their ``SourceState`` (cross-attention keys/values and source masks)
-once per batch and regathers that state only when the calls' source rows
-change; it keeps a self-attention key/value cache across calls, gathered
-by those parents, and so projects one new position per row and step.
+once per batch, keeps one state row per source that a source's beams
+all read, and regathers that state only when the calls' sources change;
+it keeps a self-attention key/value cache across calls, gathered by
+those parents, and so projects one new position per row and step.
 """
 
 from __future__ import annotations
@@ -89,35 +90,48 @@ def transformer_scorer(params: ModelParams, source: np.ndarray, source_mask: np.
 
     Encoder states, every layer's cross-attention keys/values and the
     source masks are computed once here, in a base ``SourceState`` over the
-    batch's rows. The state a call reads is regathered from that base only
-    when the call's ``rows`` differ from the previous call's. The
-    per-hypothesis self-attention cache follows ``parents``: a call gathers
-    it in that order, unless every row extends the previous call's row at
-    its own index, and decodes only the newest position; that one gather
-    follows greedy's shrinking alive set and beam reordering alike. A call
-    without parents decodes its full prefixes from an empty cache through
-    the same step function.
+    batch's rows. A call whose ``rows`` are runs of k equal rows (a beam
+    search's k beams per source) reads one state row per run; k is 1 for
+    greedy and for any rows that do not form equal runs. The state is
+    regathered from the base only when those source rows differ from the
+    previous call's. The per-hypothesis self-attention cache follows
+    ``parents``: a call gathers it in that order, unless every row extends
+    the previous call's row at its own index, and decodes only the newest
+    position; that one gather follows greedy's shrinking alive set and beam
+    reordering alike. A call without parents decodes its full prefixes
+    from an empty cache through the same step function.
     """
     with no_grad():
         enc = encode(params, source, source_mask)
         base = source_state(params, enc, source_mask)
     state, state_rows = base, np.arange(source.shape[0])
     cache: DecoderCache | None = None
+    previous = 0  # rows of the previous call
 
     def step(prefixes: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
-        nonlocal state, state_rows, cache
+        nonlocal state, state_rows, cache, previous
         if parents is None:
             cache, new = DecoderCache.empty(params.config, len(rows)), prefixes
         else:
-            if not np.array_equal(parents, np.arange(len(state_rows))):  # still the previous call's rows
+            if not np.array_equal(parents, np.arange(previous)):  # still the previous call's rows
                 cache = cache.take(parents)
             new = prefixes[:, -1:]
-        if not np.array_equal(rows, state_rows):
-            state, state_rows = base.take(rows), np.array(rows)
+        previous = len(rows)
+        sources = rows[:: _run_length(rows)]
+        if not np.array_equal(sources, state_rows):
+            state, state_rows = base.take(sources), np.array(sources)
         logits = decode_step_logits(params, state, embed_targets(params, new), cache=cache)
         return _log_softmax(logits.data[:, -1, :])
 
     return step
+
+
+def _run_length(rows: np.ndarray) -> int:
+    """k when ``rows`` is runs of k equal consecutive values, else 1."""
+    k = int(np.argmax(rows != rows[0])) or len(rows)  # the first run's length
+    if k == 1 or len(rows) % k or not (rows.reshape(-1, k) == rows[::k, None]).all():
+        return 1
+    return k
 
 
 def check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:

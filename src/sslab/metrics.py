@@ -7,8 +7,10 @@ anywhere in the reference window centered on the same position.
 Inference-side precision uses a small window; training-side (strict)
 precision and token accuracy are the window-1 case. ``decode_corpus``
 decodes a corpus in calls of at most ``BATCH_ROWS`` rows, the size the
-CLI's teacher-forced pass uses too. ``empirical_schedule`` turns an
-inference-side curve into an ``empirical`` schedule, and ``gap_curve``
+CLI's teacher-forced pass uses too; both take their batches from
+``length_sorted_batches``, so a batch pads only to its own widest source
+and a decode stops near its own longest one. ``empirical_schedule`` turns
+an inference-side curve into an ``empirical`` schedule, and ``gap_curve``
 subtracts an inference-side curve from a training-side one; ``sslab
 gap-curve`` writes the gap and the schedule next to the two curves.
 
@@ -22,11 +24,11 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import Corpus, NULL_ID, make_batch
+from .data import Batch, Corpus, NULL_ID, make_batch
 from .decode import DecodeConfig, decode_batch
 from .model import ModelParams
 from .schedules import Family, ScheduleSpec
@@ -146,18 +148,31 @@ def token_accuracy(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -
     return int(hits.sum()) / int(totals.sum())
 
 
+def length_sorted_batches(corpus: Corpus, per_batch: int) -> Iterator[tuple[np.ndarray, Batch]]:
+    """(corpus indices, their batch) of ``per_batch`` pairs each, in ascending source length.
+
+    The order is a stable argsort of the source lengths, so ties keep
+    corpus order; each batch is built when it is drawn.
+    """
+    lengths = np.fromiter((len(src) for src, _ in corpus.pairs), dtype=np.int64, count=len(corpus.pairs))
+    order = np.argsort(lengths, kind="stable")
+    for lo in range(0, len(order), per_batch):
+        indices = order[lo : lo + per_batch]
+        yield indices, make_batch([corpus.pairs[i] for i in indices.tolist()])
+
+
 def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[list[int]]:
-    """Decode every source in order through ``decode.decode_batch``.
+    """One hypothesis per source, in corpus order, decoded through ``decode.decode_batch``.
 
     ``BATCH_ROWS`` caps the rows of each scorer call: a batch holds
     ``BATCH_ROWS // beam_size`` sources (at least one), since each source
     holds up to ``beam_size`` live beams; greedy decodes ``BATCH_ROWS``.
+    Batches come from ``length_sorted_batches``.
     """
-    per_batch = max(1, BATCH_ROWS // decode_cfg.beam_size)
-    hyps: list[list[int]] = []
-    for lo in range(0, len(corpus.pairs), per_batch):
-        batch = make_batch(corpus.pairs[lo : lo + per_batch])
-        hyps.extend(decode_batch(params, batch.source, batch.source_mask, decode_cfg))
+    hyps: list[list[int]] = [[] for _ in corpus.pairs]
+    for indices, batch in length_sorted_batches(corpus, max(1, BATCH_ROWS // decode_cfg.beam_size)):
+        for i, hyp in zip(indices.tolist(), decode_batch(params, batch.source, batch.source_mask, decode_cfg)):
+            hyps[i] = hyp
     return hyps
 
 

@@ -312,16 +312,17 @@ def output_logits(params: ModelParams, x: Tensor) -> Tensor:
 
 @dataclass
 class SourceState:
-    """What every decoder pass reads of its source, one row per hypothesis.
+    """What every decoder pass reads of its sources, one row per source.
 
     ``cross`` holds every decoder layer's cross-attention keys/values
     [rows, heads, m, head_dim]; ``key_mask`` (1 on real keys, 0 on
     padding) and ``additive`` (0 or NEG_INF) are the source key masks
     [rows, 1, 1, m], in the model dtype. ``source_state`` builds it once
     per batch and every decoder pass over that batch reads it; in training
-    the passes' gradients sum in its keys/values. A hypothesis's source
-    never changes, so none of this needs regathering while beams reorder
-    among the same source rows.
+    the passes' gradients sum in its keys/values. A decoder pass may hold
+    k hypotheses per row (a source's beams, consecutive), which all read
+    that one row, so none of this needs regathering while beams reorder
+    among the same sources.
     """
 
     cross: list[tuple[Tensor, Tensor]]
@@ -379,9 +380,14 @@ def decode_step_logits(
     Arguments are the parameters, the ``source`` the pass reads, then the
     decoder embeddings [B, n, H]. Position t attends only to decoder
     positions <= t, so perturbing the input at t can change logits at
-    positions >= t but never earlier ones. Cross-attention reads
-    ``source``, one row per decoder row. With ``rng`` the pass applies
-    dropout from that stream; without it the pass runs in evaluation mode.
+    positions >= t but never earlier ones. B is k times ``source``'s rows:
+    decoder rows i * k to i * k + k - 1 read source row i. Cross-attention
+    takes them as k * n query positions of that one row ([B, n, H] viewed
+    as [rows, k * n, H]), which attends as k copies of the row would,
+    since no mask lies between queries; BLAS may round a k-row product
+    differently from k one-row products. Training passes have k = 1.
+    With ``rng`` the pass applies dropout from that stream; without it the
+    pass runs in evaluation mode.
 
     Without ``cache`` the inputs are the whole prefix, and the pass records
     on the tape when one is active. With a cache the inputs are the n
@@ -391,7 +397,8 @@ def decode_step_logits(
     """
     cfg = params.config
     rows = source.key_mask.data.shape[0]
-    if decoder_embeddings.data.shape[0] != rows:
+    k, rest = divmod(decoder_embeddings.data.shape[0], rows)
+    if rest or not k:
         raise ValueError(f"batch mismatch: decoder {decoder_embeddings.data.shape} vs {rows} source rows")
     with no_grad() if cache is not None else contextlib.nullcontext():
         offset = 0 if cache is None else cache.offset
@@ -413,7 +420,14 @@ def decode_step_logits(
                 self_kv = tuple(constant(a) for a in cache.self_kv[i])
             self_attn = _attention(params, f"dec{i}/self_attn", x, causal, None, self_kv)
             x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng)
-            cross = _attention(params, f"dec{i}/cross_attn", x, source.additive, source.key_mask, source.cross[i])
+            # the grouped view is passed, not kept: holding this layer's input past the
+            # _post_norm below raised a 64-row teacher-forced pass's peak RSS by ~4 MB
+            cross = _attention(
+                params, f"dec{i}/cross_attn", x if k == 1 else reshape(x, (rows, k * n, cfg.hidden_size)),
+                source.additive, source.key_mask, source.cross[i],
+            )
+            if k > 1:
+                cross = reshape(cross, x.data.shape)
             x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng)
             x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng)
         if cache is not None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 
 from sslab import cli
 from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
-from sslab.data import Vocab, gen_task
-from sslab.model import ModelConfig, init_params
+from sslab.data import TaskKind, Vocab, gen_task, make_batch
+from sslab.model import ModelConfig, init_params, teacher_forced_logits
 from sslab.rng import named_rng
 from sslab.schedules import Family, ScheduleSpec, eval_schedule
 from sslab.tensor import load_checkpoint, save_checkpoint
@@ -499,6 +500,37 @@ def test_evaluate_deterministic(trained_run, tmp_path):
         )
         outs.append((out / "report.json").read_text())
     assert outs[0] == outs[1]
+
+
+def test_teacher_forced_predictions_come_back_in_corpus_order(trained_copy_model):
+    params, config = trained_copy_model
+    corpus = gen_task(TaskKind.COPY, config.vocab_size, 1, 6, 70, seed=96)  # two batches of at most 64 rows
+    lengths = [len(src) for src, _ in corpus.pairs]
+    assert lengths != sorted(lengths)
+    want = [
+        teacher_forced_logits(params, make_batch([pair])).argmax(axis=-1)[0, : len(pair[1])].tolist()
+        for pair in corpus.pairs
+    ]
+    assert cli._teacher_forced_predictions(params, corpus) == want
+
+
+def test_evaluate_reports_name_the_checkpoint_by_digest_and_step(tmp_path):
+    fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "ckpt.bin"
+    reports = []
+    for place in ("here", "there/deeper"):
+        ckpt = tmp_path / place / "ckpt.bin"
+        ckpt.parent.mkdir(parents=True)
+        for suffix in ("", ".json"):
+            Path(f"{ckpt}{suffix}").write_bytes(Path(f"{fixture}{suffix}").read_bytes())
+        out = tmp_path / place / "eval"
+        assert run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={out}",
+                       "--set", "data.eval_count=4") == 0
+        reports.append({name: (out / name).read_bytes() for name in ("report.json", "report.txt")})
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0]["report.json"])
+    assert report["checkpoint_sha256"] == hashlib.sha256(fixture.read_bytes()).hexdigest()
+    assert report["checkpoint_step"] == 1500
+    assert str(tmp_path) not in reports[0]["report.txt"].decode()
 
 
 @pytest.fixture(scope="module")

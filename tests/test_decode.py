@@ -19,6 +19,7 @@ from sslab.decode import (
     transformer_scorer,
 )
 import sslab.decode as decode_module
+import sslab.metrics as metrics_module
 import sslab.model as model_module
 from sslab.metrics import decode_corpus
 from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params, source_state
@@ -324,6 +325,19 @@ def test_cached_scorer_follows_beam_reordering_and_duplicated_parents(dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cached_scorer_follows_beams_that_share_a_source_row(dtype):
+    cfg, check = _scorer_pair(dtype)
+    bos = BOS_ID
+    check([[bos], [bos]], [1, 3])
+    check([[bos, 7], [bos, 9], [bos, 5], [bos, 8]], [1, 1, 3, 3])  # two beams per source: k = 2
+    # source 3 stops and source 1's beams extend the previous call's rows 0 and 1: parents are
+    # [0, 1], the identity over this call's source rows but not over the previous call's four rows
+    check([[bos, 7, 6], [bos, 9, 8]], [1, 1])
+    check([[bos, 7, 6, 5], [bos, 7, 6, 6], [bos, 9, 8, 5], [bos, 9, 8, 7]], [1, 1, 1, 1])  # k = 4
+    check([[bos, 7, 6, 6, 6], [bos, 9, 8, 5, 6], [bos, 9, 8, 5, 7]], [1, 1, 1])  # k = 3
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_call_without_parents_mid_search_recomputes_from_an_empty_cache(dtype):
     cfg, check = _scorer_pair(dtype)
     bos = BOS_ID
@@ -480,12 +494,22 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
         model_steps.append(emb.data.shape[0])
         return decode_step_logits(params, source, emb, **kwargs)
 
+    widths = []  # padded source width of each batch
+
+    def spying_decode_batch(params, source, source_mask, dcfg):
+        widths.append(source.shape[1])
+        return decode_batch(params, source, source_mask, dcfg)
+
     # the benchmark cuts tokens_per_s at each call of the scorer bound on sslab.decode
     monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
     monkeypatch.setattr(decode_module, "decode_step_logits", counting_step_logits)
+    monkeypatch.setattr(metrics_module, "decode_batch", spying_decode_batch)
+    lengths = [len(src) for src, _ in corpus.pairs]
+    assert lengths != sorted(lengths)  # batches run in length order, so hypotheses must be put back
     hyps = decode_corpus(params, corpus, dcfg)
     assert hyps == want
-    assert len(calls) == batches  # 64 rows per call hold 64 sources at beam 1, 16 at beam 4
+    assert len(calls) == len(widths) == batches  # 64 rows per call hold 64 sources at beam 1, 16 at beam 4
+    assert widths == sorted(widths)
     assert [n for batch_calls in calls for n in batch_calls] == model_steps  # the probe sees every decoder pass
     assert all(0 < len(batch_calls) <= dcfg.max_length for batch_calls in calls)
     assert max(model_steps) <= 64
@@ -519,13 +543,49 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
         return got
 
     beam_search(step, cfg.vocab_size, DecodeConfig(beam_size=3, max_length=12), len(corpus.pairs))
+    # a call's source rows: one per run of a source's beams, which all read that source's state row
+    sources = [rows[np.r_[True, rows[1:] != rows[:-1]]] for rows in calls]
+    assert any(len(rows) > len(s) for rows, s in zip(calls, sources))  # beams fill up without a gather
     changed = [
-        rows for prev, rows in zip([np.arange(len(corpus.pairs))] + calls, calls)
-        if not np.array_equal(prev, rows)
+        s for prev, s in zip([np.arange(len(corpus.pairs))] + sources, sources) if not np.array_equal(prev, s)
     ]
-    assert len(changed) >= 3  # beams fill up, then sources stop at different steps
+    assert len(changed) >= 2  # sources stop at different steps
     assert len(gathers) == len(changed)
-    assert all(np.array_equal(g, rows) for g, rows in zip(gathers, changed))
+    assert all(np.array_equal(g, s) for g, s in zip(gathers, changed))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_beams_sharing_a_source_row_give_the_logits_of_a_row_per_beam(dtype, k):
+    cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
+    params = init_params(cfg, named_rng(61, "init"))
+    batch = make_batch(gen_task(TaskKind.COPY, cfg.vocab_size, 2, 9, 3, seed=61).pairs)
+    sources = batch.size
+    prefixes = named_rng(62, "prefixes").integers(5, cfg.vocab_size, size=(sources * k, 6))
+    prefixes[:, 0] = BOS_ID
+    with no_grad():
+        shared = source_state(params, encode(params, batch.source, batch.source_mask), batch.source_mask)
+    per_beam = shared.take(np.repeat(np.arange(sources), k))
+
+    def logits(state, ids, cache=None):
+        with no_grad():
+            return decode_step_logits(params, state, embed_targets(params, ids), cache=cache).data
+
+    # n > 1 without a cache, as a full-prefix pass runs: bit for bit
+    assert np.array_equal(logits(shared, prefixes), logits(per_beam, prefixes))
+    # n > 1 into an empty cache, then n = 1 positions from it, as the scorer runs. With n = 1 a row
+    # per beam is a one-row product, which numpy hands to BLAS gemv, while k beams sharing a row are
+    # a k-row gemm; the two kernels sum in different orders, so those logits agree to a few ulps
+    caches = [model_module.DecoderCache.empty(cfg, sources * k) for _ in range(2)]
+    for lo, hi in ((0, 4), (4, 5), (5, 6)):
+        got, want = (logits(state, prefixes[:, lo:hi], cache) for state, cache in zip((shared, per_beam), caches))
+        assert got.dtype == np.dtype(dtype)
+        if hi - lo > 1:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=16 * np.finfo(dtype).eps * np.abs(want).max())
+    with pytest.raises(ValueError, match="batch mismatch"):
+        logits(shared, prefixes[: sources * k - 1])
 
 
 @pytest.mark.parametrize("beam", range(1, 6))

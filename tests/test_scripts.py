@@ -105,8 +105,14 @@ def test_ab_time_compares_a_tree_with_itself():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
+    assert len(lines) == 6
     assert [line.split()[:2] for line in lines[:2]] == [["A", "min"], ["B", "min"]]
     assert lines[2].startswith("B faster in ") and " of 2 pairs" in lines[2]
+    # the decode alone, inside the whole command
+    assert [line.split()[:3] for line in lines[3:5]] == [["A", "decode_corpus", "min"], ["B", "decode_corpus", "min"]]
+    assert lines[5].startswith("decode_corpus: B faster in ") and " of 2 pairs" in lines[5]
+    for whole, decode in zip(lines[:2], lines[3:5]):
+        assert 0 < float(decode.split()[3]) <= float(whole.split()[2])  # minimum CPU seconds
 
 
 def test_ab_time_fails_when_the_trees_write_different_outputs(tmp_path):
@@ -127,4 +133,5 @@ def test_ab_time_fails_when_the_trees_write_different_outputs(tmp_path):
         trees.append(str(tmp_path / side))
     done = subprocess.run([*AB_TIME, *trees, "--reps", "1", "--", "any"], capture_output=True, text=True, timeout=60)
     assert done.returncode == 1
+    assert "decode_corpus" not in done.stdout  # a command that does not decode gets no decode lines
     assert "outputs differ between A and B: ['result.txt']" in done.stderr
