@@ -12,7 +12,10 @@ own ``out_dir`` in a temporary directory (appended as ``--set out_dir=...``),
 which is emptied before every run.
 
 Prints, per side, the minimum, quartiles and median of the commands' CPU
-seconds, and how many pairs B won. When the command decodes, it prints the
+seconds, and how many pairs B won. When the command trains, it prints the
+same for the CPU seconds from the command's start to its first drawn batch
+(the in-command set-up: corpora, model, batch plan), since the training
+steps dilute a change to set-up. When the command decodes, it prints the
 same for the CPU seconds spent inside ``cli.decode_corpus`` alone (the time
 the benchmark's decode rates divide by), since set-up, a teacher-forced
 pass and the metrics dilute a change to decoding. Exits 1 if a command
@@ -56,33 +59,48 @@ def load_cli(src: Path, side: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run(cli, argv: list[str], out: Path) -> tuple[float, float | None]:
-    """CPU seconds of one command writing to an emptied ``out``, and of its ``decode_corpus`` calls (None if none)."""
+def run(cli, argv: list[str], out: Path) -> tuple[float, float | None, float | None]:
+    """CPU seconds of one command writing to an emptied ``out``, from its start to its first drawn
+    batch (None if it draws none), and of its ``decode_corpus`` calls (None if none)."""
     shutil.rmtree(out, ignore_errors=True)
+    first_batch: list[float] = []
     decoding: list[float] = []
-    decode_corpus = getattr(cli, "decode_corpus", None)
+    originals = {name: getattr(cli, name, None) for name in ("batch_stream", "decode_corpus")}
+
+    def streamed(*args, **kwargs):
+        stream = originals["batch_stream"](*args, **kwargs)
+
+        def batches():
+            for batch in stream:
+                if not first_batch:
+                    first_batch.append(time.process_time() - start)
+                yield batch
+        return batches()
 
     def timed(*args, **kwargs):
-        start = time.process_time()
+        begin = time.process_time()
         try:
-            return decode_corpus(*args, **kwargs)
+            return originals["decode_corpus"](*args, **kwargs)
         finally:
-            decoding.append(time.process_time() - start)
+            decoding.append(time.process_time() - begin)
 
+    probes = {"batch_stream": streamed, "decode_corpus": timed}
     sink = io.StringIO()
-    if decode_corpus is not None:
-        cli.decode_corpus = timed
+    for name, original in originals.items():
+        if original is not None:
+            setattr(cli, name, probes[name])
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             start = time.process_time()
             code = cli.main([*argv, "--set", f"out_dir={out}"])
             seconds = time.process_time() - start
     finally:
-        if decode_corpus is not None:
-            cli.decode_corpus = decode_corpus
+        for name, original in originals.items():
+            if original is not None:
+                setattr(cli, name, original)
     if code != 0:
         raise SystemExit(f"ab_time: command exited {code}: {sink.getvalue().strip()[-300:]}")
-    return seconds, sum(decoding) if decoding else None
+    return seconds, first_batch[0] if first_batch else None, sum(decoding) if decoding else None
 
 
 def differing(a: Path, b: Path) -> list[str]:
@@ -120,19 +138,22 @@ def main(argv: list[str] | None = None) -> int:
         p.error("give --reps >= 1 and the sslab command line after --")
     clis = {side: load_cli(src.resolve(), side) for side, src in zip(SIDES, (args.a_src, args.b_src))}
     times: dict[str, list[float]] = {side: [] for side in SIDES}
+    first_batch: dict[str, list[float | None]] = {side: [] for side in SIDES}
     decoding: dict[str, list[float | None]] = {side: [] for side in SIDES}
     mismatched: set[str] = set()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for rep in range(args.reps):
             for side in SIDES if rep % 2 == 0 else SIDES[::-1]:
-                seconds, decode_seconds = run(clis[side], command, work / side)
+                seconds, setup_seconds, decode_seconds = run(clis[side], command, work / side)
                 times[side].append(seconds)
+                first_batch[side].append(setup_seconds)
                 decoding[side].append(decode_seconds)
             mismatched.update(differing(work / "a", work / "b"))
     compare(times)
-    if all(s is not None for side in SIDES for s in decoding[side]):
-        compare(decoding, "decode_corpus")
+    for label, part in (("first_batch", first_batch), ("decode_corpus", decoding)):
+        if all(s is not None for side in SIDES for s in part[side]):
+            compare(part, label)
     if mismatched:
         print(f"ab_time: outputs differ between A and B: {sorted(mismatched)}", file=sys.stderr)
         return 1

@@ -29,8 +29,7 @@ from typing import Mapping, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (
-    FIRST_CONTENT_ID, Corpus, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, row_width,
-    split_corpus,
+    FIRST_CONTENT_ID, Corpus, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, split_corpus,
 )
 from .decode import DecodeConfig, check_against_model
 from .metrics import (
@@ -289,7 +288,7 @@ def _resolve_model_config(cfg: RunConfig, corpus: Corpus) -> ModelConfig:
             f"model.vocab_size {doc['vocab_size']} != corpus vocabulary {vocab.size}"
         )
     if cfg.data.task == "tsv":  # the TSV reader ignores data.max_len
-        widest = max((row_width(pair) for pair in corpus.pairs), default=0)
+        widest = int(corpus.row_widths().max(initial=0))
         if doc["max_positions"] < widest:
             raise ConfigError(
                 f"model.max_positions {doc['max_positions']} too small for the widest training pair ({widest} positions)"
@@ -397,10 +396,8 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         params = init_params(model_cfg, named_rng(cfg.seed, "init"))
         start_step = 0
-    batches = batch_stream(train_corpus, cfg.data.token_budget, hash_seed(cfg.seed, "batches"))
-    # the stream is stateless per epoch; skip ahead so resumed runs see new data
-    for _ in range(start_step):
-        next(batches)
+    # a resumed run's stream seeks past the batches the earlier steps drew, so it sees new data
+    batches = batch_stream(train_corpus, cfg.data.token_budget, hash_seed(cfg.seed, "batches"), start=start_step)
 
     last_checkpoint = None
 
@@ -435,17 +432,13 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _content_targets(corpus: Corpus) -> list[list[int]]:
-    return [tgt for _, tgt in corpus.pairs]
-
-
 def _teacher_forced_predictions(params: ModelParams, corpus: Corpus) -> list[list[int]]:
     """Argmax continuation at every golden prefix, trimmed to content length, in corpus order."""
-    preds: list[list[int]] = [[] for _ in corpus.pairs]
+    preds: list[list[int]] = [[] for _ in range(len(corpus))]
     for indices, batch in length_sorted_batches(corpus, BATCH_ROWS):
         argmax = teacher_forced_logits(params, batch).argmax(axis=-1)
-        for row, i in enumerate(indices.tolist()):
-            preds[i] = argmax[row, : len(corpus.pairs[i][1])].tolist()
+        for row, (i, n) in enumerate(zip(indices.tolist(), corpus.target_lengths[indices].tolist())):
+            preds[i] = argmax[row, :n].tolist()
     return preds
 
 
@@ -456,7 +449,7 @@ def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelPar
     params, step = _load_checkpoint_for(checkpoint, eval_corpus)
     # checked here so that no command runs a model pass it cannot finish
     limit = params.config.max_positions
-    widest = max((row_width(pair) for pair in eval_corpus.pairs), default=0)
+    widest = int(eval_corpus.row_widths().max(initial=0))
     if widest > limit:
         raise ConfigError(f"the checkpoint's model.max_positions {limit} is too small for the widest eval pair "
                           f"({widest} positions)")
@@ -466,7 +459,7 @@ def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelPar
 
 def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
-    refs = _content_targets(eval_corpus)
+    refs = eval_corpus.target_rows()
 
     train_preds = _teacher_forced_predictions(params, eval_corpus)
     train_curve = strict_precision_per_step(train_preds, refs)
@@ -485,7 +478,7 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
     out, eval_corpus, params, step = _eval_setup(cfg, checkpoint)
-    refs = _content_targets(eval_corpus)
+    refs = eval_corpus.target_rows()
     hyps = decode_corpus(params, eval_corpus, cfg.decode)
 
     accuracy = token_accuracy(hyps, refs)

@@ -1,9 +1,11 @@
 """Synthetic seq2seq tasks, TSV corpus loading, vocabulary and batching.
 
-Token ids 0..4 are reserved (pad, begin, end, unknown, null-match);
-content tokens start at 5. Target rows in a batch carry the begin
-sentinel up front and exactly one end sentinel before the padding, so a
-batch can be sliced directly into decoder inputs and next-token labels.
+A corpus is held as flat token arrays with per-pair lengths, and every
+step from generation to a padded batch works on whole arrays. Token ids
+0..4 are reserved (pad, begin, end, unknown, null-match); content tokens
+start at 5. Target rows in a batch carry the begin sentinel up front and
+exactly one end sentinel before the padding, so a batch can be sliced
+directly into decoder inputs and next-token labels.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -73,13 +76,70 @@ class Vocab:
         return Vocab(tuple(str(i) for i in range(FIRST_CONTENT_ID, vocab_size)))
 
 
-@dataclass
+def _gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat positions of the rows at ``starts`` with ``lengths``, row after row."""
+    offsets = np.cumsum(lengths) - lengths  # where each row begins in the output
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _rows(tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+    ids = tokens.tolist()
+    return [ids[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
+
+
+@dataclass(eq=False)
 class Corpus:
-    pairs: list[tuple[list[int], list[int]]]
+    """A parallel corpus held flat: each side's pairs back to back in one int64 array.
+
+    Pair i's source is ``sources[source_starts[i] : source_starts[i] +
+    source_lengths[i]]``, and likewise its target; the starts are derived
+    from the lengths. Nothing here copies per pair: subsets and batches
+    gather by index arrays.
+    """
+
+    sources: np.ndarray  # [total source tokens] int64
+    source_lengths: np.ndarray  # [pairs] int64
+    targets: np.ndarray  # [total target tokens] int64
+    target_lengths: np.ndarray  # [pairs] int64
     vocab: Vocab
+    source_starts: np.ndarray = field(init=False, repr=False)
+    target_starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.source_starts = np.cumsum(self.source_lengths) - self.source_lengths
+        self.target_starts = np.cumsum(self.target_lengths) - self.target_lengths
+
+    @staticmethod
+    def from_pairs(pairs: Sequence[tuple[Sequence[int], Sequence[int]]], vocab: Vocab) -> "Corpus":
+        def side(k: int) -> tuple[np.ndarray, np.ndarray]:
+            rows = [pair[k] for pair in pairs]
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())), lengths
+
+        return Corpus(*side(0), *side(1), vocab)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.source_lengths)
+
+    @property
+    def pairs(self) -> list[tuple[list[int], list[int]]]:
+        """Every pair as (source ids, target ids) lists: a copy built on each access."""
+        return list(zip(_rows(self.sources, self.source_starts, self.source_lengths), self.target_rows()))
+
+    def target_rows(self) -> list[list[int]]:
+        return _rows(self.targets, self.target_starts, self.target_lengths)
+
+    def row_widths(self) -> np.ndarray:
+        """Positions each pair's widest padded row takes: the source, or the target and its two sentinels."""
+        return np.maximum(self.source_lengths, self.target_lengths + 2)
+
+    def take(self, rows: np.ndarray) -> "Corpus":
+        """The pairs at ``rows``, in that order, with the same vocabulary."""
+        src_lens, tgt_lens = self.source_lengths[rows], self.target_lengths[rows]
+        return Corpus(
+            self.sources[_gather(self.source_starts[rows], src_lens)], src_lens,
+            self.targets[_gather(self.target_starts[rows], tgt_lens)], tgt_lens, self.vocab,
+        )
 
 
 @dataclass
@@ -150,9 +210,9 @@ def gen_task(
     from the task's stream: every length, then (when ``long_length_mass``
     is set) one Bernoulli block and one block of top-band lengths, then
     the sources as one flat block, then the noise flips and substitutes
-    as flat blocks. Pairs are slices of the flat blocks. The h != 0
-    recurrence runs as one loop over positions, covering at each
-    position every pair that long.
+    as flat blocks. The corpus keeps the source and target blocks as they
+    are, with the lengths. The h != 0 recurrence runs as one loop over
+    positions, covering at each position every pair that long.
     """
     kind = TaskKind(kind)
     vocab = Vocab.numeric(vocab_size)
@@ -186,8 +246,11 @@ def gen_task(
         flip = rng.random(total) < noise if noise > 0.0 else np.zeros(total, dtype=bool)
         subs = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total) if noise > 0.0 else src
         clean = (src - FIRST_CONTENT_ID) * a + map_b  # the map before the history term and the modulus
-        if history_weight == 0:
-            tgt = np.where(flip, subs, clean % content + FIRST_CONTENT_ID)
+        if history_weight == 0:  # in place: the blocks are the corpus's size
+            tgt = clean
+            tgt %= content
+            tgt += FIRST_CONTENT_ID
+            np.copyto(tgt, subs, where=flip)
         else:
             tgt = np.empty(total, dtype=np.int64)
             first = starts[np.argsort(-lengths)]  # longest pairs first
@@ -199,9 +262,7 @@ def gen_task(
                 tok = np.where(flip[pos], subs[pos], (clean[pos] + history) % content + FIRST_CONTENT_ID)
                 tgt[pos] = tok
                 prev = tok - FIRST_CONTENT_ID
-    src_ids, tgt_ids = src.tolist(), tgt.tolist()
-    pairs = [(src_ids[s:e], tgt_ids[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
-    return Corpus(pairs, vocab)
+    return Corpus(src, lengths, tgt, lengths, vocab)
 
 
 def load_tsv_corpus(path, vocab: Vocab | None = None) -> Corpus:
@@ -209,6 +270,7 @@ def load_tsv_corpus(path, vocab: Vocab | None = None) -> Corpus:
 
     When ``vocab`` is None a vocabulary is built from the file (training
     split); otherwise unknown words map to the unknown id (eval splits).
+    The encoded pairs go flat through ``Corpus.from_pairs``.
     """
     rows: list[tuple[list[str], list[str]]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -230,33 +292,63 @@ def load_tsv_corpus(path, vocab: Vocab | None = None) -> Corpus:
             for w in tgt:
                 seen.setdefault(w, None)
         vocab = Vocab(tuple(seen))
-    pairs = [(vocab.encode(src), vocab.encode(tgt)) for src, tgt in rows]
-    return Corpus(pairs, vocab)
+    return Corpus.from_pairs([(vocab.encode(src), vocab.encode(tgt)) for src, tgt in rows], vocab)
 
 
-def make_batch(pairs: Sequence[tuple[list[int], list[int]]]) -> Batch:
-    b = len(pairs)
-    m = max(len(src) for src, _ in pairs)
-    n = max(len(tgt) for _, tgt in pairs) + 2  # sentinels
+def make_batch(corpus: Corpus, rows: np.ndarray) -> Batch:
+    """The padded batch of the pairs at ``rows``, in that order.
+
+    Every matrix is filled by array indexing: a row-major boolean mask
+    assignment lays each side's gathered tokens row after row.
+    """
+    src_lens, content = corpus.source_lengths[rows], corpus.target_lengths[rows]
+    b, m, n = len(rows), int(src_lens.max()), int(content.max()) + 2  # sentinels
+    cols = np.arange(max(m, n))
+    source_mask = cols[:m] < src_lens[:, None]
     source = np.full((b, m), PAD_ID, dtype=np.int64)
+    source[source_mask] = corpus.sources[_gather(corpus.source_starts[rows], src_lens)]
     target = np.full((b, n), PAD_ID, dtype=np.int64)
-    src_lens = np.zeros(b, dtype=np.int64)
-    tgt_lens = np.zeros(b, dtype=np.int64)
-    for i, (src, tgt) in enumerate(pairs):
-        source[i, : len(src)] = src
-        row = [BOS_ID, *tgt, EOS_ID]
-        target[i, : len(row)] = row
-        src_lens[i] = len(src)
-        tgt_lens[i] = len(row)
-    source_mask = np.arange(m)[None, :] < src_lens[:, None]
-    target_mask = np.arange(n)[None, :] < tgt_lens[:, None]
+    target[:, 0] = BOS_ID
+    target[:, 1:][cols[: n - 1] < content[:, None]] = corpus.targets[_gather(corpus.target_starts[rows], content)]
+    target[np.arange(b), content + 1] = EOS_ID
+    tgt_lens = content + 2
+    target_mask = cols[:n] < tgt_lens[:, None]
     return Batch(source, source_mask, target, target_mask, src_lens, tgt_lens)
 
 
-def row_width(pair: tuple[list[int], list[int]]) -> int:
-    """Positions the pair's widest padded row takes: the source, or the target and its two sentinels."""
-    src, tgt = pair
-    return max(len(src), len(tgt) + 2)
+def _packing(corpus: Corpus, token_budget: int) -> tuple[np.ndarray, list[int]]:
+    """Each pair's row width, and where the pairs in ascending width split into batches.
+
+    A batch closes before the row that would take rows x width past the
+    budget, and ascending widths make a row's width its batch's widest.
+    The split depends only on the sorted widths, so it is the same in
+    every epoch; it is found one width at a time, not one pair at a time.
+    """
+    if not len(corpus):
+        raise DataError("cannot batch an empty corpus")
+    widths = corpus.row_widths()
+    values, counts = np.unique(widths, return_counts=True)
+    if values[-1] > token_budget:
+        raise DataError(f"token budget {token_budget} below widest pair ({values[-1]} tokens)")
+    cuts: list[int] = []
+    rows = pos = 0  # rows in the open batch; pairs placed so far
+    for width, n in zip(values.tolist(), counts.tolist()):
+        fit = token_budget // width  # rows of this width a batch may hold
+        if rows >= fit:
+            cuts.append(pos)
+            rows = 0
+        # the open batch takes fit - rows of the n pairs, and new batches of fit take the rest
+        cuts.extend(range(pos + fit - rows, pos + n, fit))
+        rows, pos = (rows + n - 1) % fit + 1, pos + n
+    return widths, cuts
+
+
+def _epoch_plan(widths: np.ndarray, cuts: list[int], seed: int, epoch: int) -> list[np.ndarray]:
+    rng = named_rng(seed, "batchify", epoch)
+    order = rng.permutation(len(widths))
+    groups = np.split(order[np.argsort(widths[order], kind="stable")], cuts)
+    rng.shuffle(groups)
+    return groups
 
 
 def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> Iterator[Batch]:
@@ -264,50 +356,37 @@ def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> It
 
     The cap is rows x widest row <= token_budget (the padded matrix is
     what costs memory and compute). Pair order is shuffled per epoch,
-    grouped by length, and batch order is shuffled again; everything is
-    deterministic given (seed, epoch). Each pair's ``row_width`` is taken
-    once; a stable argsort of the shuffled widths gives the order a stable
-    sort by ``row_width`` gives, and rows are packed in ascending width, so
-    a row's own width is its batch's widest. The checks and the plan run
-    at the call; each batch is built when it is drawn.
+    grouped by ``Corpus.row_widths``, and batch order is shuffled again;
+    everything is deterministic given (seed, epoch). A stable argsort of
+    the shuffled widths orders the pairs, and rows are packed in ascending
+    width, so a row's own width is its batch's widest. The checks and the
+    plan run at the call; each batch is built when it is drawn.
     """
-    if not corpus.pairs:
-        raise DataError("cannot batch an empty corpus")
-    widths = np.fromiter(map(row_width, corpus.pairs), dtype=np.int64, count=len(corpus.pairs))
-    widest = int(widths.max())
-    if widest > token_budget:
-        raise DataError(f"token budget {token_budget} below widest pair ({widest} tokens)")
-    rng = named_rng(seed, "batchify", epoch)
-    order = rng.permutation(len(corpus.pairs))
-    by_width = order[np.argsort(widths[order], kind="stable")]
-    batches: list[list[int]] = []
-    current: list[int] = []
-    for idx, width in zip(by_width.tolist(), widths[by_width].tolist()):
-        if current and (len(current) + 1) * width > token_budget:
-            batches.append(current)
-            current = []
-        current.append(idx)
-    batches.append(current)
-    rng.shuffle(batches)
-    return (make_batch([corpus.pairs[i] for i in group]) for group in batches)
+    widths, cuts = _packing(corpus, token_budget)
+    return (make_batch(corpus, rows) for rows in _epoch_plan(widths, cuts, seed, epoch))
 
 
-def batch_stream(corpus: Corpus, token_budget: int, seed: int) -> Iterator[Batch]:
-    """Endless batch iterator; each epoch reshuffles under its own stream."""
-    epoch = 0
+def batch_stream(corpus: Corpus, token_budget: int, seed: int, start: int = 0) -> Iterator[Batch]:
+    """Endless batch iterator; each epoch reshuffles under its own stream.
+
+    Every epoch holds the same number of batches, so ``start`` skips that
+    many by seeking to its epoch and offset: no skipped batch is built.
+    """
+    widths, cuts = _packing(corpus, token_budget)
+    epoch, skip = divmod(start, len(cuts) + 1)
     while True:
-        yield from batchify(corpus, token_budget, seed, epoch)
-        epoch += 1
+        for rows in _epoch_plan(widths, cuts, seed, epoch)[skip:]:
+            yield make_batch(corpus, rows)
+        epoch, skip = epoch + 1, 0
 
 
 def split_corpus(corpus: Corpus, eval_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Deterministic train/eval split preserving the vocabulary."""
+    """Deterministic train/eval split preserving the vocabulary; each side keeps corpus order."""
     if not 0.0 < eval_fraction < 1.0:
         raise DataError(f"eval fraction must lie in (0, 1), got {eval_fraction}")
     rng = named_rng(seed, "split")
-    order = rng.permutation(len(corpus.pairs))
-    n_eval = max(1, int(round(eval_fraction * len(corpus.pairs))))
-    eval_idx = set(order[:n_eval].tolist())
-    train_pairs = [p for i, p in enumerate(corpus.pairs) if i not in eval_idx]
-    eval_pairs = [p for i, p in enumerate(corpus.pairs) if i in eval_idx]
-    return Corpus(train_pairs, corpus.vocab), Corpus(eval_pairs, corpus.vocab)
+    order = rng.permutation(len(corpus))
+    n_eval = max(1, int(round(eval_fraction * len(corpus))))
+    held = np.zeros(len(corpus), dtype=bool)
+    held[order[:n_eval]] = True
+    return corpus.take(np.flatnonzero(~held)), corpus.take(np.flatnonzero(held))

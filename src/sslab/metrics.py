@@ -154,11 +154,10 @@ def length_sorted_batches(corpus: Corpus, per_batch: int) -> Iterator[tuple[np.n
     The order is a stable argsort of the source lengths, so ties keep
     corpus order; each batch is built when it is drawn.
     """
-    lengths = np.fromiter((len(src) for src, _ in corpus.pairs), dtype=np.int64, count=len(corpus.pairs))
-    order = np.argsort(lengths, kind="stable")
+    order = np.argsort(corpus.source_lengths, kind="stable")
     for lo in range(0, len(order), per_batch):
         indices = order[lo : lo + per_batch]
-        yield indices, make_batch([corpus.pairs[i] for i in indices.tolist()])
+        yield indices, make_batch(corpus, indices)
 
 
 def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[list[int]]:
@@ -169,7 +168,7 @@ def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig)
     holds up to ``beam_size`` live beams; greedy decodes ``BATCH_ROWS``.
     Batches come from ``length_sorted_batches``.
     """
-    hyps: list[list[int]] = [[] for _ in corpus.pairs]
+    hyps: list[list[int]] = [[] for _ in range(len(corpus))]
     for indices, batch in length_sorted_batches(corpus, max(1, BATCH_ROWS // decode_cfg.beam_size)):
         for i, hyp in zip(indices.tolist(), decode_batch(params, batch.source, batch.source_mask, decode_cfg)):
             hyps[i] = hyp

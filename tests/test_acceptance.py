@@ -16,8 +16,9 @@ from scipy.stats import spearmanr
 
 import mpmath as mp
 
+from batching import batch_of
 from gradcheck import max_rel_error, numeric_grads
-from sslab.data import TaskKind, batch_stream, gen_task, make_batch
+from sslab.data import TaskKind, batch_stream, gen_task
 from sslab.decode import DecodeConfig, beam_search, length_penalty
 from sslab.metrics import (
     decode_corpus,
@@ -210,7 +211,7 @@ def micro_setup():
         label_smoothing=0.1, max_positions=16, param_dtype="float64",
     )
     params = init_params(cfg, named_rng(303, "init"))
-    batch = make_batch([([5, 6, 7, 8, 9], [10, 5, 6, 7]), ([7, 8], [9, 10, 5, 6])])
+    batch = batch_of([([5, 6, 7, 8, 9], [10, 5, 6, 7]), ([7, 8], [9, 10, 5, 6])])
     return cfg, params, batch
 
 
@@ -325,7 +326,7 @@ def test_criterion_4_degenerate_equivalence_bitwise():
             )
             for _ in range(3)
         ]
-        batch = make_batch(pairs)
+        batch = batch_of(pairs)
         seed = 9000 + trial
 
         with Tape() as tape:

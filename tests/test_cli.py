@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from batching import batch_of
 from sslab import cli
 from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
-from sslab.data import TaskKind, Vocab, gen_task, make_batch
+from sslab.data import TaskKind, Vocab, gen_task
 from sslab.model import ModelConfig, init_params, teacher_forced_logits
 from sslab.rng import named_rng
 from sslab.schedules import Family, ScheduleSpec, eval_schedule
@@ -508,7 +509,7 @@ def test_teacher_forced_predictions_come_back_in_corpus_order(trained_copy_model
     lengths = [len(src) for src, _ in corpus.pairs]
     assert lengths != sorted(lengths)
     want = [
-        teacher_forced_logits(params, make_batch([pair])).argmax(axis=-1)[0, : len(pair[1])].tolist()
+        teacher_forced_logits(params, batch_of([pair])).argmax(axis=-1)[0, : len(pair[1])].tolist()
         for pair in corpus.pairs
     ]
     assert cli._teacher_forced_predictions(params, corpus) == want

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from batching import batch_of
 from sslab.data import (
     BOS_ID,
     EOS_ID,
@@ -16,14 +17,21 @@ from sslab.data import (
     DataError,
     TaskKind,
     Vocab,
+    Batch,
+    batch_stream,
     batchify,
     gen_task,
     load_tsv_corpus,
     make_batch,
-    row_width,
     split_corpus,
 )
 from sslab.rng import named_rng
+
+
+def row_width(pair):
+    """Positions the pair's widest padded row takes: the source, or the target and its two sentinels."""
+    src, tgt = pair
+    return max(len(src), len(tgt) + 2)
 
 
 def test_copy_task_deterministic():
@@ -221,14 +229,14 @@ def _sorted_plan(pairs, token_budget, seed, epoch):
 def test_batch_plan_matches_a_stable_sort_by_row_width(shape, slack, seed, epoch):
     # pair i's source opens with token 5 + i, so each batch names its pairs
     pairs = [([FIRST_CONTENT_ID + i] * s, [FIRST_CONTENT_ID] * t) for i, (s, t) in enumerate(shape)]
-    corpus = Corpus(pairs, Vocab.numeric(FIRST_CONTENT_ID + len(pairs)))
+    corpus = Corpus.from_pairs(pairs, Vocab.numeric(FIRST_CONTENT_ID + len(pairs)))
     budget = max(map(row_width, pairs)) + slack
     got = [(b.source[:, 0] - FIRST_CONTENT_ID).tolist() for b in batchify(corpus, budget, seed, epoch)]
     assert got == _sorted_plan(pairs, budget, seed, epoch)
 
 
 def test_make_batch_sentinels_and_masks():
-    batch = make_batch([([5, 6], [7, 8, 9]), ([10], [11])])
+    batch = batch_of([([5, 6], [7, 8, 9]), ([10], [11])])
     assert batch.target[0, 0] == BOS_ID and batch.target[1, 0] == BOS_ID
     for row, n in zip(batch.target, batch.target_lengths):
         assert row[n - 1] == EOS_ID
@@ -256,7 +264,7 @@ def test_batchify_respects_budget_and_partitions_corpus():
 
 
 def test_batchify_single_pair():
-    corpus = Corpus([([5, 6, 7], [8, 9])], Vocab.numeric(12))
+    corpus = Corpus.from_pairs([([5, 6, 7], [8, 9])], Vocab.numeric(12))
     batches = list(batchify(corpus, token_budget=512, seed=0))
     assert len(batches) == 1 and batches[0].size == 1
 
@@ -342,3 +350,126 @@ def test_padding_masks_cover_exactly_beyond_lengths(seed, vocab_size):
             tm = batch.target_mask[i]
             assert tm[: batch.target_lengths[i]].all()
             assert not tm[batch.target_lengths[i] :].any()
+
+
+def _make_batch_by_rows(pairs):
+    """The per-row batch builder the flat ``make_batch`` replaced, kept as its oracle."""
+    b = len(pairs)
+    m = max(len(src) for src, _ in pairs)
+    n = max(len(tgt) for _, tgt in pairs) + 2  # sentinels
+    source = np.full((b, m), PAD_ID, dtype=np.int64)
+    target = np.full((b, n), PAD_ID, dtype=np.int64)
+    src_lens = np.zeros(b, dtype=np.int64)
+    tgt_lens = np.zeros(b, dtype=np.int64)
+    for i, (src, tgt) in enumerate(pairs):
+        source[i, : len(src)] = src
+        row = [BOS_ID, *tgt, EOS_ID]
+        target[i, : len(row)] = row
+        src_lens[i] = len(src)
+        tgt_lens[i] = len(row)
+    source_mask = np.arange(m)[None, :] < src_lens[:, None]
+    target_mask = np.arange(n)[None, :] < tgt_lens[:, None]
+    return Batch(source, source_mask, target, target_mask, src_lens, tgt_lens)
+
+
+def _assert_same_batch(got, want):
+    for name in ("source", "source_mask", "target", "target_mask", "source_lengths", "target_lengths"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+_token_rows = st.lists(st.integers(FIRST_CONTENT_ID, 30), min_size=1, max_size=12)
+
+
+@given(
+    st.lists(st.tuples(_token_rows, _token_rows), min_size=1, max_size=20),  # lengths differ, as in TSV pairs
+    st.data(),
+)
+@example([([5], [6])], None)  # a single row of length-1 pairs
+@example([([5, 6, 7], [8]), ([9], [10, 11, 12, 13])], None)
+@settings(max_examples=80, deadline=None)
+def test_make_batch_matches_the_per_row_builder(pairs, data):
+    corpus = Corpus.from_pairs(pairs, Vocab.numeric(31))
+    if data is None:
+        rows = list(range(len(pairs)))
+    else:  # any rows, in any order, repeats allowed
+        rows = data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=12))
+    _assert_same_batch(make_batch(corpus, np.array(rows)), _make_batch_by_rows([pairs[i] for i in rows]))
+
+
+@given(st.lists(st.tuples(_token_rows, _token_rows), max_size=20))
+@settings(max_examples=40, deadline=None)
+def test_from_pairs_round_trips(pairs):
+    corpus = Corpus.from_pairs(pairs, Vocab.numeric(31))
+    assert corpus.pairs == [(list(src), list(tgt)) for src, tgt in pairs]
+    again = Corpus.from_pairs(corpus.pairs, corpus.vocab)
+    for name in ("sources", "source_lengths", "targets", "target_lengths", "source_starts", "target_starts"):
+        assert getattr(again, name).dtype == np.int64
+        assert np.array_equal(getattr(again, name), getattr(corpus, name))
+    assert corpus.target_rows() == [tgt for _, tgt in corpus.pairs]
+
+
+def test_pairs_is_a_copy():
+    corpus = gen_task(TaskKind.COPY, 20, 2, 5, 6, seed=1)
+    view = corpus.pairs
+    view[0][0][0] = -1
+    view.clear()
+    assert len(corpus.pairs) == 6 and corpus.pairs[0][0][0] >= FIRST_CONTENT_ID
+
+
+@pytest.mark.parametrize("kind, fraction", [(TaskKind.COPY, 0.1), (TaskKind.NOISY_MAP, 0.37), (TaskKind.REVERSE, 0.9)])
+def test_split_corpus_matches_the_set_filter(kind, fraction):
+    corpus = gen_task(kind, 30, 1, 9, 83, seed=4, noise=0.2)
+    train, held = split_corpus(corpus, fraction, seed=5)
+    # the filter split_corpus replaced: test every pair against a set of eval indices
+    order = named_rng(5, "split").permutation(len(corpus))
+    eval_idx = set(order[: max(1, int(round(fraction * len(corpus))))].tolist())
+    pairs = corpus.pairs
+    assert train.pairs == [p for i, p in enumerate(pairs) if i not in eval_idx]
+    assert held.pairs == [p for i, p in enumerate(pairs) if i in eval_idx]
+    assert train.vocab is corpus.vocab and held.vocab is corpus.vocab
+
+
+def test_tsv_with_unknown_words_loads_to_the_encoded_pairs(tmp_path):
+    train = tmp_path / "train.tsv"
+    train.write_text("a b c\tx y\nb\tz x y w\n\nc a\tw\n", encoding="utf-8")
+    corpus = load_tsv_corpus(train)
+    assert corpus.vocab.tokens == ("a", "b", "c", "x", "y", "z", "w")
+    enc = corpus.vocab.encode
+    assert corpus.pairs == [(enc("a b c".split()), enc("x y".split())), (enc(["b"]), enc("z x y w".split())),
+                            (enc("c a".split()), enc(["w"]))]
+    test = tmp_path / "test.tsv"
+    test.write_text("a q b\tx\nr\ts t y\n", encoding="utf-8")
+    held = load_tsv_corpus(test, vocab=corpus.vocab)
+    assert held.pairs == [([5, UNK_ID, 6], [8]), ([UNK_ID], [UNK_ID, UNK_ID, 9])]
+
+
+def test_an_empty_corpus_cannot_be_batched():
+    empty = gen_task(TaskKind.COPY, 20, 2, 5, 0, seed=1)
+    assert len(empty) == 0 and empty.pairs == []
+    with pytest.raises(DataError, match="empty"):
+        batchify(empty, 64, seed=0)
+    with pytest.raises(DataError, match="empty"):
+        next(batch_stream(empty, 64, seed=0))
+
+
+def test_batch_stream_seeks_to_any_start():
+    corpus = gen_task(TaskKind.NOISY_MAP, 30, 2, 14, 60, seed=6, noise=0.2)
+    per_epoch = len(list(batchify(corpus, 96, seed=8)))
+    assert per_epoch > 2
+    whole = batch_stream(corpus, 96, seed=8)
+    want = [next(whole) for _ in range(2 * per_epoch + 3)]
+    for start in range(per_epoch + 3):  # past the first epoch boundary
+        seeked = batch_stream(corpus, 96, seed=8, start=start)
+        for batch in want[start : start + per_epoch]:
+            _assert_same_batch(next(seeked), batch)
+
+
+def test_batch_stream_builds_no_skipped_batch(monkeypatch):
+    import sslab.data as data
+
+    built = []
+    monkeypatch.setattr(data, "make_batch", lambda corpus, rows: built.append(rows) or "batch")
+    corpus = gen_task(TaskKind.COPY, 30, 2, 14, 60, seed=6)
+    stream = batch_stream(corpus, 96, seed=8, start=1000)
+    assert next(stream) == "batch" and len(built) == 1

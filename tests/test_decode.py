@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
+from batching import batch_of
 from sslab.cli import build_corpora, load_model_checkpoint, load_run_config
 from sslab.data import BOS_ID, EOS_ID, TaskKind, batch_stream, gen_task, make_batch
 from sslab.decode import (
@@ -189,7 +190,7 @@ def tiny_config(**kw):
 
 def test_greedy_max_length_one(trained_copy_model):
     params, cfg = trained_copy_model
-    batch = make_batch([([5, 6, 7], [5, 6, 7])])
+    batch = batch_of([([5, 6, 7], [5, 6, 7])])
     out = decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=1, max_length=1))
     assert all(len(seq) <= 1 for seq in out)
 
@@ -197,7 +198,7 @@ def test_greedy_max_length_one(trained_copy_model):
 def test_greedy_deterministic(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 10, seed=45)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     dcfg = DecodeConfig(beam_size=1, max_length=12)
     a = decode_batch(params, batch.source, batch.source_mask, dcfg)
     b = decode_batch(params, batch.source, batch.source_mask, dcfg)
@@ -207,7 +208,7 @@ def test_greedy_deterministic(trained_copy_model):
 def test_converged_copy_model_copies_heldout(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 40, seed=46)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     out = decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=1, max_length=12))
     hits = sum(
         seq == batch.source[i, : batch.source_lengths[i]].tolist() for i, seq in enumerate(out)
@@ -218,7 +219,7 @@ def test_converged_copy_model_copies_heldout(trained_copy_model):
 def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 20, seed=47)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     dcfg = DecodeConfig(beam_size=1, max_length=12)
     greedy = decode_batch(params, batch.source, batch.source_mask, dcfg)
     scorer = transformer_scorer(params, batch.source, batch.source_mask)
@@ -229,7 +230,7 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
 
 def test_decode_batch_order_and_beam_scores(trained_copy_model):
     params, cfg = trained_copy_model
-    batch = make_batch([([5, 6, 7], [5, 6, 7]), ([8, 9, 10, 11], [8, 9, 10, 11])])
+    batch = batch_of([([5, 6, 7], [5, 6, 7]), ([8, 9, 10, 11], [8, 9, 10, 11])])
     dcfg = DecodeConfig(beam_size=4, max_length=12)
     results = beam_search(transformer_scorer(params, batch.source, batch.source_mask), cfg.vocab_size, dcfg, 2)
     assert [r.tokens for r in results] == [[5, 6, 7], [8, 9, 10, 11]]
@@ -241,7 +242,7 @@ def test_decode_batch_order_and_beam_scores(trained_copy_model):
 @pytest.mark.parametrize("beam", [1, 4])
 def test_decode_rejects_overlong_max_length(trained_copy_model, beam):
     params, cfg = trained_copy_model
-    batch = make_batch([([5], [5])])
+    batch = batch_of([([5], [5])])
     with pytest.raises(DecodeError, match="max_positions"):
         decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=1000))
 
@@ -277,7 +278,7 @@ def _scorer_pair(dtype, seed=60, b=4):
     cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
     params = init_params(cfg, named_rng(seed, "init"))
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 7, b, seed=seed)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     cached = transformer_scorer(params, batch.source, batch.source_mask)
     full = full_prefix_scorer(params, batch.source, batch.source_mask)
     previous = None  # the previous call's (rows, prefixes)
@@ -354,7 +355,7 @@ def test_call_without_parents_mid_search_recomputes_from_an_empty_cache(dtype):
 def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, beam):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=48)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     dcfg = DecodeConfig(beam_size=beam, max_length=12)
     hyps = []
     for make_scorer in (transformer_scorer, full_prefix_scorer):
@@ -445,7 +446,7 @@ def test_lockstep_search_over_no_sources_makes_no_call():
 def test_batched_beam_search_equals_per_source_search(trained_copy_model, beam):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=49)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     dcfg = DecodeConfig(beam_size=beam, max_length=12)
     scorer = transformer_scorer(params, batch.source, batch.source_mask)
     got = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
@@ -471,7 +472,7 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
     run = load_run_config(None, ["seed=1", f"data.eval_count={pairs}", f"decode.beam_size={beam}"])
     dcfg = run.decode
     _, corpus = build_corpora(run)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     if beam == 1:
         want = per_source_greedy_decode(params, batch.source, batch.source_mask, dcfg)
     else:
@@ -523,7 +524,7 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
 def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model, monkeypatch):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 1, 6, 8, seed=50)
-    batch = make_batch(corpus.pairs)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     gathers = []
     take = model_module.SourceState.take
 
@@ -559,7 +560,7 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
 def test_beams_sharing_a_source_row_give_the_logits_of_a_row_per_beam(dtype, k):
     cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
     params = init_params(cfg, named_rng(61, "init"))
-    batch = make_batch(gen_task(TaskKind.COPY, cfg.vocab_size, 2, 9, 3, seed=61).pairs)
+    batch = batch_of(gen_task(TaskKind.COPY, cfg.vocab_size, 2, 9, 3, seed=61).pairs)
     sources = batch.size
     prefixes = named_rng(62, "prefixes").integers(5, cfg.vocab_size, size=(sources * k, 6))
     prefixes[:, 0] = BOS_ID

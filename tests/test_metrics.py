@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslab.data import BOS_ID, EOS_ID, FIRST_CONTENT_ID, NULL_ID, Corpus, TaskKind, Vocab, gen_task, make_batch
+from batching import batch_of
+from sslab.data import BOS_ID, EOS_ID, FIRST_CONTENT_ID, NULL_ID, Corpus, TaskKind, Vocab, gen_task
 from sslab.decode import DecodeConfig, greedy_decode
 from sslab.metrics import (
     MetricsError,
@@ -310,14 +311,14 @@ def test_decode_corpus_preserves_order(trained_copy_model):
 
 def test_length_sorted_batches_cover_the_corpus_in_stable_length_order():
     pairs = [([A] * n, [B] * (7 - n)) for n in (5, 3, 5, 1, 3, 2, 5)]
-    corpus = Corpus(pairs, Vocab(("a", "b")))
+    corpus = Corpus.from_pairs(pairs, Vocab(("a", "b")))
     plan = list(length_sorted_batches(corpus, 3))
     # ties keep corpus order; the last batch takes what is left
     assert [indices.tolist() for indices, _ in plan] == [[3, 5, 1], [4, 0, 2], [6]]
     for indices, batch in plan:
-        want = make_batch([pairs[i] for i in indices.tolist()])
+        want = batch_of([pairs[i] for i in indices.tolist()])
         assert np.array_equal(batch.source, want.source) and np.array_equal(batch.target, want.target)
-    assert list(length_sorted_batches(Corpus([], corpus.vocab), 3)) == []
+    assert list(length_sorted_batches(Corpus.from_pairs([], corpus.vocab), 3)) == []
 
 
 def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):

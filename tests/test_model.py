@@ -4,8 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from batching import batch_of
 from gradcheck import max_rel_error, numeric_grads
-from sslab.data import Batch, TaskKind, batch_stream, gen_task, make_batch
+from sslab.data import Batch, TaskKind, batch_stream, gen_task
 from sslab.model import (
     DecoderCache,
     LengthError,
@@ -49,7 +50,7 @@ def random_batch(rng, vocab, b=3, src_len=5, tgt_len=4):
         src = rng.integers(5, vocab, size=src_len).tolist()
         tgt = rng.integers(5, vocab, size=tgt_len).tolist()
         pairs.append((src, tgt))
-    return make_batch(pairs)
+    return batch_of(pairs)
 
 
 def test_encode_shape_contract():
@@ -63,7 +64,7 @@ def test_encode_shape_contract():
 def test_pad_content_cannot_leak_into_real_positions():
     cfg = tiny_config()
     params = init_params(cfg, named_rng(1, "init"))
-    batch = make_batch([([5, 6, 7, 8], [9, 10]), ([11, 5], [6, 7, 8])])
+    batch = batch_of([([5, 6, 7, 8], [9, 10]), ([11, 5], [6, 7, 8])])
 
     def run(b):
         states = encode(params, b.source, b.source_mask)
@@ -96,7 +97,7 @@ def test_all_pad_source_row_stays_finite_with_zero_context():
     source_mask = np.array([[True, True, True], [False, False, False]])
     states = encode(params, source, source_mask)
     assert np.isfinite(states.data).all()
-    batch = make_batch([([5, 6, 7], [8, 9]), ([5], [10, 11])])
+    batch = batch_of([([5, 6, 7], [8, 9]), ([5], [10, 11])])
     emb = embed_targets(params, batch.decoder_inputs())
     logits = decode_step_logits(params, source_state(params, states, source_mask), emb)
     assert np.isfinite(logits.data).all()
@@ -124,7 +125,7 @@ def test_causality_of_decoder_logits():
 def test_single_token_target_logit_shape():
     cfg = tiny_config()
     params = init_params(cfg, named_rng(4, "init"))
-    batch = make_batch([([5, 6], [7])])
+    batch = batch_of([([5, 6], [7])])
     states = encode(params, batch.source, batch.source_mask)
     emb = embed_targets(params, batch.decoder_inputs()[:, :1])
     logits = decode_step_logits(params, source_state(params, states, batch.source_mask), emb)
@@ -188,7 +189,7 @@ def test_loss_invariant_to_batch_order():
 def test_length_error():
     cfg = tiny_config(max_positions=4)
     params = init_params(cfg, named_rng(12, "init"))
-    batch = make_batch([([5, 6, 7, 8, 9], [5])])
+    batch = batch_of([([5, 6, 7, 8, 9], [5])])
     with pytest.raises(LengthError):
         encode(params, batch.source, batch.source_mask)
 
@@ -207,7 +208,7 @@ def test_micro_model_gradient_check():
                       num_encoder_layers=1, num_decoder_layers=1, dropout=0.0,
                       label_smoothing=0.1, max_positions=16, param_dtype="float64")
     params = init_params(cfg, named_rng(13, "init"))
-    batch = make_batch([([5, 6, 7, 8, 9], [10, 5, 6, 7])])
+    batch = batch_of([([5, 6, 7, 8, 9], [10, 5, 6, 7])])
     assert batch.decoder_inputs().shape[1] == 5
 
     tensors = params.all_tensors()

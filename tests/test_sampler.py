@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sslab.data import TaskKind, batch_stream, gen_task, make_batch
+from batching import batch_of
+from sslab.data import TaskKind, batch_stream, gen_task
 from sslab.model import ModelConfig, init_params, teacher_forcing_loss
 from sslab.rng import named_rng
 from sslab.sampler import (
@@ -50,7 +51,7 @@ def random_batch(rng, vocab, b=3, src_len=5, tgt_len=4):
         src = rng.integers(5, vocab, size=src_len).tolist()
         tgt = rng.integers(5, vocab, size=rng.integers(2, tgt_len + 1)).tolist()
         pairs.append((src, tgt))
-    return make_batch(pairs)
+    return batch_of(pairs)
 
 
 def uniform_sampler(p, **kw):

@@ -111,8 +111,31 @@ def test_ab_time_compares_a_tree_with_itself():
     # the decode alone, inside the whole command
     assert [line.split()[:3] for line in lines[3:5]] == [["A", "decode_corpus", "min"], ["B", "decode_corpus", "min"]]
     assert lines[5].startswith("decode_corpus: B faster in ") and " of 2 pairs" in lines[5]
+    assert "first_batch" not in done.stdout
     for whole, decode in zip(lines[:2], lines[3:5]):
         assert 0 < float(decode.split()[3]) <= float(whole.split()[2])  # minimum CPU seconds
+
+
+def test_ab_time_times_a_training_command_to_its_first_batch():
+    done = subprocess.run(
+        [*AB_TIME, str(SRC), str(SRC), "--reps", "2", "--",
+         "train", "--set", "data.task=copy", "--set", "data.vocab_size=12", "--set", "data.min_len=2",
+         "--set", "data.max_len=5", "--set", "data.count=60", "--set", "data.eval_count=4",
+         "--set", "data.token_budget=128", "--set", "model.hidden_size=16", "--set", "model.filter_size=32",
+         "--set", "model.num_heads=2", "--set", "model.num_encoder_layers=1", "--set", "model.num_decoder_layers=1",
+         "--set", "model.max_positions=16", "--set", "train.total_steps=3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6
+    assert lines[2].startswith("B faster in ") and " of 2 pairs" in lines[2]
+    # the in-command set-up: from the command's start to the first batch the trainer draws
+    assert [line.split()[:3] for line in lines[3:5]] == [["A", "first_batch", "min"], ["B", "first_batch", "min"]]
+    assert lines[5].startswith("first_batch: B faster in ") and " of 2 pairs" in lines[5]
+    for whole, setup in zip(lines[:2], lines[3:5]):
+        assert 0 < float(setup.split()[3]) < float(whole.split()[2])  # minimum CPU seconds
+    assert "decode_corpus" not in done.stdout
 
 
 def test_ab_time_fails_when_the_trees_write_different_outputs(tmp_path):
@@ -133,5 +156,6 @@ def test_ab_time_fails_when_the_trees_write_different_outputs(tmp_path):
         trees.append(str(tmp_path / side))
     done = subprocess.run([*AB_TIME, *trees, "--reps", "1", "--", "any"], capture_output=True, text=True, timeout=60)
     assert done.returncode == 1
-    assert "decode_corpus" not in done.stdout  # a command that does not decode gets no decode lines
+    # a command that neither trains nor decodes gets no lines for either
+    assert "decode_corpus" not in done.stdout and "first_batch" not in done.stdout
     assert "outputs differ between A and B: ['result.txt']" in done.stderr
