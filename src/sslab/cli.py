@@ -221,7 +221,10 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     doc: dict = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise ConfigError(f"config file {path}: {err}") from err
     base = asdict(read_config(RunConfig, doc))
     for raw in overrides:
         keys, value = _parse_override(raw)
@@ -262,7 +265,13 @@ def build_corpora(cfg: RunConfig, *, train_data: bool = True) -> tuple[Corpus | 
         if not d.tsv_path:
             raise ConfigError("data.task=tsv needs data.tsv_path")
         corpus = load_tsv_corpus(d.tsv_path)
-        return split_corpus(corpus, d.eval_fraction, cfg.seed)
+        train_corpus, eval_corpus = split_corpus(corpus, d.eval_fraction, cfg.seed)
+        if train_data and not len(train_corpus):
+            raise ConfigError(
+                f"data.tsv_path {d.tsv_path} holds {len(corpus)} pair(s), and data.eval_fraction "
+                f"{d.eval_fraction} leaves none of them for training"
+            )
+        return train_corpus, eval_corpus
 
     def generate(count: int, label: str, noise: float) -> Corpus:
         return gen_task(
@@ -315,12 +324,24 @@ def save_model_checkpoint(
     _write_json(str(path) + ".json", sidecar)
 
 
+# weight tying, which sidecars written by earlier versions name; the model has no other form
+_LEGACY_TIED_KEYS = ("share_embeddings", "share_softmax_weights")
+
+
 def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
     sidecar_path = str(path) + ".json"
     with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+        try:
+            sidecar = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ConfigError(f"checkpoint sidecar {sidecar_path}: {err}") from err
     model = sidecar.get("model") if isinstance(sidecar, Mapping) else None
     try:
+        if isinstance(model, Mapping):
+            for key in _LEGACY_TIED_KEYS:
+                if model.get(key, True) is not True:
+                    raise ConfigError(f"model.{key} is {model[key]!r}, but the model always ties its weights")
+            model = {k: v for k, v in model.items() if k not in _LEGACY_TIED_KEYS}
         config = read_config(ModelConfig, model, "model")
         tokens = sidecar.get("vocab_tokens")
         content = config.vocab_size - FIRST_CONTENT_ID
@@ -383,7 +404,6 @@ def cmd_schedule_dump(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out = _prepare_out_dir(cfg)
     train_corpus, _ = build_corpora(cfg)
     model_cfg = _resolve_model_config(cfg, train_corpus)
     if cfg.train.resume_from:
@@ -396,6 +416,7 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         params = init_params(model_cfg, named_rng(cfg.seed, "init"))
         start_step = 0
+    out = _prepare_out_dir(cfg)  # after every check, so that a rejected run writes nothing
     # a resumed run's stream seeks past the batches the earlier steps drew, so it sees new data
     batches = batch_stream(train_corpus, cfg.data.token_budget, hash_seed(cfg.seed, "batches"), start=start_step)
 

@@ -2,9 +2,11 @@
 
 The decoder exposes an embedding-level entry point so a trainer can feed
 mixtures of golden and predicted token embeddings; the ids-based teacher
-forcing loss is the plain path through the same code. Padding keys are
-masked additively before the softmax and zeroed multiplicatively after
-it, so pad positions receive exactly zero attention weight.
+forcing loss is the plain path through the same code. One embedding table
+serves the source and target sides and, transposed, is the output
+projection; no configuration unties them. Padding keys are masked
+additively before the softmax and zeroed multiplicatively after it, so
+pad positions receive exactly zero attention weight.
 
 Dropout is applied to embeddings and to each sublayer output before its
 residual (attention weights are left undropped to keep the RNG surface
@@ -60,8 +62,6 @@ class ModelConfig:
     dropout: float = 0.1
     label_smoothing: float = 0.1
     max_positions: int = 256
-    share_embeddings: bool = True
-    share_softmax_weights: bool = True
     param_dtype: str = "float32"
 
     def __post_init__(self):
@@ -98,8 +98,9 @@ def sinusoidal_positions(max_positions: int, hidden: int, dtype) -> np.ndarray:
 class ModelParams:
     """All learnable weights plus the fixed positional table.
 
-    Tied weights (shared embeddings, shared softmax projection) are one
-    Tensor object reachable under one canonical name, never copies.
+    One ``embed`` table serves the source and target sides and, transposed,
+    the output projection: the weights are tied, so every use reads one
+    Tensor object.
     """
 
     params: dict[str, Tensor]
@@ -108,12 +109,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def src_embedding(self) -> Tensor:
-        return self.params["src_embed" if "src_embed" in self.params else "embed"]
-
-    def tgt_embedding(self) -> Tensor:
-        return self.params["tgt_embed" if "tgt_embed" in self.params else "embed"]
 
     def all_tensors(self) -> list[Tensor]:
         return list(self.params.values())
@@ -166,14 +161,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         vec(f"{prefix}/b2", h)
 
     # half-scale embeddings keep untrained output distributions near
-    # uniform (the table doubles as the output projection when tied)
-    if config.share_embeddings:
-        mat("embed", v, h, scale=0.5 * bound)
-    else:
-        mat("src_embed", v, h, scale=0.5 * bound)
-        mat("tgt_embed", v, h, scale=0.5 * bound)
-    if not config.share_softmax_weights:
-        mat("out_proj", h, v, scale=0.5 * bound)
+    # uniform (the table doubles as the output projection)
+    mat("embed", v, h, scale=0.5 * bound)
 
     for i in range(config.num_encoder_layers):
         attn_block(f"enc{i}/attn")
@@ -283,7 +272,7 @@ def encode(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Contextual states [B, m, H]; padding keys are never attended to."""
-    emb = embedding_lookup(params.src_embedding(), src_ids)
+    emb = embedding_lookup(params["embed"], src_ids)
     x = _embed_and_position(params, emb, rng)
     key_mask, additive = _source_masks(params.config, src_mask)
     for i in range(params.config.num_encoder_layers):
@@ -295,16 +284,13 @@ def encode(
 
 def embed_targets(params: ModelParams, ids: np.ndarray) -> Tensor:
     """Raw target-side token embeddings (no scaling, no positions)."""
-    return embedding_lookup(params.tgt_embedding(), ids)
+    return embedding_lookup(params["embed"], ids)
 
 
 def output_logits(params: ModelParams, x: Tensor) -> Tensor:
-    """Project hidden states to the vocabulary; tied weights reuse the embedding."""
+    """Project hidden states to the vocabulary through the transposed embedding table."""
     cfg = params.config
-    if cfg.share_softmax_weights:
-        w = transpose(params.tgt_embedding(), (1, 0))
-    else:
-        w = params["out_proj"]
+    w = transpose(params["embed"], (1, 0))
     lead = x.data.shape[:-1]
     flat = reshape(x, (-1, cfg.hidden_size))
     return reshape(matmul(flat, w), (*lead, cfg.vocab_size))

@@ -1,22 +1,21 @@
 """Two-pass decoder training with scheduled golden/predicted input mixing.
 
 The first pass runs the decoder on golden inputs in evaluation mode (it
-simulates the inference scene, which has no dropout) and turns its output
-distributions into prediction embeddings. A per-position Bernoulli mask
-then chooses, independently for every (sentence, position), whether the
-second pass sees the golden embedding or the prediction; the loss is the
-label-smoothed cross entropy of the second pass alone. Both passes share
-one set of parameters, one encoder run and one cross-attention projection:
-one ``SourceState`` per batch feeds both.
+simulates the inference scene, which has no dropout) and turns each output
+distribution into a prediction embedding: the probability-weighted mix of
+the embedding rows. A per-position Bernoulli mask then chooses,
+independently for every (sentence, position), whether the second pass sees
+the golden embedding or the prediction; the loss is the label-smoothed
+cross entropy of the second pass alone. Both passes share one set of
+parameters, one encoder run and one cross-attention projection: one
+``SourceState`` per batch feeds both.
 
-Gradients do not flow through first-pass predictions unless
-``backprop_through_predictions`` is set; the default treats them as
-constants, matching their role as simulated inference inputs.
+Gradients do not flow through first-pass predictions: they are constants,
+matching their role as simulated inference inputs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,23 +55,15 @@ class SamplingMode(str, Enum):
     JOINT = "joint"
 
 
-class PredictionMode(str, Enum):
-    SOFT_MIX = "soft_mix"
-    ARGMAX_EMBEDDING = "argmax_embedding"
-
-
 @dataclass
 class SamplerConfig:
     mode: SamplingMode
     schedule: ScheduleSpec | None = None
     joint: JointSpec | None = None
-    prediction: PredictionMode = PredictionMode.SOFT_MIX
     warm_start_steps: int = 0
-    backprop_through_predictions: bool = False
 
     def __post_init__(self):
         self.mode = SamplingMode(self.mode)
-        self.prediction = PredictionMode(self.prediction)
         if self.warm_start_steps < 0:
             raise ValueError(f"warm_start_steps must be >= 0, got {self.warm_start_steps}")
         if self.mode is SamplingMode.JOINT:
@@ -134,34 +125,23 @@ class MixedDecoderInputs:
     mean_p: float  # scheduled mean over the same positions
 
 
-def _prediction_embeddings(params: ModelParams, sampler: SamplerConfig, logits: Tensor) -> Tensor:
-    if sampler.prediction is PredictionMode.SOFT_MIX:
-        probs = softmax(logits, axis=-1)
-        return weighted_embedding_mix(probs, params.tgt_embedding())
-    ids = np.argmax(logits.data, axis=-1)
-    return embed_targets(params, ids)
-
-
-def first_pass_predictions(
-    params: ModelParams,
-    batch: Batch,
-    source: SourceState,
-    sampler: SamplerConfig,
-) -> Tensor:
+def first_pass_predictions(params: ModelParams, batch: Batch, source: SourceState) -> Tensor:
     """Input-aligned prediction embeddings [B, n, H] from a golden-input pass over ``source``.
 
-    The prediction for input position j + 1 is the first-pass output at
+    Each prediction is the softmax-weighted mix of the embedding rows. The
+    prediction for input position j + 1 is the first-pass output at
     position j; position 0 is zero-filled and always overridden by the
-    golden begin sentinel. Runs without dropout. By default the result is
-    a constant; with ``backprop_through_predictions`` it stays on the tape.
+    golden begin sentinel. Runs without dropout, and the result is a
+    constant: nothing is recorded on the tape.
     """
     golden_in = batch.decoder_inputs()
     n = golden_in.shape[1]
     shift = np.zeros((n, n), dtype=params.config.np_dtype)
     shift[np.arange(1, n), np.arange(n - 1)] = 1.0
-    with contextlib.nullcontext() if sampler.backprop_through_predictions else no_grad():
+    with no_grad():
         logits = decode_step_logits(params, source, embed_targets(params, golden_in))
-        return matmul(constant(shift), _prediction_embeddings(params, sampler, logits))
+        mix = weighted_embedding_mix(softmax(logits, axis=-1), params["embed"])
+        return matmul(constant(shift), mix)
 
 
 def two_pass_loss(
@@ -183,7 +163,7 @@ def two_pass_loss(
     golden_in = batch.decoder_inputs()
     golden_emb = embed_targets(params, golden_in)
     mask, p = sample_selection_mask(sampler, train_step, batch.size, golden_in.shape[1], mask_rng)
-    pred_emb = first_pass_predictions(params, batch, source, sampler)
+    pred_emb = first_pass_predictions(params, batch, source)
     mixed = select(mask[:, :, None], golden_emb, pred_emb)
     logits = decode_step_logits(params, source, mixed, dec_rng)
     loss = cross_entropy_label_smoothed(

@@ -51,9 +51,6 @@ class JointMethod(str, Enum):
     PRODUCT = "product"
     ARITHMETIC_MEAN = "arithmetic_mean"
     COMPOSITE = "composite"
-    # Ablation variant: compose the training-step schedule instead of the
-    # decoding-step one.
-    COMPOSITE_ALT = "composite_alt"
 
 
 @dataclass(frozen=True)
@@ -160,9 +157,6 @@ def eval_joint(joint: JointSpec, train_step: float, dec_step: float) -> float:
     if joint.method is JointMethod.COMPOSITE:
         fi = eval_schedule(joint.f, train_step)
         return eval_schedule(joint.g, dec_step * (1.0 - fi))
-    if joint.method is JointMethod.COMPOSITE_ALT:
-        gt = eval_schedule(joint.g, dec_step)
-        return eval_schedule(joint.f, train_step * (1.0 - gt))
     raise ScheduleError(f"unknown joint method {joint.method}")
 
 

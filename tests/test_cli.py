@@ -303,6 +303,9 @@ def test_train_writes_checkpoints_log_and_config_echo(tmp_path):
     sidecar = json.loads((out / "ckpt_final.bin.json").read_text())
     assert "step" not in sidecar  # meta/step alone carries it
     assert sidecar["model"]["vocab_size"] == 12
+    echo = json.loads((out / "config.json").read_text())
+    for model in (sidecar["model"], echo["model"]):  # the weights are always tied, so neither names it
+        assert not {"share_embeddings", "share_softmax_weights"} & set(model)
     assert load_model_checkpoint(str(out / "ckpt_final.bin"))[1] == 30
 
 
@@ -422,6 +425,27 @@ def test_tsv_pair_wider_than_the_run_allows_fails_before_training(tmp_path, caps
     assert err.startswith("sslab: error:") and key in err and str(words) in err
     assert len(err.splitlines()) == 1
     assert not (out / "steps.csv").exists()
+
+
+def test_tsv_that_leaves_no_training_pair_fails_before_any_output(tmp_path, capsys):
+    one = tmp_path / "one.tsv"
+    one.write_text("a b\tc d\n")  # the split always holds out at least one pair
+    out = tmp_path / "run"
+    code = run_cli(*tiny_train_args(out, extra=["--set", "data.task=tsv", "--set", f"data.tsv_path={one}"]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"sslab: error: data.tsv_path {one} holds 1 pair(s)") and "data.eval_fraction" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "config.json").exists() and not (out / "steps.csv").exists()
+    # evaluate builds no training corpus, so the one pair is its eval set as before
+    two = tmp_path / "two.tsv"
+    two.write_text("a b\tc d\nc d\ta b\n")  # the same vocabulary, with one pair left for training
+    extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={two}", "--set", "train.total_steps=2"]
+    assert run_cli(*tiny_train_args(out, extra=extra)) == 0
+    code = run_cli("evaluate", "--config", str(out / "config.json"), "--set", f"data.tsv_path={one}",
+                   "--set", f"out_dir={tmp_path / 'eval'}", "--checkpoint", str(out / "ckpt_final.bin"))
+    assert code == 0
+    assert json.loads((tmp_path / "eval" / "report.json").read_text())["pairs"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +709,59 @@ def test_malformed_sidecar_fails_without_traceback(trained_run, tmp_path, capsys
 FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "ckpt.bin"
 
 
+def copy_fixture(directory: Path, edit_sidecar=None) -> Path:
+    """The fixture checkpoint and its sidecar, the sidecar's bytes passed through ``edit_sidecar``, in ``directory``."""
+    ckpt = directory / "ckpt.bin"
+    ckpt.write_bytes(FIXTURE_CHECKPOINT.read_bytes())
+    sidecar = Path(f"{FIXTURE_CHECKPOINT}.json").read_bytes()
+    Path(f"{ckpt}.json").write_bytes(sidecar if edit_sidecar is None else edit_sidecar(sidecar))
+    return ckpt
+
+
+@pytest.mark.parametrize("content", [b"a b\tc d\n", b"\xff\xfe{}"], ids=["tsv", "not-utf-8"])
+def test_config_file_that_is_not_json_fails_naming_it(tmp_path, capsys, content):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(content)
+    code = run_cli("train", "--config", str(path), "--set", f"out_dir={tmp_path / 'run'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"sslab: error: config file {path}: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("damage", [lambda s: s[: len(s) // 2], lambda s: b"\xff" + s], ids=["truncated", "not-utf-8"])
+def test_sidecar_that_is_not_json_fails_naming_it(tmp_path, capsys, damage):
+    ckpt = copy_fixture(tmp_path, damage)
+    code = run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"sslab: error: checkpoint sidecar {ckpt}.json: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_legacy_sidecar_naming_tied_weights_loads(tmp_path):
+    model = json.loads(Path(f"{FIXTURE_CHECKPOINT}.json").read_text())["model"]
+    assert model["share_embeddings"] is model["share_softmax_weights"] is True  # written before their removal
+    params, step, _ = load_model_checkpoint(str(copy_fixture(tmp_path)))
+    assert step == 1500 and "embed" in params.params
+
+
+@pytest.mark.parametrize("key", ["share_embeddings", "share_softmax_weights"])
+@pytest.mark.parametrize("value", [False, None, "true", 1])
+def test_legacy_sidecar_naming_untied_weights_fails_naming_the_key(tmp_path, capsys, key, value):
+    def untie(sidecar):
+        doc = json.loads(sidecar)
+        return json.dumps({**doc, "model": {**doc["model"], key: value}}).encode()
+
+    ckpt = copy_fixture(tmp_path, untie)
+    code = run_cli("evaluate", "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"sslab: error: checkpoint sidecar {ckpt}.json: model.{key} is {value!r}")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -695,6 +772,12 @@ FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixtur
         "decode.length_penalty=abc",
         "decode.eos_id=999",
         "decode.eos_id=-1",
+        # removed settings: untied weights, argmax predictions, backprop through predictions, composite_alt
+        "model.share_embeddings=false",
+        "sampler.prediction=argmax_embedding",
+        "sampler.backprop_through_predictions=true",
+        'sampler.joint={"method": "composite_alt", "f": {"family": "uniform", "uniform_p": 0.5},'
+        ' "g": {"family": "uniform", "uniform_p": 0.5}}',
     ],
 )
 def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, override):
@@ -705,6 +788,7 @@ def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, ov
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sslab: error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert override.split("=")[0].split(".")[-1] in err
 
 

@@ -133,29 +133,19 @@ def test_single_token_target_logit_shape():
 
 
 def test_shared_softmax_equals_embedding_transpose():
-    cfg = tiny_config(share_softmax_weights=True)
+    cfg = tiny_config()
     params = init_params(cfg, named_rng(5, "init"))
     x = np.random.default_rng(6).normal(size=(2, 3, cfg.hidden_size))
     got = output_logits(params, constant(x)).data
-    want = x @ params.tgt_embedding().data.T
+    want = x @ params["embed"].data.T
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_untied_softmax_uses_its_own_matrix():
-    cfg = tiny_config(share_softmax_weights=False)
-    params = init_params(cfg, named_rng(5, "init"))
-    x = np.random.default_rng(6).normal(size=(2, 3, cfg.hidden_size))
-    got = output_logits(params, constant(x)).data
-    assert np.allclose(got, x @ params["out_proj"].data, atol=1e-12)
-
-
 def test_tied_weights_are_one_object():
-    cfg = tiny_config(share_embeddings=True, share_softmax_weights=True)
-    params = init_params(cfg, named_rng(7, "init"))
-    assert params.src_embedding() is params.tgt_embedding()
-    cfg2 = tiny_config(share_embeddings=False)
-    params2 = init_params(cfg2, named_rng(7, "init"))
-    assert params2.src_embedding() is not params2.tgt_embedding()
+    params = init_params(tiny_config(), named_rng(7, "init"))
+    # one table of vocabulary rows serves both sides and the output projection
+    vocab_tables = [name for name, t in params.params.items() if params.config.vocab_size in t.data.shape]
+    assert vocab_tables == ["embed"]
 
 
 def test_untrained_loss_is_near_log_vocab():

@@ -11,7 +11,6 @@ from sslab.sampler import (
     Adam,
     DivergenceError,
     OptimizerConfig,
-    PredictionMode,
     SamplerConfig,
     SamplingMode,
     first_pass_predictions,
@@ -88,30 +87,14 @@ def test_soft_mix_predictions_live_in_embedding_hull():
     params = init_params(cfg, named_rng(2, "init"))
     batch = random_batch(np.random.default_rng(3), cfg.vocab_size, b=4)
     states = encode(params, batch.source, batch.source_mask)
-    sampler = uniform_sampler(0.5)
     source = source_state(params, states, batch.source_mask)
-    pred = first_pass_predictions(params, batch, source, sampler).data
-    table = params.tgt_embedding().data
+    pred = first_pass_predictions(params, batch, source).data
+    table = params["embed"].data
     lo, hi = table.min(axis=0), table.max(axis=0)
     # positions >= 1 hold convex mixtures of the embedding rows
     assert (pred[:, 1:] >= lo - 1e-9).all()
     assert (pred[:, 1:] <= hi + 1e-9).all()
     assert np.array_equal(pred[:, 0], np.zeros_like(pred[:, 0]))
-
-
-def test_argmax_prediction_matches_embedding_rows():
-    cfg = config64()
-    params = init_params(cfg, named_rng(4, "init"))
-    batch = random_batch(np.random.default_rng(5), cfg.vocab_size, b=2)
-    states = encode(params, batch.source, batch.source_mask)
-    sampler = uniform_sampler(0.5, prediction=PredictionMode.ARGMAX_EMBEDDING)
-    source = source_state(params, states, batch.source_mask)
-    pred = first_pass_predictions(params, batch, source, sampler).data
-    table = params.tgt_embedding().data
-    rows = {tuple(np.round(r, 12)) for r in table}
-    for b in range(pred.shape[0]):
-        for t in range(1, pred.shape[1]):
-            assert tuple(np.round(pred[b, t], 12)) in rows
 
 
 # ---------------------------------------------------------------------------
@@ -254,36 +237,14 @@ def test_prediction_fed_positions_connect_gradients():
     with Tape() as tape:
         loss, _ = two_pass_loss(params, sampler, batch, 0, enc_rng, dec_rng, mask_rng)
         tape.backward(loss)
-    assert np.abs(grad_of(params.tgt_embedding())).sum() > 0
+    assert np.abs(grad_of(params["embed"])).sum() > 0
 
 
-def test_backprop_toggle_changes_gradients_not_loss():
-    cfg = config64(dropout=0.0)
-    params = init_params(cfg, named_rng(13, "init"))
-    batch = random_batch(np.random.default_rng(14), cfg.vocab_size)
-
-    losses = []
-    grads = []
-    for toggle in (False, True):
-        sampler = uniform_sampler(0.3, backprop_through_predictions=toggle)
-        enc_rng, dec_rng, mask_rng = _streams(15, 0)
-        with Tape() as tape:
-            loss, _ = two_pass_loss(params, sampler, batch, 0, enc_rng, dec_rng, mask_rng)
-            tape.backward(loss)
-        losses.append(float(loss.data))
-        grads.append(grad_of(params.tgt_embedding()).copy())
-        for p in params.all_tensors():
-            p.grad = None
-    assert losses[0] == pytest.approx(losses[1], rel=1e-12)
-    assert not np.allclose(grads[0], grads[1])
-
-
-@pytest.mark.parametrize("toggle", [False, True], ids=["blocked", "backprop"])
-def test_both_passes_share_one_cross_attention_projection(toggle, monkeypatch):
+def test_both_passes_share_one_cross_attention_projection(monkeypatch):
     cfg = config64(num_decoder_layers=2)
     params = init_params(cfg, named_rng(20, "init"))
     batch = random_batch(np.random.default_rng(21), cfg.vocab_size)
-    sampler = uniform_sampler(0.5, backprop_through_predictions=toggle)
+    sampler = uniform_sampler(0.5)
     projected = []
     project_kv = model_module._project_kv
 
@@ -371,7 +332,7 @@ def test_divergence_aborts_with_diagnostic():
     cfg = config64()
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 2, 5, 10, seed=32)
     params = init_params(cfg, named_rng(33, "init"))
-    params.tgt_embedding().data[0, 0] = np.nan
+    params["embed"].data[0, 0] = np.nan
     with pytest.raises(DivergenceError, match="step 0"):
         train(params, uniform_sampler(0.5), batch_stream(corpus, 64, seed=34),
               OptimizerConfig(), total_steps=1, root_seed=35)

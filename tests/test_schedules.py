@@ -133,13 +133,6 @@ def test_composite_with_fully_decayed_f_is_identity():
         assert eval_joint(joint, 10, t) == eval_schedule(g, t)
 
 
-def test_composite_alt_composes_f():
-    f = expo(0.95)
-    g = uni(0.25)
-    joint = JointSpec(JointMethod.COMPOSITE_ALT, f, g)
-    assert eval_joint(joint, 8, 3) == pytest.approx(eval_schedule(f, 8 * 0.75))
-
-
 def test_composite_with_empirical_g_interpolates():
     g = ScheduleSpec(Family.EMPIRICAL, empirical_table=(0.0, 1.0))
     f = uni(0.5)
