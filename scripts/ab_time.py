@@ -18,10 +18,12 @@ same for the CPU seconds from the command's start to its first drawn batch
 steps dilute a change to set-up. When the command decodes, it prints the
 same for the CPU seconds spent inside ``cli.decode_corpus`` alone (the time
 the benchmark's decode rates divide by), since set-up, a teacher-forced
-pass and the metrics dilute a change to decoding. Exits 1 if a command
-fails or if the two sides' output files differ in name or bytes in any
-pair (``config.json``, which echoes the out_dir, is not compared). BLAS
-runs on one thread.
+pass and the metrics dilute a change to decoding. After the timed pairs,
+it runs the command once more per side, untimed, under ``tracemalloc``
+and prints each side's traced peak in MB, so that a memory change can be
+checked in one process. Exits 1 if a command fails or if the two sides'
+output files differ in name or bytes in any pair (``config.json``, which
+echoes the out_dir, is not compared). BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -103,6 +106,16 @@ def run(cli, argv: list[str], out: Path) -> tuple[float, float | None, float | N
     return seconds, first_batch[0] if first_batch else None, sum(decoding) if decoding else None
 
 
+def traced_peak(cli, argv: list[str], out: Path) -> float:
+    """MB at the peak of the memory that ``tracemalloc`` traced during one command."""
+    tracemalloc.start()
+    try:
+        run(cli, argv, out)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def differing(a: Path, b: Path) -> list[str]:
     """Output files, ``config.json`` aside, missing on one side or differing in bytes."""
     names = {p.name for d in (a, b) for p in d.iterdir() if p.is_file()} - {"config.json"}
@@ -150,10 +163,13 @@ def main(argv: list[str] | None = None) -> int:
                 first_batch[side].append(setup_seconds)
                 decoding[side].append(decode_seconds)
             mismatched.update(differing(work / "a", work / "b"))
+        peaks = {side: traced_peak(clis[side], command, work / side) for side in SIDES}
     compare(times)
     for label, part in (("first_batch", first_batch), ("decode_corpus", decoding)):
         if all(s is not None for side in SIDES for s in part[side]):
             compare(part, label)
+    for side in SIDES:
+        print(f"{side.upper()}  traced_peak  {peaks[side]:.1f} MB (tracemalloc, one untimed command)")
     if mismatched:
         print(f"ab_time: outputs differ between A and B: {sorted(mismatched)}", file=sys.stderr)
         return 1

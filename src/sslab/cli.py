@@ -464,8 +464,10 @@ def _teacher_forced_predictions(params: ModelParams, corpus: Corpus) -> list[lis
 
 
 def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelParams, int]:
-    """Out dir, eval corpus (no synthetic training data is generated), and the checkpoint read against it."""
-    out = _prepare_out_dir(cfg)
+    """Out dir, eval corpus (no synthetic training data is generated), and the checkpoint read against it.
+
+    Every check runs before the out dir is written, so that a rejected command writes nothing.
+    """
     _, eval_corpus = build_corpora(cfg, train_data=False)
     params, step = _load_checkpoint_for(checkpoint, eval_corpus)
     # checked here so that no command runs a model pass it cannot finish
@@ -475,7 +477,7 @@ def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelPar
         raise ConfigError(f"the checkpoint's model.max_positions {limit} is too small for the widest eval pair "
                           f"({widest} positions)")
     check_against_model(params.config, cfg.decode)
-    return out, eval_corpus, params, step
+    return _prepare_out_dir(cfg), eval_corpus, params, step
 
 
 def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:

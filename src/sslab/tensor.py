@@ -12,8 +12,13 @@ are exact, bit for bit.
 Recording happens inside a ``with Tape():`` block; outside a block (or
 under ``no_grad``) the same functions run as plain numpy math. Creation
 order on the tape is the topological order, so backward is a single
-reverse sweep. It runs once per tape and releases each node as it passes
-it, so forward activations and intermediate gradients are freed during
+reverse sweep. The tape holds no node outputs: each node keeps its
+rule's closure, which saves only the arrays, shapes and flags that rule
+reads, and names each input by its node's index on the tape, by the leaf
+``Tensor`` that takes the gradient, or by ``None``. A forward
+intermediate that no rule reads is freed as soon as the forward code
+drops it. Backward runs once per tape and releases each node as it
+passes it, so saved arrays and intermediate gradients are freed during
 the sweep and only the leaves keep ``grad``. Accumulation order is fixed
 by the tape, which keeps repeated runs of a seeded computation
 bit-identical.
@@ -84,12 +89,15 @@ def grad_of(t: Tensor) -> np.ndarray:
 
 
 class _Node:
-    __slots__ = ("out", "parents", "backward_fn")
+    __slots__ = ("parents", "backward_fn")
 
-    def __init__(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable):
-        self.out = out
+    def __init__(self, parents: tuple, backward_fn: Callable):
         self.parents = parents
         self.backward_fn = backward_fn
+
+
+# node ids run on across tapes, so a tensor recorded on an earlier tape is a leaf to a later one
+_NEXT_NODE_ID = 0
 
 
 class Tape:
@@ -97,59 +105,75 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node | None] = []
+        self._base = 0  # the node id of this tape's first node
         self._swept = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise TapeError("a tape is already active; nested tapes are not supported")
+        if self._base + len(self._nodes) != _NEXT_NODE_ID:
+            if self._nodes:
+                raise TapeError("a tape cannot record again after another tape has recorded")
+            self._base = _NEXT_NODE_ID
         _ACTIVE_TAPE = self
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_TAPE
+        global _ACTIVE_TAPE, _NEXT_NODE_ID
         _ACTIVE_TAPE = None
+        _NEXT_NODE_ID = self._base + len(self._nodes)
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def record(self, out: Tensor, parents: tuple[Tensor, ...], backward_fn: Callable) -> None:
-        out.node_id = len(self._nodes)
-        self._nodes.append(_Node(out, parents, backward_fn))
+        base = self._base
+        out.node_id = base + len(self._nodes)
+        # per input: its node's index on this tape, else the leaf that takes the gradient, else None
+        routes = tuple(
+            (p.node_id - base if p.node_id is not None and p.node_id >= base else p) if p.requires_grad else None
+            for p in parents
+        )
+        self._nodes.append(_Node(routes, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Fill ``grad`` on every leaf the scalar ``loss`` depends on.
 
-        The sweep runs once per tape. It releases each node, and takes its
-        output's ``grad``, as it passes it, so activations and intermediate
-        gradients die during the sweep; only the leaves keep ``grad``. The
-        tape keeps its length.
+        The tape holds each rule's saved arrays and the leaf parameters, no
+        node outputs. Gradients of the nodes are summed in a list by node
+        index, in reverse tape order. The sweep runs once per tape and
+        releases each node and its gradient as it passes it, so saved
+        arrays and intermediate gradients die during the sweep; only the
+        leaves keep ``grad``. The tape keeps its length.
         """
         if loss.data.ndim != 0:
             raise TapeError(f"backward root must be a scalar, got shape {loss.data.shape}")
-        if loss.node_id is None:
+        root = -1 if loss.node_id is None else loss.node_id - self._base
+        if not 0 <= root < len(self._nodes):
             raise TapeError("loss is not on this tape")
         if self._swept:
             raise TapeError("backward already swept this tape and released its nodes")
         self._swept = True
         nodes = self._nodes
-        loss.grad = np.ones((), dtype=loss.data.dtype)
-        for i in range(loss.node_id, -1, -1):
+        grads: list[np.ndarray | None] = [None] * (root + 1)
+        grads[root] = np.ones((), dtype=loss.data.dtype)
+        for i in range(root, -1, -1):
             node, nodes[i] = nodes[i], None
-            out_grad, node.out.grad = node.out.grad, None
+            out_grad, grads[i] = grads[i], None
             if out_grad is None:
                 continue
-            parent_grads = node.backward_fn(out_grad)
-            for parent, pgrad in zip(node.parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
+            for parent, pgrad in zip(node.parents, node.backward_fn(out_grad)):
+                if pgrad is None or parent is None:
                     continue
-                if parent.grad is None:
-                    # adopt without copying; a second contribution rebinds
-                    # to a fresh sum instead of mutating, so rules may hand
-                    # the same array to several parents
-                    parent.grad = pgrad
+                # adopt without copying; a second contribution rebinds to a
+                # fresh sum instead of mutating, so rules may hand the same
+                # array to several parents
+                if isinstance(parent, int):
+                    prev = grads[parent]
+                    grads[parent] = pgrad if prev is None else prev + pgrad
                 else:
-                    parent.grad = parent.grad + pgrad
+                    parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
 
 
 class no_grad:
@@ -205,10 +229,12 @@ def _apply(
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    a_shape = a.data.shape if a.requires_grad else None
+    b_shape = b.data.shape if b.requires_grad else None
 
     def bwd(g):
-        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        ga = None if a_shape is None else _unbroadcast(g, a_shape)
+        gb = None if b_shape is None else _unbroadcast(g, b_shape)
         return ga, gb
 
     return _apply(data, (a, b), bwd)
@@ -216,10 +242,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    # an operand is kept only while the other one takes a gradient, whose rule reads it
+    a_shape, b_data = (a.data.shape, b.data) if a.requires_grad else (None, None)
+    b_shape, a_data = (b.data.shape, a.data) if b.requires_grad else (None, None)
 
     def bwd(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        ga = None if a_shape is None else _unbroadcast(g * b_data, a_shape)
+        gb = None if b_shape is None else _unbroadcast(g * a_data, b_shape)
         return ga, gb
 
     return _apply(data, (a, b), bwd)
@@ -229,13 +258,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul needs [..,M,K] @ [..,K,N], got {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
+    # an operand is kept only while the other one takes a gradient, whose rule reads it
+    a_shape, b_data = (a.data.shape, b.data) if a.requires_grad else (None, None)
+    b_shape, a_data = (b.data.shape, a.data) if b.requires_grad else (None, None)
 
     def bwd(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = None if a_shape is None else _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape)
+        gb = None if b_shape is None else _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape)
         return ga, gb
 
     return _apply(data, (a, b), bwd)
@@ -245,7 +274,7 @@ def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
 
     def bwd(g):
-        return (g * (x.data > 0),)
+        return (g * (data > 0),)  # x > 0 exactly where max(x, 0) > 0
 
     return _apply(data, (x,), bwd)
 
@@ -273,10 +302,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = _mean_last(centered * centered)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
+    del centered  # no rule reads it; freed before the output is allocated
+    gain_data = gain.data
+    data = xhat * gain_data + bias.data
 
     def bwd(g):
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         m1 = _mean_last(dxhat)
         m2 = _mean_last(dxhat * xhat)
         dx = inv_std * (dxhat - m1 - xhat * m2)
@@ -295,9 +326,10 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             f"token id out of range [0, {table.data.shape[0]}): [{ids.min()}, {ids.max()}]"
         )
     data = table.data[ids]
+    table_shape, table_dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
-        v, h = table.data.shape
+        v, h = table_shape
         flat_ids = ids.reshape(-1)
         flat_g = g.reshape(-1, h)
         if v <= 4096:
@@ -305,7 +337,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
             onehot = np.zeros((flat_ids.size, v), dtype=g.dtype)
             onehot[np.arange(flat_ids.size), flat_ids] = 1.0
             return (onehot.T @ flat_g,)
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table_shape, dtype=table_dtype)
         np.add.at(gt, flat_ids, flat_g)
         return (gt,)
 
@@ -349,22 +381,24 @@ def cross_entropy_label_smoothed(
     nll = -(1.0 - smoothing) * log_probs[rows, tgt] - (smoothing / v) * log_probs.sum(axis=-1)
     loss = (nll * mask).sum() / n_real
     data = np.asarray(loss, dtype=flat.dtype)
+    logits_shape = logits.data.shape
 
     def bwd(g):
         p = np.exp(log_probs)
         q = np.full_like(p, smoothing / v)
         q[rows, tgt] += 1.0 - smoothing
         gl = (p - q) * (mask * (g / n_real))[:, None]
-        return (gl.reshape(logits.data.shape),)
+        return (gl.reshape(logits_shape),)
 
     return _apply(data, (logits,), bwd)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     data = x.data.reshape(shape)
+    x_shape = x.data.shape
 
     def bwd(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(x_shape),)
 
     return _apply(data, (x,), bwd)
 
@@ -387,14 +421,13 @@ def select(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """
     mask = np.asarray(mask, dtype=bool)
     data = np.where(mask, a.data, b.data)
+    a_shape = a.data.shape if a.requires_grad else None
+    b_shape = b.data.shape if b.requires_grad else None
 
     def bwd(g):
         zero = np.zeros((), dtype=g.dtype)
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.where(mask, g, zero), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.where(mask, zero, g), b.data.shape)
+        ga = None if a_shape is None else _unbroadcast(np.where(mask, g, zero), a_shape)
+        gb = None if b_shape is None else _unbroadcast(np.where(mask, zero, g), b_shape)
         return ga, gb
 
     return _apply(data, (a, b), bwd)

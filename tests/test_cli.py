@@ -762,6 +762,20 @@ def test_legacy_sidecar_naming_untied_weights_fails_naming_the_key(tmp_path, cap
     assert not (tmp_path / "x" / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "gap-curve", "decode"])
+def test_rejected_checkpoint_leaves_no_config_echo(tmp_path, capsys, command):
+    def untie(sidecar):
+        doc = json.loads(sidecar)
+        return json.dumps({**doc, "model": {**doc["model"], "share_embeddings": False}}).encode()
+
+    ckpt = copy_fixture(tmp_path, untie)
+    code = run_cli(command, "--checkpoint", str(ckpt), "--set", f"out_dir={tmp_path / 'x'}")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("sslab: error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "x" / "config.json").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     [

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -24,7 +25,7 @@ from sslab.model import (
 )
 import sslab.model as model_module
 from sslab.rng import named_rng
-from sslab.tensor import Tape, Tensor, constant, grad_of, no_grad
+from sslab.tensor import Tape, Tensor, constant, grad_of, no_grad, softmax
 
 
 def tiny_config(**kw):
@@ -356,6 +357,25 @@ def test_one_position_step_without_causal_mask_equals_zero_mask(dtype, monkeypat
     with_zeros = decode_step_logits(params, source, new, cache=cache.take(rows)).data
     assert unmasked == [f"dec{i}/self_attn" for i in range(cfg.num_decoder_layers)]
     assert without.tobytes() == with_zeros.tobytes()
+
+
+def test_tape_keeps_no_pre_softmax_scores(monkeypatch):
+    cfg = tiny_config(num_encoder_layers=2, num_decoder_layers=2)
+    params = init_params(cfg, named_rng(34, "init"))
+    batch = random_batch(np.random.default_rng(34), cfg.vocab_size)
+    scores = []
+
+    def watched(x, axis=-1):
+        scores.append(weakref.ref(x.data))
+        return softmax(x, axis=axis)
+
+    monkeypatch.setattr(model_module, "softmax", watched)
+    with Tape() as tape:
+        loss = teacher_forcing_loss(params, batch)
+        alive = sum(ref() is not None for ref in scores)
+        tape.backward(loss)
+    assert len(scores) == 6  # self-attention in each of the four layers, cross-attention in the two decoder layers
+    assert alive == 0  # softmax's rule reads its output, and no rule reads the scores
 
 
 def test_cached_path_records_no_tape_nodes():

@@ -97,6 +97,13 @@ SRC = SCRIPTS.parent / "src"
 FIXTURE_CHECKPOINT = SCRIPTS.parent / "perfbench" / "fixture" / "ckpt.bin"
 
 
+def assert_traced_peaks(lines):
+    """One line per side with the traced peak of its untimed command under ``tracemalloc``, in MB."""
+    assert [line.split()[:2] for line in lines] == [["A", "traced_peak"], ["B", "traced_peak"]]
+    for line in lines:
+        assert float(line.split()[2]) > 0 and line.split()[3] == "MB"
+
+
 def test_ab_time_compares_a_tree_with_itself():
     done = subprocess.run(
         [*AB_TIME, str(SRC), str(SRC), "--reps", "2", "--",
@@ -105,7 +112,7 @@ def test_ab_time_compares_a_tree_with_itself():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 8
     assert [line.split()[:2] for line in lines[:2]] == [["A", "min"], ["B", "min"]]
     assert lines[2].startswith("B faster in ") and " of 2 pairs" in lines[2]
     # the decode alone, inside the whole command
@@ -114,6 +121,7 @@ def test_ab_time_compares_a_tree_with_itself():
     assert "first_batch" not in done.stdout
     for whole, decode in zip(lines[:2], lines[3:5]):
         assert 0 < float(decode.split()[3]) <= float(whole.split()[2])  # minimum CPU seconds
+    assert_traced_peaks(lines[6:])
 
 
 def test_ab_time_times_a_training_command_to_its_first_batch():
@@ -128,7 +136,7 @@ def test_ab_time_times_a_training_command_to_its_first_batch():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 8
     assert lines[2].startswith("B faster in ") and " of 2 pairs" in lines[2]
     # the in-command set-up: from the command's start to the first batch the trainer draws
     assert [line.split()[:3] for line in lines[3:5]] == [["A", "first_batch", "min"], ["B", "first_batch", "min"]]
@@ -136,6 +144,7 @@ def test_ab_time_times_a_training_command_to_its_first_batch():
     for whole, setup in zip(lines[:2], lines[3:5]):
         assert 0 < float(setup.split()[3]) < float(whole.split()[2])  # minimum CPU seconds
     assert "decode_corpus" not in done.stdout
+    assert_traced_peaks(lines[6:])
 
 
 def test_ab_time_fails_when_the_trees_write_different_outputs(tmp_path):

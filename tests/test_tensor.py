@@ -189,15 +189,18 @@ def test_backward_releases_intermediates_once_and_keeps_leaf_grads():
     w = parameter(rng.normal(size=(4, 3)))
     b = parameter(rng.normal(size=3))
     with Tape() as tape:
-        hidden = T.matmul(constant(x), w)
-        released = weakref.ref(hidden.data)
+        inputs = constant(x.copy())
+        hidden = T.matmul(inputs, w)
+        kept = weakref.ref(inputs.data)
+        dropped = weakref.ref(hidden.data)
         logits = T.add(hidden, b)
         loss = T.cross_entropy_label_smoothed(logits, targets, 0.0)
-        del hidden
-        assert released() is not None  # the tape alone keeps it alive
+        del inputs, hidden
+        assert kept() is not None  # matmul's rule reads it for w's gradient, so the tape keeps it
+        assert dropped() is None  # add's rule reads only shapes, so nothing keeps its input
         recorded = len(tape)
         tape.backward(loss)
-        assert released() is None  # gone while the tape itself still lives
+        assert kept() is None  # gone while the tape itself still lives
         assert len(tape) == recorded
         assert logits.grad is None and loss.grad is None  # only the leaves keep grad
         with pytest.raises(TapeError, match="already swept"):
@@ -209,6 +212,45 @@ def test_backward_releases_intermediates_once_and_keeps_leaf_grads():
     d_logits = probs / 6
     np.testing.assert_allclose(w.grad, x.T @ d_logits, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(b.grad, d_logits.sum(axis=0), rtol=1e-10, atol=1e-14)
+
+
+def test_tensor_from_an_earlier_tape_takes_its_gradient_like_a_leaf():
+    x = parameter([2.0])
+    with Tape():
+        y = T.mul(x, x)
+    with Tape() as tape:
+        loss = T.reshape(T.mul(y, x), ())
+        tape.backward(loss)
+    assert y.grad.tolist() == [2.0]  # d(y x)/dy = x
+    assert x.grad.tolist() == [4.0]  # only this tape's path: d(y x)/dx = y
+
+
+def test_backward_rejects_a_loss_from_an_earlier_tape():
+    x = parameter([2.0])
+    with Tape() as first:
+        loss = T.reshape(T.mul(x, x), ())
+    with Tape() as second:
+        for _ in range(3):  # enough nodes that the loss's id would fall inside this tape if ids restarted
+            T.mul(x, x)
+        with pytest.raises(TapeError, match="loss is not on this tape"):
+            second.backward(loss)
+    first.backward(loss)
+    assert x.grad.tolist() == [4.0]
+
+
+def test_tape_cannot_record_again_after_another_tape_recorded():
+    x = parameter([2.0])
+    first = Tape()
+    with first:
+        T.mul(x, x)
+    with first:  # a tape may record again while no other tape has
+        T.mul(x, x)
+    assert len(first) == 2
+    with Tape():
+        T.mul(x, x)
+    with pytest.raises(TapeError, match="after another tape has recorded"):
+        with first:
+            pass
 
 
 def test_no_grad_suppresses_recording():
