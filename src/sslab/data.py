@@ -1,11 +1,15 @@
 """Synthetic seq2seq tasks, TSV corpus loading, vocabulary and batching.
 
 A corpus is held as flat token arrays with per-pair lengths, and every
-step from generation to a padded batch works on whole arrays. Token ids
-0..4 are reserved (pad, begin, end, unknown, null-match); content tokens
-start at 5. Target rows in a batch carry the begin sentinel up front and
-exactly one end sentinel before the padding, so a batch can be sliced
-directly into decoder inputs and next-token labels.
+step from generation to a padded batch works on whole arrays. Token
+arrays take the vocabulary's width (``Vocab.token_dtype``: one byte up to
+256 ids, two up to 65,536), so arithmetic on them must widen first: under
+numpy's promotion rules a Python int does not widen a uint8 array, and the
+result wraps. Batches are int64. Token ids 0..4 are reserved (pad, begin,
+end, unknown, null-match); content tokens start at 5. Target rows in a
+batch carry the begin sentinel up front and exactly one end sentinel
+before the padding, so a batch can be sliced directly into decoder inputs
+and next-token labels.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ class Vocab:
     def size(self) -> int:
         return FIRST_CONTENT_ID + len(self.tokens)
 
+    @property
+    def token_dtype(self) -> np.dtype:
+        """The narrowest unsigned integer type that holds every id: a corpus's token width."""
+        return np.min_scalar_type(self.size - 1)
+
     def encode(self, words: Sequence[str]) -> list[int]:
         return [self._index.get(w, UNK_ID) for w in words]
 
@@ -89,23 +98,34 @@ def _rows(tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[l
 
 @dataclass(eq=False)
 class Corpus:
-    """A parallel corpus held flat: each side's pairs back to back in one int64 array.
+    """A parallel corpus held flat: each side's pairs back to back in one token array.
 
     Pair i's source is ``sources[source_starts[i] : source_starts[i] +
     source_lengths[i]]``, and likewise its target; the starts are derived
     from the lengths. Nothing here copies per pair: subsets and batches
-    gather by index arrays.
+    gather by index arrays. Token arrays of any integer type are checked
+    against the vocabulary and then held at ``vocab.token_dtype``, so the
+    narrowing cast never wraps; an array already that narrow is kept as
+    it is. Lengths and starts are int64.
     """
 
-    sources: np.ndarray  # [total source tokens] int64
+    sources: np.ndarray  # [total source tokens] vocab.token_dtype
     source_lengths: np.ndarray  # [pairs] int64
-    targets: np.ndarray  # [total target tokens] int64
+    targets: np.ndarray  # [total target tokens] vocab.token_dtype
     target_lengths: np.ndarray  # [pairs] int64
     vocab: Vocab
     source_starts: np.ndarray = field(init=False, repr=False)
     target_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        size = self.vocab.size
+        for name in ("sources", "targets"):
+            tokens = getattr(self, name)
+            if len(tokens):
+                lo, hi = tokens.min(), tokens.max()
+                if lo < 0 or hi >= size:
+                    raise DataError(f"token id {lo if lo < 0 else hi} lies outside the vocabulary of size {size}")
+            setattr(self, name, tokens.astype(self.vocab.token_dtype, copy=False))
         self.source_starts = np.cumsum(self.source_lengths) - self.source_lengths
         self.target_starts = np.cumsum(self.target_lengths) - self.target_lengths
 
@@ -210,9 +230,13 @@ def gen_task(
     from the task's stream: every length, then (when ``long_length_mass``
     is set) one Bernoulli block and one block of top-band lengths, then
     the sources as one flat block, then the noise flips and substitutes
-    as flat blocks. The corpus keeps the source and target blocks as they
-    are, with the lengths. The h != 0 recurrence runs as one loop over
-    positions, covering at each position every pair that long.
+    as flat blocks. Every draw is int64 (a narrower draw would consume the
+    stream differently) and is narrowed to ``vocab.token_dtype`` once its
+    last int64 use ends: the map runs in place on the source draw before
+    that buffer is dropped, so no int64 token block outlives its draw. The
+    corpus keeps the narrowed source and target blocks, with the lengths.
+    The h != 0 recurrence runs as one loop over positions, covering at
+    each position every pair that long, and widens as it adds the history.
     """
     kind = TaskKind(kind)
     vocab = Vocab.numeric(vocab_size)
@@ -237,28 +261,37 @@ def gen_task(
     ends = np.cumsum(lengths)
     starts = ends - lengths
     total = int(lengths.sum())
-    src = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total)
+    width = vocab.token_dtype
+    drawn = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total)
+    src = drawn.astype(width)
+    if kind is TaskKind.NOISY_MAP:
+        # the map, in place on the draw: a*(src - 5) + b mod content, plus 5 unless a history term follows
+        drawn -= FIRST_CONTENT_ID
+        drawn *= a
+        drawn += map_b
+        drawn %= content
+        if history_weight == 0:
+            drawn += FIRST_CONTENT_ID
+        clean = drawn.astype(width)
+    del drawn
     if kind is TaskKind.COPY:
         tgt = src
     elif kind is TaskKind.REVERSE:  # position p of the pair on [start, end) reads end - 1 - p + start
         tgt = src[np.repeat(ends - 1 + starts, lengths) - np.arange(total)]
     else:
         flip = rng.random(total) < noise if noise > 0.0 else np.zeros(total, dtype=bool)
-        subs = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total) if noise > 0.0 else src
-        clean = (src - FIRST_CONTENT_ID) * a + map_b  # the map before the history term and the modulus
-        if history_weight == 0:  # in place: the blocks are the corpus's size
+        subs = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total).astype(width) if noise > 0.0 else src
+        if history_weight == 0:
             tgt = clean
-            tgt %= content
-            tgt += FIRST_CONTENT_ID
             np.copyto(tgt, subs, where=flip)
-        else:
-            tgt = np.empty(total, dtype=np.int64)
+        else:  # (x mod c + h) mod c = (x + h) mod c, so the reduced map gives the same tokens
+            tgt = np.empty(total, dtype=width)
             first = starts[np.argsort(-lengths)]  # longest pairs first
             alive = count - np.cumsum(np.bincount(lengths, minlength=max_len + 1))  # pairs longer than t
             prev = np.zeros(count, dtype=np.int64)
             for t in range(max_len):
                 pos = first[: alive[t]] + t
-                history = prev[: alive[t]] * history_weight
+                history = prev[: alive[t]] * history_weight  # int64, so the sum below widens
                 tok = np.where(flip[pos], subs[pos], (clean[pos] + history) % content + FIRST_CONTENT_ID)
                 tgt[pos] = tok
                 prev = tok - FIRST_CONTENT_ID
@@ -299,7 +332,8 @@ def make_batch(corpus: Corpus, rows: np.ndarray) -> Batch:
     """The padded batch of the pairs at ``rows``, in that order.
 
     Every matrix is filled by array indexing: a row-major boolean mask
-    assignment lays each side's gathered tokens row after row.
+    assignment lays each side's gathered tokens row after row. The id
+    matrices are int64 whatever the corpus's token width.
     """
     src_lens, content = corpus.source_lengths[rows], corpus.target_lengths[rows]
     b, m, n = len(rows), int(src_lens.max()), int(content.max()) + 2  # sentinels

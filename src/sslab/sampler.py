@@ -41,7 +41,6 @@ from .tensor import (
     constant,
     cross_entropy_label_smoothed,
     grad_of,
-    matmul,
     no_grad,
     select,
     softmax,
@@ -134,14 +133,12 @@ def first_pass_predictions(params: ModelParams, batch: Batch, source: SourceStat
     golden begin sentinel. Runs without dropout, and the result is a
     constant: nothing is recorded on the tape.
     """
-    golden_in = batch.decoder_inputs()
-    n = golden_in.shape[1]
-    shift = np.zeros((n, n), dtype=params.config.np_dtype)
-    shift[np.arange(1, n), np.arange(n - 1)] = 1.0
     with no_grad():
-        logits = decode_step_logits(params, source, embed_targets(params, golden_in))
-        mix = weighted_embedding_mix(softmax(logits, axis=-1), params["embed"])
-        return matmul(constant(shift), mix)
+        logits = decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs()))
+        mix = weighted_embedding_mix(softmax(logits, axis=-1), params["embed"]).data
+    pred = np.zeros_like(mix)
+    pred[:, 1:] = mix[:, :-1]
+    return constant(pred)
 
 
 def two_pass_loss(
@@ -239,7 +236,7 @@ class Adam:
             v *= o.beta2
             v += (1.0 - o.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + o.eps)
-            p.data = p.data - np.asarray(lr, dtype=p.data.dtype) * update.astype(p.data.dtype)
+            p.data = p.data - np.asarray(lr, dtype=p.data.dtype) * update
             p.grad = None
 
 

@@ -427,6 +427,14 @@ def test_tsv_pair_wider_than_the_run_allows_fails_before_training(tmp_path, caps
     assert not (out / "steps.csv").exists()
 
 
+def test_default_training_corpus_holds_one_byte_per_token():
+    train_corpus, eval_corpus = cli.build_corpora(cli.RunConfig())
+    for corpus in (train_corpus, eval_corpus):
+        assert corpus.sources.nbytes == corpus.source_lengths.sum() == len(corpus.sources)
+        assert corpus.targets.nbytes == corpus.target_lengths.sum() == len(corpus.targets)
+    assert len(train_corpus) == cli.DataConfig().count
+
+
 def test_tsv_that_leaves_no_training_pair_fails_before_any_output(tmp_path, capsys):
     one = tmp_path / "one.tsv"
     one.write_text("a b\tc d\n")  # the split always holds out at least one pair

@@ -404,7 +404,8 @@ def test_from_pairs_round_trips(pairs):
     assert corpus.pairs == [(list(src), list(tgt)) for src, tgt in pairs]
     again = Corpus.from_pairs(corpus.pairs, corpus.vocab)
     for name in ("sources", "source_lengths", "targets", "target_lengths", "source_starts", "target_starts"):
-        assert getattr(again, name).dtype == np.int64
+        want = np.uint8 if name in ("sources", "targets") else np.int64  # 31 ids take one byte
+        assert getattr(again, name).dtype == want
         assert np.array_equal(getattr(again, name), getattr(corpus, name))
     assert corpus.target_rows() == [tgt for _, tgt in corpus.pairs]
 
@@ -473,3 +474,51 @@ def test_batch_stream_builds_no_skipped_batch(monkeypatch):
     corpus = gen_task(TaskKind.COPY, 30, 2, 14, 60, seed=6)
     stream = batch_stream(corpus, 96, seed=8, start=1000)
     assert next(stream) == "batch" and len(built) == 1
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_token_arrays_take_the_vocabulary_width(kind):
+    for vocab_size, width in ((20, np.uint8), (256, np.uint8), (257, np.uint16), (2000, np.uint16)):
+        corpus = gen_task(kind, vocab_size, 2, 9, 40, seed=3, noise=0.2, history_weight=1)
+        assert corpus.vocab.token_dtype == width
+        assert corpus.sources.dtype == corpus.targets.dtype == width
+        for name in ("source_lengths", "target_lengths", "source_starts", "target_starts"):
+            assert getattr(corpus, name).dtype == np.int64
+        assert corpus.take(np.array([3, 1])).targets.dtype == width
+
+
+@pytest.mark.parametrize("history_weight", [0, 1, 40])
+@pytest.mark.parametrize("vocab_size, map_a", [(50, 44), (2000, 1994)])
+def test_noisy_map_does_not_wrap_at_the_token_width(vocab_size, map_a, history_weight):
+    # a*(s - 5) + b, and h*prev at h = 40, exceed the token width, so arithmetic on the narrow arrays would wrap
+    content = vocab_size - FIRST_CONTENT_ID
+    corpus = gen_task(TaskKind.NOISY_MAP, vocab_size, 2, 9, 300, seed=12, map_a=map_a, map_b=7,
+                      history_weight=history_weight)
+    assert int(corpus.sources.max()) * map_a > np.iinfo(corpus.sources.dtype).max
+    for src, tgt in corpus.pairs:
+        prev = 0
+        for s, t in zip(src, tgt):
+            assert t == ((s - FIRST_CONTENT_ID) * map_a + 7 + history_weight * prev) % content + FIRST_CONTENT_ID
+            prev = t - FIRST_CONTENT_ID
+
+
+def test_tsv_past_one_byte_of_ids_loads_at_two_bytes(tmp_path):
+    words = [f"w{i}" for i in range(300)]  # ids 5..304
+    lines = [(words[i : i + 5], words[::-1][i : i + 3]) for i in range(0, 300, 7)]
+    path = tmp_path / "wide.tsv"
+    path.write_text("".join(f"{' '.join(s)}\t{' '.join(t)}\n" for s, t in lines), encoding="utf-8")
+    corpus = load_tsv_corpus(path)
+    assert corpus.vocab.size > 256 and corpus.sources.dtype == corpus.targets.dtype == np.uint16
+    assert int(corpus.targets.max()) > 255
+    want = [corpus.vocab.encode(t) for _, t in lines]  # the ids as Python ints: no width to wrap
+    assert corpus.target_rows() == want
+    assert [s for s, _ in corpus.pairs] == [corpus.vocab.encode(s) for s, _ in lines]
+
+
+@pytest.mark.parametrize("bad", [31, 255, 256, 70_000, -1, -300])
+@pytest.mark.parametrize("side", [0, 1])
+def test_an_id_outside_the_vocabulary_is_rejected(bad, side):
+    pair = [[5, 6], [7, 8]]
+    pair[side] = [5, bad]
+    with pytest.raises(DataError, match=rf"token id {bad} lies outside the vocabulary of size 31"):
+        Corpus.from_pairs([([9], [9]), tuple(pair)], Vocab.numeric(31))

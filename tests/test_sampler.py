@@ -22,7 +22,7 @@ from sslab.sampler import (
     two_pass_loss,
 )
 from sslab.schedules import Family, JointMethod, JointSpec, ScheduleSpec
-from sslab.tensor import Tape, constant, grad_of, weighted_embedding_mix
+from sslab.tensor import Tape, constant, grad_of, softmax, weighted_embedding_mix
 from sslab.model import encode, embed_targets, source_state
 import sslab.model as model_module
 
@@ -95,6 +95,18 @@ def test_soft_mix_predictions_live_in_embedding_hull():
     assert (pred[:, 1:] >= lo - 1e-9).all()
     assert (pred[:, 1:] <= hi + 1e-9).all()
     assert np.array_equal(pred[:, 0], np.zeros_like(pred[:, 0]))
+
+
+def test_prediction_at_each_input_is_the_first_pass_mix_one_position_back():
+    cfg = config64()
+    params = init_params(cfg, named_rng(4, "init"))
+    batch = random_batch(np.random.default_rng(5), cfg.vocab_size, b=3, tgt_len=6)
+    source = source_state(params, encode(params, batch.source, batch.source_mask), batch.source_mask)
+    pred = first_pass_predictions(params, batch, source).data
+    logits = model_module.decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs()))
+    mix = weighted_embedding_mix(softmax(logits, axis=-1), params["embed"]).data
+    assert pred.shape == mix.shape
+    assert np.array_equal(pred[:, 1:], mix[:, :-1]) and not np.allclose(pred[:, 1:], mix[:, 1:])
 
 
 # ---------------------------------------------------------------------------
