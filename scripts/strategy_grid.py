@@ -42,8 +42,9 @@ def build_strategies(max_t: int, ft_steps: int) -> dict[str, dict]:
     def ds(family, direction="decay", **kw):
         return {"mode": "decoding_steps", "schedule": {"family": family, "direction": direction, **kw}}
 
+    f = {"family": "sigmoid", "k": f_sig_k}
+
     def joint(method):
-        f = {"family": "sigmoid", "k": f_sig_k}
         g = {"family": "exponential", "k": exp_k}
         return {"mode": "joint", "joint": {"method": method, "f": f, "g": g}}
 
@@ -57,6 +58,7 @@ def build_strategies(max_t: int, ft_steps: int) -> dict[str, dict]:
         "exponential_increase": ds("exponential", "increase", k=exp_k),
         "sigmoid_decay": ds("sigmoid", k=sig_k),
         "sigmoid_increase": ds("sigmoid", "increase", k=sig_k),
+        "training_steps": {"mode": "training_steps", "schedule": f},  # vanilla scheduled sampling
         "joint_product": joint("product"),
         "joint_arithmetic_mean": joint("arithmetic_mean"),
         "joint_composite": joint("composite"),

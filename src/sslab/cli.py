@@ -39,7 +39,7 @@ from .metrics import (
     empirical_schedule,
     fuzzy_precision_per_step,
     gap_curve,
-    length_sorted_batches,
+    in_corpus_order,
     strict_precision_per_step,
     token_accuracy,
     write_curve_csv,
@@ -57,7 +57,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataConfig:
-    task: str = "noisy_map"  # copy | reverse | noisy_map | tsv
+    task: str = "noisy_map"  # copy | noisy_map | tsv
     tsv_path: str | None = None
     vocab_size: int = 50
     min_len: int = 20
@@ -65,10 +65,7 @@ class DataConfig:
     count: int = 20000
     eval_count: int = 500
     noise: float = 0.1
-    map_a: int | None = None
-    map_b: int = 1
     history_weight: int = 0
-    long_length_mass: float = 0.0
     eval_clean_targets: bool = True
     eval_fraction: float = 0.05  # tsv only
     token_budget: int = 1024
@@ -77,9 +74,8 @@ class DataConfig:
         tasks = [k.value for k in TaskKind] + ["tsv"]
         if self.task not in tasks:
             raise ValueError(f"task must be one of {tasks}, got {self.task!r}")
-        for name in ("noise", "long_length_mass"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.noise <= 1.0:
+            raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must lie in (0, 1), got {self.eval_fraction}")
         if self.task != "tsv":  # a TSV file fixes its own lengths and vocabulary
@@ -123,7 +119,7 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     sampler: SamplerConfig = field(default_factory=_default_sampler)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    decode: DecodeConfig = field(default_factory=lambda: DecodeConfig(beam_size=4, length_penalty=0.6, max_length=80))
+    decode: DecodeConfig = field(default_factory=DecodeConfig)
     train: TrainSection = field(default_factory=TrainSection)
     # named specs for schedule-dump; entries with a "method" key are joint
     schedules: dict = field(default_factory=dict)
@@ -276,8 +272,7 @@ def build_corpora(cfg: RunConfig, *, train_data: bool = True) -> tuple[Corpus | 
     def generate(count: int, label: str, noise: float) -> Corpus:
         return gen_task(
             TaskKind(d.task), d.vocab_size, d.min_len, d.max_len, count,
-            seed=hash_seed(cfg.seed, label), noise=noise, map_a=d.map_a, map_b=d.map_b,
-            history_weight=d.history_weight, long_length_mass=d.long_length_mass,
+            seed=hash_seed(cfg.seed, label), noise=noise, history_weight=d.history_weight,
         )
 
     train_corpus = generate(d.count, "train-data", d.noise) if train_data else None
@@ -446,7 +441,8 @@ def cmd_train(cfg: RunConfig) -> int:
             )
         except DivergenceError as err:
             kept = last_checkpoint or cfg.train.resume_from
-            raise DivergenceError(f"{err}; last good checkpoint: {kept}") from err
+            where = f"last good checkpoint: {kept}" if kept else "no checkpoint was written"
+            raise DivergenceError(f"{err}; {where}") from err
     final = out / "ckpt_final.bin"
     save_model_checkpoint(final, params, start_step + cfg.train.total_steps, train_corpus.vocab)
     print(f"trained {cfg.train.total_steps} step(s); final checkpoint {final}")
@@ -455,12 +451,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _teacher_forced_predictions(params: ModelParams, corpus: Corpus) -> list[list[int]]:
     """Argmax continuation at every golden prefix, trimmed to content length, in corpus order."""
-    preds: list[list[int]] = [[] for _ in range(len(corpus))]
-    for indices, batch in length_sorted_batches(corpus, BATCH_ROWS):
+
+    def predict(batch):
         argmax = teacher_forced_logits(params, batch).argmax(axis=-1)
-        for row, (i, n) in enumerate(zip(indices.tolist(), corpus.target_lengths[indices].tolist())):
-            preds[i] = argmax[row, :n].tolist()
-    return preds
+        return [row[:n].tolist() for row, n in zip(argmax, (batch.target_lengths - 2).tolist())]
+
+    return in_corpus_order(corpus, BATCH_ROWS, predict)
 
 
 def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelParams, int]:

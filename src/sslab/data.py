@@ -40,7 +40,6 @@ class DataError(ValueError):
 
 class TaskKind(str, Enum):
     COPY = "copy"
-    REVERSE = "reverse"
     NOISY_MAP = "noisy_map"
 
 
@@ -202,41 +201,35 @@ def gen_task(
     count: int,
     seed: int,
     noise: float = 0.0,
-    map_a: int | None = None,
-    map_b: int = 1,
     history_weight: int = 0,
-    long_length_mass: float = 0.0,
 ) -> Corpus:
     """Generate a paired corpus for one of the synthetic tasks.
 
-    ``noisy_map`` applies a tokenwise affine bijection to the source and
-    then corrupts each *target* token with probability ``noise``, so the
-    golden histories seen in training differ from anything a correct
-    model would produce at inference time.
+    ``copy`` pairs each source with itself. ``noisy_map`` applies a
+    tokenwise affine bijection to the source, a*(src - 5) + 1 (mod
+    content), where a is the least multiplier from 2 up coprime with the
+    content size, and then corrupts each *target* token with probability
+    ``noise``, so the golden histories seen in training differ from
+    anything a correct model would produce at inference time.
 
     A non-zero ``history_weight`` h makes the map first-order
-    autoregressive, target_t = a*src_t + h*target_{t-1} + b (mod content),
+    autoregressive, target_t = a*src_t + h*target_{t-1} + 1 (mod content),
     with substitution noise feeding back through the recurrence. History
     then carries real information and a single divergence from a
     reference reroutes its whole continuation, which is what makes
     exposure bias measurable on sequences this short.
 
-    Lengths draw uniformly from [min_len, max_len]; ``long_length_mass``
-    diverts that probability to the top length band (the last four
-    lengths), which flattens per-position sample counts so per-step
-    curves are comparable across the whole range.
-
-    The corpus is drawn in one pass of array expressions, in this order
-    from the task's stream: every length, then (when ``long_length_mass``
-    is set) one Bernoulli block and one block of top-band lengths, then
-    the sources as one flat block, then the noise flips and substitutes
-    as flat blocks. Every draw is int64 (a narrower draw would consume the
-    stream differently) and is narrowed to ``vocab.token_dtype`` once its
-    last int64 use ends: the map runs in place on the source draw before
-    that buffer is dropped, so no int64 token block outlives its draw. The
-    corpus keeps the narrowed source and target blocks, with the lengths.
-    The h != 0 recurrence runs as one loop over positions, covering at
-    each position every pair that long, and widens as it adds the history.
+    Lengths draw uniformly from [min_len, max_len]. The corpus is drawn
+    in one pass of array expressions, in this order from the task's
+    stream: every length, then the sources as one flat block, then the
+    noise flips and substitutes as flat blocks. Every draw is int64 (a
+    narrower draw would consume the stream differently) and is narrowed
+    to ``vocab.token_dtype`` once its last int64 use ends: the map runs in
+    place on the source draw before that buffer is dropped, so no int64
+    token block outlives its draw. The corpus keeps the narrowed source
+    and target blocks, with the lengths. The h != 0 recurrence runs as
+    one loop over positions, covering at each position every pair that
+    long, and widens as it adds the history.
     """
     kind = TaskKind(kind)
     vocab = Vocab.numeric(vocab_size)
@@ -247,28 +240,20 @@ def gen_task(
         raise DataError(f"bad length range [{min_len}, {max_len}]")
     if not 0.0 <= noise <= 1.0:
         raise DataError(f"noise must lie in [0, 1], got {noise}")
-    if not 0.0 <= long_length_mass <= 1.0:
-        raise DataError(f"long_length_mass must lie in [0, 1], got {long_length_mass}")
-    a = _pick_coprime(2 if map_a is None else map_a, content)
-    if map_a is not None and a != map_a:
-        raise DataError(f"map_a={map_a} shares a factor with content vocab {content}")
+    a = _pick_coprime(2, content)
 
     rng = named_rng(seed, "gen", kind.value)
     lengths = rng.integers(min_len, max_len + 1, size=count)
-    if long_length_mass:
-        long = rng.random(count) < long_length_mass
-        lengths = np.where(long, rng.integers(max(min_len, max_len - 3), max_len + 1, size=count), lengths)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    starts = np.cumsum(lengths) - lengths
     total = int(lengths.sum())
     width = vocab.token_dtype
     drawn = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total)
     src = drawn.astype(width)
     if kind is TaskKind.NOISY_MAP:
-        # the map, in place on the draw: a*(src - 5) + b mod content, plus 5 unless a history term follows
+        # the map, in place on the draw: a*(src - 5) + 1 mod content, plus 5 unless a history term follows
         drawn -= FIRST_CONTENT_ID
         drawn *= a
-        drawn += map_b
+        drawn += 1
         drawn %= content
         if history_weight == 0:
             drawn += FIRST_CONTENT_ID
@@ -276,8 +261,6 @@ def gen_task(
     del drawn
     if kind is TaskKind.COPY:
         tgt = src
-    elif kind is TaskKind.REVERSE:  # position p of the pair on [start, end) reads end - 1 - p + start
-        tgt = src[np.repeat(ends - 1 + starts, lengths) - np.arange(total)]
     else:
         flip = rng.random(total) < noise if noise > 0.0 else np.zeros(total, dtype=bool)
         subs = rng.integers(FIRST_CONTENT_ID, vocab_size, size=total).astype(width) if noise > 0.0 else src
@@ -298,12 +281,11 @@ def gen_task(
     return Corpus(src, lengths, tgt, lengths, vocab)
 
 
-def load_tsv_corpus(path, vocab: Vocab | None = None) -> Corpus:
+def load_tsv_corpus(path) -> Corpus:
     """Read a tab-separated parallel corpus with whitespace tokenization.
 
-    When ``vocab`` is None a vocabulary is built from the file (training
-    split); otherwise unknown words map to the unknown id (eval splits).
-    The encoded pairs go flat through ``Corpus.from_pairs``.
+    The vocabulary is the file's words in order of first appearance, and
+    the encoded pairs go flat through ``Corpus.from_pairs``.
     """
     rows: list[tuple[list[str], list[str]]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -317,14 +299,13 @@ def load_tsv_corpus(path, vocab: Vocab | None = None) -> Corpus:
             rows.append((parts[0].split(), parts[1].split()))
     if not rows:
         raise DataError(f"{path}: empty corpus")
-    if vocab is None:
-        seen: dict[str, None] = {}
-        for src, tgt in rows:
-            for w in src:
-                seen.setdefault(w, None)
-            for w in tgt:
-                seen.setdefault(w, None)
-        vocab = Vocab(tuple(seen))
+    seen: dict[str, None] = {}
+    for src, tgt in rows:
+        for w in src:
+            seen.setdefault(w, None)
+        for w in tgt:
+            seen.setdefault(w, None)
+    vocab = Vocab(tuple(seen))
     return Corpus.from_pairs([(vocab.encode(src), vocab.encode(tgt)) for src, tgt in rows], vocab)
 
 
@@ -378,33 +359,26 @@ def _packing(corpus: Corpus, token_budget: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _epoch_plan(widths: np.ndarray, cuts: list[int], seed: int, epoch: int) -> list[np.ndarray]:
-    rng = named_rng(seed, "batchify", epoch)
+    rng = named_rng(seed, "batchify", epoch)  # the stream's name pins every batch plan: renaming it moves them all
     order = rng.permutation(len(widths))
     groups = np.split(order[np.argsort(widths[order], kind="stable")], cuts)
     rng.shuffle(groups)
     return groups
 
 
-def batchify(corpus: Corpus, token_budget: int, seed: int, epoch: int = 0) -> Iterator[Batch]:
-    """Length-bucketed batches whose padded size never exceeds the budget.
+def batch_stream(corpus: Corpus, token_budget: int, seed: int, start: int = 0) -> Iterator[Batch]:
+    """Endless length-bucketed batches whose padded size never exceeds the budget.
 
     The cap is rows x widest row <= token_budget (the padded matrix is
-    what costs memory and compute). Pair order is shuffled per epoch,
-    grouped by ``Corpus.row_widths``, and batch order is shuffled again;
-    everything is deterministic given (seed, epoch). A stable argsort of
-    the shuffled widths orders the pairs, and rows are packed in ascending
-    width, so a row's own width is its batch's widest. The checks and the
-    plan run at the call; each batch is built when it is drawn.
-    """
-    widths, cuts = _packing(corpus, token_budget)
-    return (make_batch(corpus, rows) for rows in _epoch_plan(widths, cuts, seed, epoch))
-
-
-def batch_stream(corpus: Corpus, token_budget: int, seed: int, start: int = 0) -> Iterator[Batch]:
-    """Endless batch iterator; each epoch reshuffles under its own stream.
-
-    Every epoch holds the same number of batches, so ``start`` skips that
-    many by seeking to its epoch and offset: no skipped batch is built.
+    what costs memory and compute). Each epoch covers the corpus once:
+    pair order is shuffled under the epoch's own stream, grouped by
+    ``Corpus.row_widths``, and batch order is shuffled again, so
+    everything is deterministic given the seed. A stable argsort of the
+    shuffled widths orders the pairs, and rows are packed in ascending
+    width, so a row's own width is its batch's widest. Every epoch holds
+    the same number of batches, so ``start`` skips that many by seeking
+    to its epoch and offset: no skipped batch is built. The checks run at
+    the first draw, and each batch is built when it is drawn.
     """
     widths, cuts = _packing(corpus, token_budget)
     epoch, skip = divmod(start, len(cuts) + 1)

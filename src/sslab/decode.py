@@ -51,7 +51,7 @@ class DecodeError(ValueError):
 class DecodeConfig:
     beam_size: int = 4
     length_penalty: float = 0.6
-    max_length: int = 64
+    max_length: int = 80
     eos_id: int = EOS_ID
 
     def __post_init__(self):

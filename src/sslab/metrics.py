@@ -7,7 +7,7 @@ anywhere in the reference window centered on the same position.
 Inference-side precision uses a small window; training-side (strict)
 precision and token accuracy are the window-1 case. ``decode_corpus``
 decodes a corpus in calls of at most ``BATCH_ROWS`` rows, the size the
-CLI's teacher-forced pass uses too; both take their batches from
+CLI's teacher-forced pass uses too; ``in_corpus_order`` runs both over
 ``length_sorted_batches``, so a batch pads only to its own widest source
 and a decode stops near its own longest one. ``empirical_schedule`` turns
 an inference-side curve into an ``empirical`` schedule, and ``gap_curve``
@@ -24,7 +24,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -160,19 +160,26 @@ def length_sorted_batches(corpus: Corpus, per_batch: int) -> Iterator[tuple[np.n
         yield indices, make_batch(corpus, indices)
 
 
+def in_corpus_order(corpus: Corpus, per_batch: int, rows_of: Callable[[Batch], list[list[int]]]) -> list[list[int]]:
+    """``rows_of``'s rows, one per pair, over the ``length_sorted_batches`` of ``corpus``, put back in corpus order."""
+    out: list[list[int]] = [[] for _ in range(len(corpus))]
+    for indices, batch in length_sorted_batches(corpus, per_batch):
+        for i, row in zip(indices.tolist(), rows_of(batch)):
+            out[i] = row
+    return out
+
+
 def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[list[int]]:
     """One hypothesis per source, in corpus order, decoded through ``decode.decode_batch``.
 
     ``BATCH_ROWS`` caps the rows of each scorer call: a batch holds
     ``BATCH_ROWS // beam_size`` sources (at least one), since each source
     holds up to ``beam_size`` live beams; greedy decodes ``BATCH_ROWS``.
-    Batches come from ``length_sorted_batches``.
     """
-    hyps: list[list[int]] = [[] for _ in range(len(corpus))]
-    for indices, batch in length_sorted_batches(corpus, max(1, BATCH_ROWS // decode_cfg.beam_size)):
-        for i, hyp in zip(indices.tolist(), decode_batch(params, batch.source, batch.source_mask, decode_cfg)):
-            hyps[i] = hyp
-    return hyps
+    return in_corpus_order(
+        corpus, max(1, BATCH_ROWS // decode_cfg.beam_size),
+        lambda batch: decode_batch(params, batch.source, batch.source_mask, decode_cfg),
+    )
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:

@@ -86,13 +86,12 @@ def selection_probabilities(sampler: SamplerConfig, train_step: int, n_positions
 
     Position 0 carries the begin sentinel and is always golden. Input
     position j >= 1 consumes the token generated at decoding step j - 1,
-    so it is scheduled at that step. Warm-start steps pin everything to 1,
-    and training-step schedules count from the end of the warm start (the
-    fine-tuning phase owns the schedule horizon).
+    so it is scheduled at that step. Training-step schedules count from
+    the end of the warm start (the fine-tuning phase owns the schedule
+    horizon); ``train`` sends warm-start steps to teacher forcing, so
+    ``train_step`` is never below ``warm_start_steps`` here.
     """
     p = np.ones(n_positions)
-    if train_step < sampler.warm_start_steps:
-        return p
     effective_step = train_step - sampler.warm_start_steps
     for j in range(1, n_positions):
         p[j] = golden_probability(sampler, effective_step, j - 1)
@@ -188,20 +187,12 @@ class DivergenceError(RuntimeError):
 class OptimizerConfig:
     lr_factor: float = 1.0
     warmup_steps: int = 400
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
 
     def __post_init__(self):
         if not self.lr_factor > 0.0:
             raise ValueError(f"lr_factor must be > 0, got {self.lr_factor}")
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 def learning_rate(opt: OptimizerConfig, hidden_size: int, step: int) -> float:
@@ -214,28 +205,29 @@ def learning_rate(opt: OptimizerConfig, hidden_size: int, step: int) -> float:
     )
 
 
-class Adam:
-    """Adam with bias correction; treats missing grads as zero."""
+BETA1, BETA2, EPS = 0.9, 0.98, 1e-9  # Adam's moment decays and denominator floor
 
-    def __init__(self, tensors: list[Tensor], opt: OptimizerConfig):
+
+class Adam:
+    """Adam with bias correction at ``BETA1``, ``BETA2`` and ``EPS``; treats missing grads as zero."""
+
+    def __init__(self, tensors: list[Tensor]):
         self.tensors = tensors
-        self.opt = opt
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in tensors]
         self.v = [np.zeros_like(p.data) for p in tensors]
 
     def step(self, lr: float) -> None:
-        o = self.opt
         self.t += 1
-        bc1 = 1.0 - o.beta1**self.t
-        bc2 = 1.0 - o.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for p, m, v in zip(self.tensors, self.m, self.v):
             g = grad_of(p)
-            m *= o.beta1
-            m += (1.0 - o.beta1) * g
-            v *= o.beta2
-            v += (1.0 - o.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + o.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = p.data - np.asarray(lr, dtype=p.data.dtype) * update
             p.grad = None
 
@@ -257,7 +249,7 @@ def train(
     hand its second pass, so a run with warm start covering every step is
     bit-identical to pure teacher forcing under the same seed.
     """
-    adam = Adam(params.all_tensors(), opt_cfg)
+    adam = Adam(params.all_tensors())
     rows: list[dict] = []
     for step in range(start_step, start_step + total_steps):
         batch = next(batches)

@@ -187,7 +187,7 @@ def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
         "train.log_every=0", "train.checkpoint_every=0", "model.num_heads=0", "optimizer.warmup_steps=0",
         "train.total_steps=-3", "model.hidden_size=0", "model.filter_size=0", "model.max_positions=0",
         "model.num_encoder_layers=-1", "model.num_decoder_layers=-1", "model.dropout=1.5",
-        "model.label_smoothing=2.0", "optimizer.beta1=1.0", "optimizer.beta2=-0.1", "optimizer.eps=0",
+        "model.label_smoothing=2.0",
         "gap_window=2", "data.token_budget=0", "data.min_len=0", "data.task=foo", "seed=-1",
     ],
 )
@@ -328,6 +328,23 @@ def test_train_resume_continues_step_numbering(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["step"]) for r in rows] == list(range(35))
     assert load_model_checkpoint(str(out / "ckpt_final.bin"))[1] == 35
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_diverged_run_names_its_last_checkpoint_or_says_there_is_none(tmp_path, capsys, resumed):
+    start = tmp_path / "start"
+    extra = ["--set", "optimizer.lr_factor=1e30", "--set", "optimizer.warmup_steps=1"]
+    if resumed:
+        assert run_cli(*tiny_train_args(start, extra=["--set", "train.total_steps=2"])) == 0
+        extra += ["--set", f"train.resume_from={start / 'ckpt_final.bin'}"]
+    capsys.readouterr()
+    code = run_cli(*tiny_train_args(tmp_path / "run", extra=extra))
+    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("sslab: warning:")]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("sslab: error: non-finite loss")  # numpy's overflow warnings aside
+    assert "None" not in errors[0]
+    want = f"last good checkpoint: {start / 'ckpt_final.bin'}" if resumed else "no checkpoint was written"
+    assert errors[0].endswith(want)
 
 
 @pytest.mark.parametrize("override", ["model.hidden_size=32", "model.dropout=0.3"])
@@ -800,6 +817,15 @@ def test_rejected_checkpoint_leaves_no_config_echo(tmp_path, capsys, command):
         "sampler.backprop_through_predictions=true",
         'sampler.joint={"method": "composite_alt", "f": {"family": "uniform", "uniform_p": 0.5},'
         ' "g": {"family": "uniform", "uniform_p": 0.5}}',
+        # removed settings, at the values earlier echoes hold: long-length mass, the map's multiplier and
+        # offset, Adam's constants and the reverse task
+        "data.long_length_mass=0.0",
+        "data.map_a=null",
+        "data.map_b=1",
+        "optimizer.beta1=0.9",
+        "optimizer.beta2=0.98",
+        "optimizer.eps=1e-09",
+        "data.task=reverse",
     ],
 )
 def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, override):
@@ -812,6 +838,7 @@ def test_wrongly_typed_config_value_fails_without_traceback(tmp_path, capsys, ov
     assert err.startswith("sslab: error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert override.split("=")[0].split(".")[-1] in err
+    assert not list(tmp_path.iterdir())
 
 
 def _drop(name):

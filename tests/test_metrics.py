@@ -161,7 +161,7 @@ def test_precision_matches_plain_loop_reference(pairs, window):
 # the gap instrument in closed form: decode, per-step precision, gap.csv
 # ---------------------------------------------------------------------------
 
-MAP_VOCAB, MAP_A, MAP_B, CONTENT = 50, 2, 1, 45  # content ids 5..49
+MAP_VOCAB, MAP_A, MAP_B, CONTENT = 50, 2, 1, 45  # content ids 5..49; gen_task's map is 2*(s - 5) + 1 mod 45
 
 
 def error_table_scorer(sources, lengths, errors):
@@ -190,9 +190,7 @@ def error_table_scorer(sources, lengths, errors):
 
 
 def test_gap_instrument_matches_the_error_table_in_closed_form():
-    corpus = gen_task(
-        TaskKind.NOISY_MAP, MAP_VOCAB, 10, 40, 300, seed=7, noise=0.0, map_a=MAP_A, map_b=MAP_B, history_weight=1
-    )
+    corpus = gen_task(TaskKind.NOISY_MAP, MAP_VOCAB, 10, 40, 300, seed=7, noise=0.0, history_weight=1)
     sources, refs = [src for src, _ in corpus.pairs], [tgt for _, tgt in corpus.pairs]
     lengths = np.array([len(r) for r in refs])
     errors = np.random.default_rng(11).random((len(refs), 40)) < 0.05

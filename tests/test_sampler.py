@@ -21,7 +21,7 @@ from sslab.sampler import (
     train,
     two_pass_loss,
 )
-from sslab.schedules import Family, JointMethod, JointSpec, ScheduleSpec
+from sslab.schedules import Family, JointMethod, JointSpec, ScheduleSpec, eval_schedule
 from sslab.tensor import Tape, constant, grad_of, softmax, weighted_embedding_mix
 from sslab.model import encode, embed_targets, source_state
 import sslab.model as model_module
@@ -135,12 +135,12 @@ def test_uniform_mask_concentrates_at_half():
     assert abs(frac - 0.5) < 0.02
 
 
-def test_warm_start_forces_all_golden():
-    sampler = uniform_sampler(0.0, warm_start_steps=10)
-    p = selection_probabilities(sampler, train_step=3, n_positions=6)
-    assert p.tolist() == [1.0] * 6
-    p_after = selection_probabilities(sampler, train_step=10, n_positions=6)
-    assert p_after[1:].tolist() == [0.0] * 5
+def test_training_step_schedules_count_from_the_end_of_the_warm_start():
+    f = ScheduleSpec(Family.EXPONENTIAL, k=0.5)
+    sampler = SamplerConfig(SamplingMode.TRAINING_STEPS, schedule=f, warm_start_steps=10)
+    for step in (10, 11, 13):
+        p = selection_probabilities(sampler, train_step=step, n_positions=6)
+        assert p.tolist() == [1.0] + [eval_schedule(f, step - 10)] * 5
 
 
 def test_position_indexing_uses_decoding_step_offset():
@@ -363,7 +363,7 @@ def test_adam_moves_toward_minimum():
     from sslab.tensor import parameter
 
     p = parameter(np.array([5.0]))
-    adam = Adam([p], OptimizerConfig())
+    adam = Adam([p])
     for _ in range(300):
         p.grad = 2.0 * p.data  # d/dp of p^2
         adam.step(0.05)

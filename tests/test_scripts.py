@@ -58,14 +58,15 @@ def test_strategy_grid_row_reruns_bit_for_bit(tmp_path):
     results = strategy_grid.run_grid(
         [3], min_len=2, max_len=6, pairs=60, eval_count=8, warm_steps=4, ft_steps=3,
         budget=128, vocab=12, hidden=16, layers=1,
-        strategy_filter={"exponential_decay", "joint_composite"}, out_dir=grid,
+        strategy_filter={"exponential_decay", "joint_composite", "training_steps"}, out_dir=grid,
     )
-    assert sorted(results) == ["exponential_decay", "joint_composite"]
+    assert sorted(results) == ["exponential_decay", "joint_composite", "training_steps"]
     assert all(0.0 <= acc[3] <= 1.0 for acc in results.values())
-    row = grid / "seed3" / "joint_composite"
-    assert main(["train", "--config", str(row / "config.json"), "--set", f"out_dir={tmp_path / 'rerun'}"]) == 0
-    assert (tmp_path / "rerun" / "ckpt_final.bin").read_bytes() == (row / "ckpt_final.bin").read_bytes()
-    assert (tmp_path / "rerun" / "steps.csv").read_bytes() == (row / "steps.csv").read_bytes()
+    for name in ("joint_composite", "training_steps"):
+        row, rerun = grid / "seed3" / name, tmp_path / "rerun" / name
+        assert main(["train", "--config", str(row / "config.json"), "--set", f"out_dir={rerun}"]) == 0
+        assert (rerun / "ckpt_final.bin").read_bytes() == (row / "ckpt_final.bin").read_bytes()
+        assert (rerun / "steps.csv").read_bytes() == (row / "steps.csv").read_bytes()
 
 
 def test_gap_experiment_spearman_matches_scipy_on_ties_and_is_nan_on_a_flat_curve():
