@@ -21,6 +21,7 @@ from sslab.metrics import (
     empirical_schedule,
     fuzzy_precision_per_step,
     gap_curve,
+    in_corpus_order,
     length_sorted_batches,
     strict_precision_per_step,
     token_accuracy,
@@ -340,6 +341,21 @@ def test_length_sorted_batches_cover_the_corpus_in_stable_length_order():
         want = batch_of([pairs[i] for i in indices.tolist()])
         assert np.array_equal(batch.source, want.source) and np.array_equal(batch.target, want.target)
     assert list(length_sorted_batches(Corpus.from_pairs([], corpus.vocab), 3)) == []
+
+
+def test_in_corpus_order_returns_each_pairs_row_at_its_corpus_index():
+    pairs = [([A] * n, [B] * (7 - n)) for n in (5, 3, 5, 1, 3, 2, 5)]
+    corpus = Corpus.from_pairs(pairs, Vocab(("a", "b")))
+    sizes = []
+
+    def rows_of(batch):  # each row reads back its own source length and its batch's size
+        sizes.append(batch.size)
+        return [[int(n), batch.size] for n in batch.source_lengths]
+
+    rows = in_corpus_order(corpus, 3, rows_of)
+    assert sizes == [3, 3, 1]
+    assert rows == [[len(src), 1 if i == 6 else 3] for i, (src, _) in enumerate(pairs)]
+    assert in_corpus_order(Corpus.from_pairs([], corpus.vocab), 3, rows_of) == [] and sizes == [3, 3, 1]
 
 
 def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):
