@@ -590,16 +590,20 @@ def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory_in_the_heap()
     args = vars(_build_parser().parse_args(argv))
     handler = args.pop("handler")  # what remains after config and overrides is the handler's own options
+    error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
             cfg = load_run_config(args.pop("config"), args.pop("overrides"))
             return handler(cfg, **args)
         except (DivergenceError, OSError, ValueError) as err:
-            print(f"sslab: error: {err}", file=sys.stderr)
+            error = err
             return 1
         finally:
+            # warnings first: a numpy overflow is often the cause of the error that follows
             for warning in caught:
                 print(f"sslab: warning: {warning.message}", file=sys.stderr)
+            if error is not None:
+                print(f"sslab: error: {error}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -65,7 +65,8 @@ class Vocab:
         return np.min_scalar_type(self.size - 1)
 
     def encode(self, words: Sequence[str]) -> list[int]:
-        return [self._index.get(w, UNK_ID) for w in words]
+        """The ids of ``words``, each of which must be one of ``tokens`` (KeyError otherwise)."""
+        return [self._index[w] for w in words]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         out = []

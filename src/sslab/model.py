@@ -14,6 +14,13 @@ small). Each full pass consumes one named dropout stream; a pass given no
 stream runs without dropout, which is evaluation mode. Every function
 that takes ``params`` reads the model's configuration from
 ``params.config``.
+
+Memory: a recording pass keeps on the tape only the arrays its backward
+rules read (see ``tensor.py``); a pass under ``no_grad`` keeps nothing
+there, so the code here drops each activation at its last read. The
+attention score chain runs under one name, so each step frees its input,
+and a sublayer's output goes straight into its residual norm. An
+evaluation pass then holds at most two score-sized arrays at a time.
 """
 
 from __future__ import annotations
@@ -222,16 +229,19 @@ def _attention(
     # gradients accumulate, so training stays bit-identical
     k, v = _project_kv(params, prefix, queries) if kv is None else kv
     d = cfg.hidden_size // cfg.num_heads
+    # one name along the score chain, so each step frees its input (see the module docstring)
     scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+    del q, k
     scores = mul(scores, constant(np.asarray(1.0 / math.sqrt(d), dtype=scores.dtype)))
     if additive_mask is not None:
         scores = add(scores, additive_mask)
-    weights = softmax(scores, axis=-1)
+    scores = softmax(scores, axis=-1)
     if key_mask is not None:
         # exact zero on pad keys, including rows where every key is padding
-        weights = mul(weights, key_mask)
-    ctx = _merge_heads(matmul(weights, v))
-    return _linear(ctx, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
+        scores = mul(scores, key_mask)
+    ctx = matmul(scores, v)
+    del scores, v
+    return _linear(_merge_heads(ctx), params[f"{prefix}/wo"], params[f"{prefix}/bo"])
 
 
 def _post_norm(params: ModelParams, prefix: str, x: Tensor, sub: Tensor, rng) -> Tensor:
@@ -390,6 +400,7 @@ def decode_step_logits(
         offset = 0 if cache is None else cache.offset
         n = decoder_embeddings.data.shape[1]
         x = _embed_and_position(params, decoder_embeddings, rng, offset)
+        del decoder_embeddings
         # one new position may attend to every key: its causal mask is all zeros
         causal = None
         if n > 1:
@@ -404,10 +415,11 @@ def decode_step_logits(
                     np.concatenate([v_old, v_new.data], axis=2),
                 )
                 self_kv = tuple(constant(a) for a in cache.self_kv[i])
-            self_attn = _attention(params, f"dec{i}/self_attn", x, causal, None, self_kv)
-            x = _post_norm(params, f"dec{i}/self_ln", x, self_attn, rng)
-            # the grouped view is passed, not kept: holding this layer's input past the
-            # _post_norm below raised a 64-row teacher-forced pass's peak RSS by ~4 MB
+            x = _post_norm(
+                params, f"dec{i}/self_ln", x, _attention(params, f"dec{i}/self_attn", x, causal, None, self_kv), rng
+            )
+            # the grouped view is passed, not kept (see the module docstring): holding this layer's
+            # input past the _post_norm below raised a 64-row teacher-forced pass's peak RSS by ~4 MB
             cross = _attention(
                 params, f"dec{i}/cross_attn", x if k == 1 else reshape(x, (rows, k * n, cfg.hidden_size)),
                 source.additive, source.key_mask, source.cross[i],
@@ -415,6 +427,7 @@ def decode_step_logits(
             if k > 1:
                 cross = reshape(cross, x.data.shape)
             x = _post_norm(params, f"dec{i}/cross_ln", x, cross, rng)
+            del cross
             x = _post_norm(params, f"dec{i}/ffn_ln", x, _ffn(params, f"dec{i}/ffn", x), rng)
         if cache is not None:
             cache.offset += n
@@ -444,7 +457,6 @@ def teacher_forced_logits(params: ModelParams, batch: Batch) -> np.ndarray:
     with no_grad():
         enc = encode(params, batch.source, batch.source_mask)
         source = source_state(params, enc, batch.source_mask)
-        del enc  # the decoder reads only ``source``; freeing the states lowers the pass's peak memory
-        emb = embed_targets(params, batch.decoder_inputs())
-        logits = decode_step_logits(params, source, emb)
+        del enc  # the decoder reads only ``source`` (see the module docstring)
+        logits = decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs()))
     return logits.data

@@ -339,9 +339,11 @@ def test_diverged_run_names_its_last_checkpoint_or_says_there_is_none(tmp_path, 
         extra += ["--set", f"train.resume_from={start / 'ckpt_final.bin'}"]
     capsys.readouterr()
     code = run_cli(*tiny_train_args(tmp_path / "run", extra=extra))
-    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("sslab: warning:")]
+    lines = capsys.readouterr().err.splitlines()
+    errors = [line for line in lines if not line.startswith("sslab: warning:")]
     assert code == 1
     assert len(errors) == 1 and errors[0].startswith("sslab: error: non-finite loss")  # numpy's overflow warnings aside
+    assert lines[-1] == errors[0]  # the warnings that caused the failure come before it
     assert "None" not in errors[0]
     want = f"last good checkpoint: {start / 'ckpt_final.bin'}" if resumed else "no checkpoint was written"
     assert errors[0].endswith(want)

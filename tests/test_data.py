@@ -392,6 +392,13 @@ def test_tsv_loads_to_the_encoded_pairs(tmp_path):
                             (enc("c a".split()), enc(["w"]))]
 
 
+def test_encoding_a_word_outside_the_vocabulary_raises():
+    vocab = Vocab(("a", "b"))
+    assert vocab.encode(["b", "a"]) == [FIRST_CONTENT_ID + 1, FIRST_CONTENT_ID]
+    with pytest.raises(KeyError):
+        vocab.encode(["a", "c"])
+
+
 def test_an_empty_corpus_cannot_be_batched():
     empty = gen_task(TaskKind.COPY, 20, 2, 5, 0, seed=1)
     assert len(empty) == 0 and empty.pairs == []

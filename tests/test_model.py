@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import asdict
 
@@ -7,7 +8,8 @@ import pytest
 
 from batching import batch_of
 from gradcheck import max_rel_error, numeric_grads
-from sslab.data import Batch, TaskKind, batch_stream, gen_task
+from sslab.data import Batch, TaskKind, batch_stream, gen_task, make_batch
+from sslab.decode import DecodeConfig, decode_batch
 from sslab.model import (
     DecoderCache,
     LengthError,
@@ -401,3 +403,44 @@ def test_cached_offset_plus_new_positions_raises_length_error():
     decode_step_logits(params, source, constant(emb.data[:, :1]), cache=cache)
     with pytest.raises(LengthError):
         decode_step_logits(params, source, constant(emb.data[:, :1]), cache=cache)
+
+
+def _traced_peak_mib(fn) -> float:
+    """``tracemalloc``'s peak over one call of ``fn``, after an untraced warm-up call, in MiB."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", ["teacher-forced", "greedy"])
+def test_no_grad_passes_drop_each_activation_at_its_last_read(run):
+    cfg = ModelConfig(vocab_size=50)  # float32, hidden 64, 4 heads of 16, 2 + 2 layers
+    params = init_params(cfg, named_rng(0, "init"))
+    batch = make_batch(gen_task(TaskKind.NOISY_MAP, 50, 55, 60, 64, seed=5), np.arange(64))
+    rows, m = batch.source.shape
+    n = batch.decoder_inputs().shape[1]
+    assert (rows, m, n) == (64, 60, 61)
+    mib = 4 / 2**20  # float32 bytes per element, in MiB
+    heads, head_dim = cfg.num_heads, cfg.hidden_size // cfg.num_heads
+    source_kv = 2 * cfg.num_decoder_layers * rows * heads * m * head_dim * mib  # the SourceState's K/V: 3.75
+    hidden = rows * n * cfg.hidden_size * mib  # one [64, 61, 64] hidden state: 0.95
+    if run == "teacher-forced":
+        scores = rows * heads * n * n * mib  # one [64, 4, 61, 61] self-attention score array: 3.63
+        # the K/V, one score step's input and output, and three hidden states:
+        # 3.75 + 2 * 3.63 + 3 * 0.95 = 13.88 (13.06 measured; 20.63 while a block's scores
+        # and weights both stayed alive through its output projection)
+        bound = source_kv + 2 * scores + 3 * hidden
+        peak = _traced_peak_mib(lambda: teacher_forced_logits(params, batch))
+    else:
+        decode_cfg = DecodeConfig(beam_size=1)  # the untrained model decodes every row to max_length
+        cache = rows * heads * decode_cfg.max_length * head_dim * mib  # one layer's K or V at 80 positions: 1.25
+        # the K/V, every layer's cache plus the new copy of one layer's as it grows, and one hidden
+        # state: 3.75 + (4 + 2) * 1.25 + 0.95 = 12.20 (11.58 measured; 16.24 while an encoder
+        # block held its scores, weights and masked weights at once)
+        bound = source_kv + (2 * cfg.num_decoder_layers + 2) * cache + hidden
+        peak = _traced_peak_mib(lambda: decode_batch(params, batch.source, batch.source_mask, decode_cfg))
+    assert peak <= bound
