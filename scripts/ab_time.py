@@ -24,6 +24,14 @@ and prints each side's traced peak in MB, so that a memory change can be
 checked in one process. Exits 1 if a command fails or if the two sides'
 output files differ in name or bytes in any pair (``config.json``, which
 echoes the out_dir, is not compared). BLAS runs on one thread.
+
+Both sides share one process and so one heap: what either side allocates
+and keeps (a table built at init, say) shifts where the other's arrays
+land, and that can read as a speed difference of several percent in
+either direction. When a change alters the allocations made before
+training, confirm a ``train`` result with a control (tree A plus a dummy
+allocation of the same size, run against A) or with
+``perfbench/run.py``, which runs each side in its own process.
 """
 
 from __future__ import annotations

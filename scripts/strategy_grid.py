@@ -111,7 +111,7 @@ def run_grid(
         "model": {
             "vocab_size": 0, "hidden_size": hidden, "filter_size": 2 * hidden, "num_heads": 4,
             "num_encoder_layers": layers, "num_decoder_layers": layers, "dropout": 0.1,
-            "label_smoothing": 0.1, "max_positions": max_len + 8,
+            "label_smoothing": 0.1,
         },
         "decode": {"beam_size": 1, "length_penalty": 0.6, "max_length": max_len + 6},
         "optimizer": {"warmup_steps": min(400, warm_steps)},

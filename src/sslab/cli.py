@@ -31,7 +31,7 @@ import numpy as np
 from .data import (
     FIRST_CONTENT_ID, Corpus, TaskKind, Vocab, batch_stream, gen_task, load_tsv_corpus, split_corpus,
 )
-from .decode import DecodeConfig, check_against_model
+from .decode import DecodeConfig
 from .metrics import (
     BATCH_ROWS,
     corpus_bleu_lite,
@@ -293,19 +293,10 @@ def _resolve_model_config(cfg: RunConfig, corpus: Corpus) -> ModelConfig:
         )
     if cfg.data.task == "tsv":  # the TSV reader ignores data.max_len
         widest = int(corpus.row_widths().max(initial=0))
-        if doc["max_positions"] < widest:
-            raise ConfigError(
-                f"model.max_positions {doc['max_positions']} too small for the widest training pair ({widest} positions)"
-            )
         if cfg.data.token_budget < widest:
             raise ConfigError(
                 f"data.token_budget {cfg.data.token_budget} below the widest training pair ({widest} positions)"
             )
-    elif doc["max_positions"] < cfg.data.max_len + 2:
-        raise ConfigError(
-            f"model.max_positions {doc['max_positions']} too small for sequences "
-            f"up to {cfg.data.max_len} tokens plus sentinels"
-        )
     return ModelConfig(**doc)
 
 
@@ -336,7 +327,8 @@ def load_model_checkpoint(path: str) -> tuple[ModelParams, int, Vocab]:
             for key in _LEGACY_TIED_KEYS:
                 if model.get(key, True) is not True:
                     raise ConfigError(f"model.{key} is {model[key]!r}, but the model always ties its weights")
-            model = {k: v for k, v in model.items() if k not in _LEGACY_TIED_KEYS}
+            # drop them, and the size of a position table the model no longer keeps, whatever its value
+            model = {k: v for k, v in model.items() if k not in (*_LEGACY_TIED_KEYS, "max_positions")}
         config = read_config(ModelConfig, model, "model")
         tokens = sidecar.get("vocab_tokens")
         content = config.vocab_size - FIRST_CONTENT_ID
@@ -466,13 +458,6 @@ def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelPar
     """
     _, eval_corpus = build_corpora(cfg, train_data=False)
     params, step = _load_checkpoint_for(checkpoint, eval_corpus)
-    # checked here so that no command runs a model pass it cannot finish
-    limit = params.config.max_positions
-    widest = int(eval_corpus.row_widths().max(initial=0))
-    if widest > limit:
-        raise ConfigError(f"the checkpoint's model.max_positions {limit} is too small for the widest eval pair "
-                          f"({widest} positions)")
-    check_against_model(params.config, cfg.decode)
     return _prepare_out_dir(cfg), eval_corpus, params, step
 
 

@@ -1,10 +1,11 @@
 """Single-pass autoregressive inference: greedy and beam search.
 
-Decoding is plain next-token prediction from the begin sentinel onward;
-no sampling machinery is involved. Beam search keeps each source's best
-finished hypothesis apart from its beams, scored by sum-log-probability
-divided by the length penalty ((5 + len) / 6) ** alpha, and stops once no
-live beam could still beat it at its current length.
+Decoding is plain next-token prediction from the begin sentinel to the
+end sentinel ``data.EOS_ID`` that ends every target; no sampling
+machinery is involved. Beam search keeps each source's best finished
+hypothesis apart from its beams, scored by sum-log-probability divided
+by the length penalty ((5 + len) / 6) ** alpha, and stops once no live
+beam could still beat it at its current length.
 
 Both searches run against a step scorer ((prefix ids, source rows,
 parents) -> next-token log probabilities), so tests can drive them with
@@ -33,7 +34,6 @@ import numpy as np
 from .data import BOS_ID, EOS_ID
 from .model import (
     DecoderCache,
-    ModelConfig,
     ModelParams,
     decode_step_logits,
     embed_targets,
@@ -44,7 +44,7 @@ from .tensor import no_grad
 
 
 class DecodeError(ValueError):
-    """Decode configuration is inconsistent with the model."""
+    """Decode configuration is out of range."""
 
 
 @dataclass
@@ -52,7 +52,6 @@ class DecodeConfig:
     beam_size: int = 4
     length_penalty: float = 0.6
     max_length: int = 80
-    eos_id: int = EOS_ID
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -134,34 +133,23 @@ def _run_length(rows: np.ndarray) -> int:
     return k
 
 
-def check_against_model(config: ModelConfig, decode_cfg: DecodeConfig) -> None:
-    """Reject a decode configuration the model cannot run, naming the keys."""
-    if decode_cfg.max_length > config.max_positions:
-        raise DecodeError(
-            f"decode.max_length {decode_cfg.max_length} exceeds model.max_positions {config.max_positions}"
-        )
-    if not 0 <= decode_cfg.eos_id < config.vocab_size:
-        raise DecodeError(f"decode.eos_id {decode_cfg.eos_id} is outside model.vocab_size {config.vocab_size}")
-
-
 def greedy_decode(step_fn: StepScorer, decode_cfg: DecodeConfig, sources: int) -> list[list[int]]:
     """Argmax continuation per step for ``sources`` rows until the end token or max_length.
 
     A finished row takes the end token in every later column of the
     prefix array, and each hypothesis is read up to its first end token.
     """
-    eos = decode_cfg.eos_id
     prefixes = np.full((sources, 1), BOS_ID, dtype=np.int64)
     rows, parents = np.arange(sources), None  # the unfinished rows, and their parents among the previous call's
     for _ in range(decode_cfg.max_length):
         if not rows.size:
             break
-        column = np.full(sources, eos, dtype=np.int64)
+        column = np.full(sources, EOS_ID, dtype=np.int64)
         column[rows] = step_fn(prefixes[rows], rows, parents).argmax(axis=-1)
         prefixes = np.concatenate([prefixes, column[:, None]], axis=1)
-        parents = np.flatnonzero(column[rows] != eos)
+        parents = np.flatnonzero(column[rows] != EOS_ID)
         rows = rows[parents]
-    return [h[: h.index(eos)] if eos in h else h for h in prefixes[:, 1:].tolist()]
+    return [h[: h.index(EOS_ID)] if EOS_ID in h else h for h in prefixes[:, 1:].tolist()]
 
 
 def beam_search(
@@ -188,7 +176,7 @@ def beam_search(
     rows and parents, and each source's row of candidates is ranked on its
     own; its result is that of a search over it alone.
     """
-    alpha, eos = decode_cfg.length_penalty, decode_cfg.eos_id
+    alpha = decode_cfg.length_penalty
     live = np.arange(sources)
     beams = np.full((sources, 1, 1), BOS_ID, dtype=np.int64)
     scores = np.zeros((sources, 1))
@@ -206,12 +194,12 @@ def beam_search(
         # end-token continuations do not compete for a beam slot, so short
         # finishes with strong penalized scores cannot be crowded out by
         # raw-score ranking
-        ends = total[:, :, eos] / penalty
+        ends = total[:, :, EOS_ID] / penalty
         ending = ends.argmax(axis=1)
         for i in np.flatnonzero(ends[at[:, 0], ending] > best[live]):
             best[live[i]] = ends[i, ending[i]]
             finishes[live[i]] = beams[i, ending[i], 1:].tolist()
-        total[:, :, eos] = -np.inf
+        total[:, :, EOS_ID] = -np.inf
         flat = total.reshape(n, -1)
         width = min(decode_cfg.beam_size, k * (vocab_size - 1))
         top = np.argpartition(-flat, width - 1, axis=1)[:, :width]
@@ -240,7 +228,6 @@ def decode_batch(
     The batch's scorer is built once, by this module's ``transformer_scorer``
     as bound at call time, so each decoding step is one scorer call.
     """
-    check_against_model(params.config, decode_cfg)
     scorer, sources = transformer_scorer(params, source, source_mask), source.shape[0]
     if decode_cfg.beam_size == 1:
         return greedy_decode(scorer, decode_cfg, sources)

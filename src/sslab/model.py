@@ -1,5 +1,8 @@
 """Post-norm encoder-decoder transformer with sinusoidal absolute positions.
 
+Positions have a closed form, so each pass computes the rows of the
+offsets it covers, at any offset: the model has no position limit.
+
 The decoder exposes an embedding-level entry point so a trainer can feed
 mixtures of golden and predicted token embeddings; the ids-based teacher
 forcing loss is the plain path through the same code. One embedding table
@@ -54,10 +57,6 @@ from .tensor import (
 NEG_INF = -1e9
 
 
-class LengthError(ValueError):
-    """Sequence exceeds the positional table of the model."""
-
-
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -68,12 +67,11 @@ class ModelConfig:
     num_decoder_layers: int = 2
     dropout: float = 0.1
     label_smoothing: float = 0.1
-    max_positions: int = 256
     param_dtype: str = "float32"
 
     def __post_init__(self):
-        for name, low in (("hidden_size", 1), ("filter_size", 1), ("num_heads", 1), ("max_positions", 1),
-                          ("num_encoder_layers", 0), ("num_decoder_layers", 0)):
+        for name, low in (("hidden_size", 1), ("filter_size", 1), ("num_heads", 1), ("num_encoder_layers", 0),
+                          ("num_decoder_layers", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("dropout", "label_smoothing"):
@@ -91,11 +89,12 @@ class ModelConfig:
         return np.float32 if self.param_dtype == "float32" else np.float64
 
 
-def sinusoidal_positions(max_positions: int, hidden: int, dtype) -> np.ndarray:
-    pos = np.arange(max_positions, dtype=np.float64)[:, None]
+def sinusoidal_positions(start: int, end: int, hidden: int, dtype) -> np.ndarray:
+    """The sinusoidal rows of positions ``start`` to ``end - 1``, [end - start, hidden]."""
+    pos = np.arange(start, end, dtype=np.float64)[:, None]
     dim = np.arange(0, hidden, 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, dim / hidden)
-    table = np.zeros((max_positions, hidden), dtype=np.float64)
+    table = np.zeros((end - start, hidden), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : hidden // 2])
     return table.astype(dtype)
@@ -103,7 +102,7 @@ def sinusoidal_positions(max_positions: int, hidden: int, dtype) -> np.ndarray:
 
 @dataclass
 class ModelParams:
-    """All learnable weights plus the fixed positional table.
+    """All learnable weights.
 
     One ``embed`` table serves the source and target sides and, transposed,
     the output projection: the weights are tied, so every use reads one
@@ -111,7 +110,6 @@ class ModelParams:
     """
 
     params: dict[str, Tensor]
-    pos_table: np.ndarray
     config: ModelConfig
 
     def __getitem__(self, name: str) -> Tensor:
@@ -184,8 +182,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         ffn_block(f"dec{i}/ffn")
         ln_block(f"dec{i}/ffn_ln")
 
-    pos = sinusoidal_positions(config.max_positions, h, dtype)
-    return ModelParams(params, pos, config)
+    return ModelParams(params, config)
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -254,17 +251,11 @@ def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return _linear(inner, params[f"{prefix}/w2"], params[f"{prefix}/b2"])
 
 
-def _check_length(config: ModelConfig, length: int) -> None:
-    if length > config.max_positions:
-        raise LengthError(f"sequence length {length} exceeds max_positions {config.max_positions}")
-
-
 def _embed_and_position(params: ModelParams, emb: Tensor, rng, offset: int = 0) -> Tensor:
     cfg = params.config
     end = offset + emb.data.shape[1]
-    _check_length(cfg, end)
     scale = constant(np.asarray(math.sqrt(cfg.hidden_size), dtype=cfg.np_dtype))
-    x = add(mul(emb, scale), constant(params.pos_table[None, offset:end, :]))
+    x = add(mul(emb, scale), constant(sinusoidal_positions(offset, end, cfg.hidden_size, cfg.np_dtype)[None]))
     return dropout(x, cfg.dropout, rng)
 
 
@@ -414,6 +405,7 @@ def decode_step_logits(
                     np.concatenate([k_old, k_new.data], axis=2),
                     np.concatenate([v_old, v_new.data], axis=2),
                 )
+                del k_old, v_old  # their last read (see the module docstring)
                 self_kv = tuple(constant(a) for a in cache.self_kv[i])
             x = _post_norm(
                 params, f"dec{i}/self_ln", x, _attention(params, f"dec{i}/self_attn", x, causal, None, self_kv), rng

@@ -19,7 +19,6 @@ def trained_copy_model():
         num_decoder_layers=1,
         dropout=0.0,
         label_smoothing=0.1,
-        max_positions=24,
     )
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 400, seed=41)
     params = init_params(cfg, named_rng(42, "init"))

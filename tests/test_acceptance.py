@@ -18,7 +18,7 @@ import mpmath as mp
 
 from batching import batch_of
 from gradcheck import max_rel_error, numeric_grads
-from sslab.data import TaskKind, batch_stream, gen_task
+from sslab.data import BOS_ID, EOS_ID, TaskKind, batch_stream, gen_task
 from sslab.decode import DecodeConfig, beam_search, length_penalty
 from sslab.metrics import (
     decode_corpus,
@@ -208,7 +208,7 @@ def micro_setup():
     cfg = ModelConfig(
         vocab_size=11, hidden_size=8, filter_size=16, num_heads=2,
         num_encoder_layers=1, num_decoder_layers=1, dropout=0.0,
-        label_smoothing=0.1, max_positions=16, param_dtype="float64",
+        label_smoothing=0.1, param_dtype="float64",
     )
     params = init_params(cfg, named_rng(303, "init"))
     batch = batch_of([([5, 6, 7, 8, 9], [10, 5, 6, 7]), ([7, 8], [9, 10, 5, 6])])
@@ -288,7 +288,7 @@ def test_criterion_4_degenerate_equivalence_bitwise():
     cfg = ModelConfig(
         vocab_size=14, hidden_size=16, filter_size=32, num_heads=2,
         num_encoder_layers=1, num_decoder_layers=1, dropout=0.1,
-        label_smoothing=0.1, max_positions=16, param_dtype="float64",
+        label_smoothing=0.1, param_dtype="float64",
     )
     sampler = SamplerConfig(
         mode=SamplingMode.DECODING_STEPS, schedule=ScheduleSpec(Family.UNIFORM, uniform_p=1.0)
@@ -380,12 +380,19 @@ def test_criterion_5_mask_statistics():
 
 
 class PrefixTableScorer:
-    """Deterministic random next-token distribution per prefix."""
+    """Deterministic random next-token distribution per prefix.
+
+    Rows are drawn with the end token at id 0 and served with ids 0 and
+    ``EOS_ID`` swapped, so each seed poses the search it posed when the
+    end token was configurable and these models ended at id 0.
+    """
 
     def __init__(self, seed: int, vocab: int):
         self.seed = seed
         self.vocab = vocab
         self.cache: dict[tuple, np.ndarray] = {}
+        self.swap = np.arange(vocab)
+        self.swap[[0, EOS_ID]] = [EOS_ID, 0]
 
     def row(self, prefix: tuple) -> np.ndarray:
         if prefix not in self.cache:
@@ -396,17 +403,16 @@ class PrefixTableScorer:
         return self.cache[prefix]
 
     def __call__(self, prefixes: np.ndarray) -> np.ndarray:
-        return np.stack([self.row(tuple(p.tolist())) for p in prefixes])
+        return np.stack([self.row(tuple(self.swap[p].tolist()))[self.swap] for p in prefixes])
 
 
-def exhaustive_best(step, vocab, cfg, bos=1):
-    eos = cfg.eos_id
-    non_eos = [v for v in range(vocab) if v != eos]
+def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
+    non_eos = [v for v in range(vocab) if v != EOS_ID]
     best_tokens, best_pen = None, -np.inf
     for k in range(cfg.max_length):
         for combo in product(non_eos, repeat=k):
             total, prefix = 0.0, [bos]
-            for tok in [*combo, eos]:
+            for tok in [*combo, EOS_ID]:
                 total += step(np.array([prefix]))[0][tok]
                 prefix.append(tok)
             pen = total / length_penalty(k + 1, cfg.length_penalty)
@@ -419,7 +425,7 @@ def test_criterion_6_beam_oracle():
     t0 = time.time()
     for seed in range(200):
         vocab = 4 + seed % 2
-        cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3, eos_id=0)
+        cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3)
         scorer = PrefixTableScorer(seed, vocab)
         got = beam_search(lambda p, r, _: scorer(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(scorer, vocab, cfg)

@@ -38,7 +38,6 @@ def tiny_train_args(out_dir, extra=()):
         "--set", "model.num_heads=2",
         "--set", "model.num_encoder_layers=1",
         "--set", "model.num_decoder_layers=1",
-        "--set", "model.max_positions=16",
         "--set", "decode.max_length=8",
         "--set", "train.total_steps=30",
         "--set", "train.checkpoint_every=20",
@@ -185,7 +184,7 @@ def test_sampler_section_is_read_by_type(tmp_path, capsys, override, error):
     "override",
     [
         "train.log_every=0", "train.checkpoint_every=0", "model.num_heads=0", "optimizer.warmup_steps=0",
-        "train.total_steps=-3", "model.hidden_size=0", "model.filter_size=0", "model.max_positions=0",
+        "train.total_steps=-3", "model.hidden_size=0", "model.filter_size=0",
         "model.num_encoder_layers=-1", "model.num_decoder_layers=-1", "model.dropout=1.5",
         "model.label_smoothing=2.0",
         "gap_window=2", "data.token_budget=0", "data.min_len=0", "data.task=foo", "seed=-1",
@@ -304,8 +303,9 @@ def test_train_writes_checkpoints_log_and_config_echo(tmp_path):
     assert "step" not in sidecar  # meta/step alone carries it
     assert sidecar["model"]["vocab_size"] == 12
     echo = json.loads((out / "config.json").read_text())
-    for model in (sidecar["model"], echo["model"]):  # the weights are always tied, so neither names it
-        assert not {"share_embeddings", "share_softmax_weights"} & set(model)
+    for model in (sidecar["model"], echo["model"]):  # tied weights, positions at any offset: neither names them
+        assert not {"share_embeddings", "share_softmax_weights", "max_positions"} & set(model)
+    assert "eos_id" not in echo["decode"]  # decoding ends at the data's end token
     assert load_model_checkpoint(str(out / "ckpt_final.bin"))[1] == 30
 
 
@@ -428,22 +428,31 @@ def write_tsv_with_a_wide_pair(path: Path, words: int) -> Path:
     return path
 
 
+def tsv_train_args(tsv: Path, out: Path, budget: int) -> list[str]:
+    extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.1",
+             "--set", "train.total_steps=3", "--set", f"data.token_budget={budget}"]
+    return tiny_train_args(out, extra=extra)
+
+
 @pytest.mark.parametrize(
     "words, budget, key",
-    [(300, 1024, "model.max_positions"), (40, 30, "data.token_budget")],
-    ids=["model.max_positions", "data.token_budget"],
+    [(40, 30, "data.token_budget")],
+    ids=["data.token_budget"],
 )
 def test_tsv_pair_wider_than_the_run_allows_fails_before_training(tmp_path, capsys, words, budget, key):
-    tsv = write_tsv_with_a_wide_pair(tmp_path / "pairs.tsv", words)
     out = tmp_path / "run"
-    extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.1",
-             "--set", "train.total_steps=3", "--set", "model.max_positions=256", "--set", f"data.token_budget={budget}"]
-    code = run_cli(*tiny_train_args(out, extra=extra))
+    code = run_cli(*tsv_train_args(write_tsv_with_a_wide_pair(tmp_path / "pairs.tsv", words), out, budget))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("sslab: error:") and key in err and str(words) in err
     assert len(err.splitlines()) == 1
     assert not (out / "steps.csv").exists()
+
+
+def test_tsv_pair_wider_than_256_positions_trains(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(*tsv_train_args(write_tsv_with_a_wide_pair(tmp_path / "pairs.tsv", 300), out, 1024)) == 0
+    assert len((out / "steps.csv").read_text().splitlines()) == 4  # the header and three steps
 
 
 def test_default_training_corpus_holds_one_byte_per_token():
@@ -587,12 +596,20 @@ def test_evaluate_reports_name_the_checkpoint_by_digest_and_step(tmp_path):
 
 @pytest.fixture(scope="module")
 def wide_eval_pair_run(tmp_path_factory):
-    """A 2-step TSV checkpoint with ``model.max_positions=30`` whose 40-word pair fell in the eval split."""
+    """A 2-step TSV checkpoint whose 40-word pair fell in the eval split, its sidecar naming ``max_positions: 30``.
+
+    Earlier versions wrote that key and rejected the pair as wider than the model's position table.
+    """
     root = tmp_path_factory.mktemp("cli_wide_eval_pair")
     tsv = write_tsv_with_a_wide_pair(root / "pairs.tsv", 40)
     extra = ["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}", "--set", "data.eval_fraction=0.5",
-             "--set", "seed=3", "--set", "model.max_positions=30", "--set", "train.total_steps=2"]
+             "--set", "seed=3", "--set", "train.total_steps=2"]
     assert main(tiny_train_args(root / "train", extra=extra)) == 0
+    _, eval_corpus = cli.build_corpora(cli.load_run_config(str(root / "train" / "config.json"), []), train_data=False)
+    assert eval_corpus.row_widths().max() == 40
+    sidecar = root / "train" / "ckpt_final.bin.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "model": {**doc["model"], "max_positions": 30}}))
     return root / "train"
 
 
@@ -605,21 +622,18 @@ EVAL_OUTPUTS = {
 
 @pytest.mark.parametrize("command", list(EVAL_OUTPUTS))
 @pytest.mark.parametrize("case", ["wide eval pair", "long decode"])
-def test_eval_commands_check_the_run_against_the_checkpoint_model(
-    trained_run, wide_eval_pair_run, tmp_path, capsys, command, case
+def test_eval_commands_run_past_the_position_table_of_earlier_versions(
+    trained_run, wide_eval_pair_run, tmp_path, command, case
 ):
-    if case == "wide eval pair":  # decode.max_length 8 fits the checkpoint's 30 positions
-        run, override, key = wide_eval_pair_run, "decode.max_length=8", "model.max_positions"
-    else:  # the checkpoint has 16 positions
-        run, override, key = trained_run, "decode.max_length=17", "decode.max_length"
+    if case == "wide eval pair":  # a 40-position eval pair; the sidecar names a 30-row table
+        run, override = wide_eval_pair_run, "decode.max_length=8"
+    else:  # earlier versions gave this checkpoint 16 positions
+        run, override = trained_run, "decode.max_length=17"
     out = tmp_path / "out"
     code = run_cli(command, "--config", str(run / "config.json"), "--set", f"out_dir={out}",
                    "--set", override, "--checkpoint", str(run / "ckpt_final.bin"))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("sslab: error:") and key in err
-    assert len(err.splitlines()) == 1
-    assert not [name for name in EVAL_OUTPUTS[command] if (out / name).exists()]
+    assert code == 0
+    assert all((out / name).exists() for name in EVAL_OUTPUTS[command])
 
 
 def test_decode_writes_one_line_per_pair(trained_run, tmp_path):
@@ -766,6 +780,20 @@ def test_sidecar_that_is_not_json_fails_naming_it(tmp_path, capsys, damage):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("size", [256, 30])
+def test_legacy_sidecar_naming_a_position_table_size_loads(tmp_path, size):
+    model = json.loads(Path(f"{FIXTURE_CHECKPOINT}.json").read_text())["model"]
+    assert model["max_positions"] == 256  # written before its removal
+
+    def resize(sidecar):
+        doc = json.loads(sidecar)
+        return json.dumps({**doc, "model": {**doc["model"], "max_positions": size}}).encode()
+
+    params, step, _ = load_model_checkpoint(str(copy_fixture(tmp_path, resize)))
+    legacy = {"share_embeddings", "share_softmax_weights", "max_positions"}
+    assert step == 1500 and asdict(params.config) == {k: v for k, v in model.items() if k not in legacy}
+
+
 def test_legacy_sidecar_naming_tied_weights_loads(tmp_path):
     model = json.loads(Path(f"{FIXTURE_CHECKPOINT}.json").read_text())["model"]
     assert model["share_embeddings"] is model["share_softmax_weights"] is True  # written before their removal
@@ -813,6 +841,11 @@ def test_rejected_checkpoint_leaves_no_config_echo(tmp_path, capsys, command):
         "decode.length_penalty=abc",
         "decode.eos_id=999",
         "decode.eos_id=-1",
+        # removed settings, at the values earlier echoes hold and one they rejected: the position table's size
+        # and the end token
+        "model.max_positions=256",
+        "model.max_positions=0",
+        "decode.eos_id=2",
         # removed settings: untied weights, argmax predictions, backprop through predictions, composite_alt
         "model.share_embeddings=false",
         "sampler.prediction=argmax_embedding",
@@ -902,10 +935,10 @@ def test_gap_curve_checks_the_decode_section_before_any_model_pass(tmp_path, cap
     passes = []
     monkeypatch.setattr(cli, "_teacher_forced_predictions", lambda *args: passes.append(args))
     code = run_cli("gap-curve", "--checkpoint", str(FIXTURE_CHECKPOINT), "--set", f"out_dir={tmp_path}",
-                   "--set", "decode.eos_id=999")
+                   "--set", "decode.max_length=0")
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("sslab: error: decode.eos_id 999") and len(err.splitlines()) == 1
+    assert err.startswith("sslab: error: config section 'decode': max_length") and len(err.splitlines()) == 1
     assert passes == []
 
 

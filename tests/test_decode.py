@@ -12,7 +12,6 @@ from sslab.data import BOS_ID, EOS_ID, TaskKind, batch_stream, gen_task, make_ba
 from sslab.decode import (
     BeamResult,
     DecodeConfig,
-    DecodeError,
     beam_search,
     decode_batch,
     greedy_decode,
@@ -48,14 +47,15 @@ def random_scorer(seed, vocab, scale=1.0):
     return step
 
 
-def pattern_scorer(pattern, vocab, eos, peak=8.0):
-    """Near-deterministic model that walks ``pattern`` then emits eos."""
+def pattern_scorer(pattern, vocab, peak=8.0):
+    """Near-deterministic model that walks ``pattern``, which holds no end token, then emits it."""
+    assert EOS_ID not in pattern
 
     def step(prefixes):
         out = np.zeros((prefixes.shape[0], vocab))
         for i, pref in enumerate(prefixes):
             pos = len(pref) - 1
-            want = pattern[pos] if pos < len(pattern) else eos
+            want = pattern[pos] if pos < len(pattern) else EOS_ID
             logits = np.zeros(vocab)
             logits[want] = peak
             s = logits - logits.max()
@@ -70,7 +70,7 @@ def greedy_by_steps(step, cfg, bos=BOS_ID):
     prefix, out = [bos], []
     for _ in range(cfg.max_length):
         tok = int(step(np.array([prefix]))[0].argmax())
-        if tok == cfg.eos_id:
+        if tok == EOS_ID:
             break
         out.append(tok)
         prefix.append(tok)
@@ -79,8 +79,7 @@ def greedy_by_steps(step, cfg, bos=BOS_ID):
 
 def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
     """Score every possible finished sequence by brute force."""
-    eos = cfg.eos_id
-    non_eos = [v for v in range(vocab) if v != eos]
+    non_eos = [v for v in range(vocab) if v != EOS_ID]
     best_tokens, best_pen = None, -np.inf
 
     def seq_logp(tokens):
@@ -92,7 +91,7 @@ def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
 
     for k in range(cfg.max_length):
         for combo in product(non_eos, repeat=k):
-            pen = seq_logp([*combo, eos]) / length_penalty(k + 1, cfg.length_penalty)
+            pen = seq_logp([*combo, EOS_ID]) / length_penalty(k + 1, cfg.length_penalty)
             if pen > best_pen:
                 best_tokens, best_pen = list(combo), pen
     return best_tokens, best_pen
@@ -106,7 +105,7 @@ def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
 @pytest.mark.parametrize("seed", range(40))
 def test_beam_matches_exhaustive_enumeration(seed):
     vocab = 4 + seed % 2
-    cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3, eos_id=0)
+    cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3)
     step = random_scorer(seed, vocab)
     got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
     want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
@@ -118,7 +117,7 @@ def test_beam_matches_exhaustive_enumeration(seed):
 def test_alpha_zero_is_pure_logprob_ranking():
     for seed in range(25):
         vocab = 5
-        cfg = DecodeConfig(beam_size=vocab, length_penalty=0.0, max_length=3, eos_id=0)
+        cfg = DecodeConfig(beam_size=vocab, length_penalty=0.0, max_length=3)
         step = random_scorer(seed, vocab)
         got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
@@ -132,9 +131,9 @@ def test_beam_one_equals_greedy_on_peaked_models():
     for _ in range(100):
         vocab = 6
         n = int(rng.integers(1, 5))
-        pattern = rng.integers(2, vocab, size=n).tolist()
-        step = pattern_scorer(pattern, vocab, eos=0)
-        cfg = DecodeConfig(beam_size=1, length_penalty=0.6, max_length=8, eos_id=0)
+        pattern = np.delete(np.arange(vocab), [BOS_ID, EOS_ID])[rng.integers(0, vocab - 2, size=n)].tolist()
+        step = pattern_scorer(pattern, vocab)
+        cfg = DecodeConfig(beam_size=1, length_penalty=0.6, max_length=8)
         got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
         assert got.tokens == greedy_by_steps(step, cfg)
         assert got.tokens == pattern
@@ -147,7 +146,7 @@ def test_enlarging_beam_never_hurts():
         step = random_scorer(seed, vocab)
         prev = -np.inf
         for bs in range(1, 6):
-            cfg = DecodeConfig(beam_size=bs, length_penalty=0.6, max_length=4, eos_id=0)
+            cfg = DecodeConfig(beam_size=bs, length_penalty=0.6, max_length=4)
             got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
             assert got.score >= prev - 1e-12
             prev = got.score
@@ -158,10 +157,10 @@ def test_unreachable_eos_returns_unfinished_with_warning_flag():
 
     def step(prefixes):
         out = np.full((prefixes.shape[0], vocab), np.log(1.0 / (vocab - 1)))
-        out[:, 0] = -np.inf  # eos has probability zero
+        out[:, EOS_ID] = -np.inf  # the end token has probability zero
         return out
 
-    cfg = DecodeConfig(beam_size=2, length_penalty=0.6, max_length=3, eos_id=0)
+    cfg = DecodeConfig(beam_size=2, length_penalty=0.6, max_length=3)
     got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
     assert not got.finished
     assert len(got.tokens) == 3
@@ -182,7 +181,6 @@ def tiny_config(**kw):
         num_decoder_layers=1,
         dropout=0.0,
         label_smoothing=0.1,
-        max_positions=24,
     )
     base.update(kw)
     return ModelConfig(**base)
@@ -239,14 +237,6 @@ def test_decode_batch_order_and_beam_scores(trained_copy_model):
         assert r.score <= 0.0
 
 
-@pytest.mark.parametrize("beam", [1, 4])
-def test_decode_rejects_overlong_max_length(trained_copy_model, beam):
-    params, cfg = trained_copy_model
-    batch = batch_of([([5], [5])])
-    with pytest.raises(DecodeError, match="max_positions"):
-        decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=beam, max_length=1000))
-
-
 def test_decode_module_never_touches_the_sampler():
     source = Path("src/sslab/decode.py").read_text(encoding="utf-8")
     assert "sampler" not in source
@@ -272,6 +262,16 @@ def full_prefix_scorer(params, source, source_mask):
         return log_softmax(logits.data[:, -1, :], axis=-1)
 
     return step
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_greedy_decodes_past_256_positions_as_the_uncached_scorer_does(dtype):
+    params = init_params(tiny_config(param_dtype=dtype), named_rng(0, "init"))  # untrained: no row ends early
+    batch = batch_of([([5, 6, 7], [5]), ([8, 9], [5])])
+    cfg = DecodeConfig(beam_size=1, max_length=300)
+    got = decode_batch(params, batch.source, batch.source_mask, cfg)
+    assert [len(h) for h in got] == [300, 300]
+    assert got == greedy_decode(full_prefix_scorer(params, batch.source, batch.source_mask), cfg, 2)
 
 
 def _scorer_pair(dtype, seed=60, b=4):
@@ -374,12 +374,12 @@ def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, beam
 FIXTURE_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "ckpt.bin"
 
 
-def no_eos_scorer(vocab, eos):
-    """Uniform over every token except eos, which is unreachable."""
+def no_eos_scorer(vocab):
+    """Uniform over every token except the end token, which is unreachable."""
 
     def step(prefixes):
         out = np.full((prefixes.shape[0], vocab), np.log(1.0 / (vocab - 1)))
-        out[:, eos] = -np.inf
+        out[:, EOS_ID] = -np.inf
         return out
 
     return step
@@ -398,15 +398,15 @@ def per_source_beam_decode(params, source, source_mask, dcfg):
 @pytest.mark.parametrize("beam", range(1, 6))
 def test_lockstep_search_equals_one_search_per_source(beam):
     vocab = 6
-    cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7, eos_id=0)
+    cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7)
     scorers = [
         random_scorer(3, vocab),
-        pattern_scorer([2, 3, 4, 5, 2], vocab, eos=0),
+        pattern_scorer([0, 3, 4, 5, 0], vocab),
         random_scorer(4, vocab, scale=3.0),
-        pattern_scorer([4], vocab, eos=0),
-        no_eos_scorer(vocab, eos=0),
+        pattern_scorer([4], vocab),
+        no_eos_scorer(vocab),
         random_scorer(5, vocab, scale=0.3),
-        pattern_scorer([3, 3, 2], vocab, eos=0, peak=2.0),
+        pattern_scorer([3, 3, 0], vocab, peak=2.0),
     ]
     want, want_rows = [], []  # per source: its result, and its beams scored per call
     for scorer in scorers:
@@ -592,12 +592,12 @@ def test_beams_sharing_a_source_row_give_the_logits_of_a_row_per_beam(dtype, k):
 @pytest.mark.parametrize("beam", range(1, 6))
 def test_running_best_finished_score_is_the_pool_maximum(beam):
     vocab = 6
-    cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7, eos_id=0)
+    cfg = DecodeConfig(beam_size=beam, length_penalty=0.6, max_length=7)
     scorers = [
         random_scorer(3, vocab),
-        pattern_scorer([2, 3, 4, 5, 2], vocab, eos=0),
+        pattern_scorer([0, 3, 4, 5, 0], vocab),
         random_scorer(4, vocab, scale=3.0),
-        no_eos_scorer(vocab, eos=0),  # its pool stays empty
+        no_eos_scorer(vocab),  # its pool stays empty
     ]
     calls = []
 
@@ -619,11 +619,11 @@ def test_running_best_finished_score_is_the_pool_maximum(beam):
         for p, s, lp in zip(prefixes, rows, logp):
             base = raw[(s, tuple(p))]
             for v in range(vocab):
-                if v != cfg.eos_id:
+                if v != EOS_ID:
                     raw[(s, (*p, v))] = base + lp[v]
-            if np.isfinite(base + lp[cfg.eos_id]):
-                pool_max[s] = max(pool_max[s], (base + lp[cfg.eos_id]) / penalty)
-            best_live[s] = max(best_live.get(s, -np.inf), float(np.max(np.delete(base + lp, cfg.eos_id))))
+            if np.isfinite(base + lp[EOS_ID]):
+                pool_max[s] = max(pool_max[s], (base + lp[EOS_ID]) / penalty)
+            best_live[s] = max(best_live.get(s, -np.inf), float(np.max(np.delete(base + lp, EOS_ID))))
         stopping = {s for s in best_live if np.isfinite(pool_max[s]) and best_live[s] / penalty <= pool_max[s]}
         seen.extend(pool_max[sorted(best_live)].tolist())
         if t + 1 < len(calls):
@@ -654,18 +654,17 @@ class ReferenceSourceSearch:
     def advance(self, logp: np.ndarray, t: int, vocab_size: int, decode_cfg: DecodeConfig) -> bool:
         """Extend every live beam by one token; True once the stopping rule fires."""
         alpha = decode_cfg.length_penalty
-        eos = decode_cfg.eos_id
         total = self.scores[:, None] + logp  # [K, V]
         # every reachable end-token continuation joins the finished pool; it
         # does not compete for a beam slot, so short finishes with strong
         # penalized scores cannot be crowded out by raw-score ranking
         for beam_idx in range(len(self.beams)):
-            raw = float(total[beam_idx, eos])
+            raw = float(total[beam_idx, EOS_ID])
             if np.isfinite(raw):
                 pen = raw / length_penalty(t + 1, alpha)
                 self.finished.append((self.beams[beam_idx], pen))
                 self.best_finished = max(self.best_finished, pen)
-        total[:, eos] = -np.inf
+        total[:, EOS_ID] = -np.inf
         flat = total.reshape(-1)
         k = min(decode_cfg.beam_size, len(self.beams) * (vocab_size - 1))
         top = np.argpartition(-flat, k - 1)[:k]
@@ -712,16 +711,16 @@ def random_toy_search(rng):
     vocab = int(rng.integers(3, 8))  # below beam_size, the width is capped at step 0
     cfg = DecodeConfig(
         beam_size=int(rng.integers(1, 7)), length_penalty=float(rng.choice([0.0, 0.6, 1.2])),
-        max_length=int(rng.integers(1, 9)), eos_id=0,
+        max_length=int(rng.integers(1, 9)),
     )
     scorers = []
     for _ in range(int(rng.integers(0, 6))):
         kind = rng.integers(5)
         if kind == 0:
-            scorers.append(no_eos_scorer(vocab, eos=0))
+            scorers.append(no_eos_scorer(vocab))
         elif kind == 1:
-            pattern = rng.integers(1, vocab, size=int(rng.integers(0, 6))).tolist()
-            scorers.append(pattern_scorer(pattern, vocab, eos=0, peak=float(rng.choice([2.0, 8.0]))))
+            pattern = np.delete(np.arange(vocab), EOS_ID)[rng.integers(0, vocab - 1, size=int(rng.integers(0, 6)))]
+            scorers.append(pattern_scorer(pattern.tolist(), vocab, peak=float(rng.choice([2.0, 8.0]))))
         elif kind == 2:  # every token ties, so the stopping rule meets equal scores
             scorers.append(lambda prefixes, vocab=vocab: np.full((len(prefixes), vocab), -np.log(vocab)))
         else:
@@ -774,8 +773,8 @@ def assert_parent_contract(calls):
 
 def test_greedy_names_every_rows_parent():
     vocab = 15
-    scorers = [pattern_scorer(list(range(5, 5 + n)), vocab, eos=EOS_ID) for n in (3, 0, 5, 1)]
-    scorers += [no_eos_scorer(vocab, eos=EOS_ID), random_scorer(8, vocab, scale=3.0)]
+    scorers = [pattern_scorer(list(range(5, 5 + n)), vocab) for n in (3, 0, 5, 1)]
+    scorers += [no_eos_scorer(vocab), random_scorer(8, vocab, scale=3.0)]
     calls = []
     hyps = greedy_decode(recording_step(scorers, calls), DecodeConfig(max_length=9), len(scorers))
     assert [len(h) for h in hyps[:4]] == [3, 0, 5, 1] and len(hyps[4]) == 9

@@ -12,7 +12,6 @@ from sslab.data import Batch, TaskKind, batch_stream, gen_task, make_batch
 from sslab.decode import DecodeConfig, decode_batch
 from sslab.model import (
     DecoderCache,
-    LengthError,
     ModelConfig,
     ModelParams,
     decode_step_logits,
@@ -40,7 +39,6 @@ def tiny_config(**kw):
         num_decoder_layers=1,
         dropout=0.0,
         label_smoothing=0.0,
-        max_positions=32,
         param_dtype="float64",
     )
     base.update(kw)
@@ -154,7 +152,7 @@ def test_tied_weights_are_one_object():
 def test_untrained_loss_is_near_log_vocab():
     cfg = ModelConfig(vocab_size=40, hidden_size=32, filter_size=64, num_heads=4,
                       num_encoder_layers=2, num_decoder_layers=2, dropout=0.0,
-                      label_smoothing=0.0, max_positions=64, param_dtype="float64")
+                      label_smoothing=0.0, param_dtype="float64")
     params = init_params(cfg, named_rng(8, "init"))
     batch = random_batch(np.random.default_rng(9), cfg.vocab_size, b=8, src_len=10, tgt_len=10)
     loss = float(teacher_forcing_loss(params, batch).data)
@@ -179,16 +177,19 @@ def test_loss_invariant_to_batch_order():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_length_error():
-    cfg = tiny_config(max_positions=4)
-    params = init_params(cfg, named_rng(12, "init"))
-    batch = batch_of([([5, 6, 7, 8, 9], [5])])
-    with pytest.raises(LengthError):
-        encode(params, batch.source, batch.source_mask)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [2, 4, 6, 8, 10, 16, 32, 64, 5])
+def test_positions_at_any_offset_are_the_rows_of_one_table(hidden, dtype):
+    table = sinusoidal_positions(0, 1024, hidden, dtype)
+    for start in range(1024):
+        # one row, as a cached step computes it, and a span, as a full pass from an offset does
+        for end in (start + 1, min(1024, start + 1 + start % 67)):
+            rows = sinusoidal_positions(start, end, hidden, dtype)
+            assert rows.dtype == dtype and rows.tobytes() == table[start:end].tobytes(), (start, end)
 
 
 def test_sinusoidal_table_properties():
-    table = sinusoidal_positions(16, 8, np.float64)
+    table = sinusoidal_positions(0, 16, 8, np.float64)
     assert table.shape == (16, 8)
     assert np.allclose(table[0, 0::2], 0.0)
     assert np.allclose(table[0, 1::2], 1.0)
@@ -199,7 +200,7 @@ def test_micro_model_gradient_check():
     # H=8, one layer each side, V=11, five decoder positions, float64
     cfg = ModelConfig(vocab_size=11, hidden_size=8, filter_size=16, num_heads=2,
                       num_encoder_layers=1, num_decoder_layers=1, dropout=0.0,
-                      label_smoothing=0.1, max_positions=16, param_dtype="float64")
+                      label_smoothing=0.1, param_dtype="float64")
     params = init_params(cfg, named_rng(13, "init"))
     batch = batch_of([([5, 6, 7, 8, 9], [10, 5, 6, 7])])
     assert batch.decoder_inputs().shape[1] == 5
@@ -252,7 +253,7 @@ def test_loss_decreases_on_tiny_copy_task():
     corpus = gen_task(TaskKind.COPY, 15, 3, 6, 50, seed=21)
     cfg = ModelConfig(vocab_size=15, hidden_size=32, filter_size=64, num_heads=4,
                       num_encoder_layers=1, num_decoder_layers=1, dropout=0.0,
-                      label_smoothing=0.1, max_positions=16)
+                      label_smoothing=0.1)
     params = init_params(cfg, named_rng(22, "init"))
     sampler = SamplerConfig(
         mode=SamplingMode.DECODING_STEPS,
@@ -279,7 +280,7 @@ CACHE_TOLERANCE = {"float32": dict(rtol=1e-5, atol=1e-6), "float64": dict(rtol=1
 
 
 def _cache_case(dtype, seed):
-    cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2, max_positions=12)
+    cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
     params = init_params(cfg, named_rng(seed, "init"))
     batch = random_batch(np.random.default_rng(seed), cfg.vocab_size, b=3, src_len=6, tgt_len=7)
     enc = encode(params, batch.source, batch.source_mask)
@@ -390,19 +391,24 @@ def test_cached_path_records_no_tape_nodes():
     assert len(tape) == 0
 
 
-def test_cached_offset_plus_new_positions_raises_length_error():
-    cfg, params, batch, enc, emb, _ = _cache_case("float64", seed=33)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_passes_run_past_256_positions_and_the_cache_matches_them(dtype):
+    cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
+    params = init_params(cfg, named_rng(33, "init"))
+    batch = random_batch(np.random.default_rng(33), cfg.vocab_size, b=2, src_len=300, tgt_len=299)
+    loss = teacher_forcing_loss(params, batch)
+    assert np.isfinite(loss.data)
+    enc = encode(params, batch.source, batch.source_mask)
     source = source_state(params, enc, batch.source_mask)
-    cache = DecoderCache.empty(cfg, 3)
-    decode_step_logits(params, source, constant(emb.data[:, :7]), cache=cache)
-    decode_step_logits(params, source, constant(emb.data[:, :4]), cache=cache)
-    assert cache.offset == cfg.max_positions - 1
-    with pytest.raises(LengthError):
-        decode_step_logits(params, source, constant(emb.data[:, :2]), cache=cache)
-    assert cache.offset == cfg.max_positions - 1
-    decode_step_logits(params, source, constant(emb.data[:, :1]), cache=cache)
-    with pytest.raises(LengthError):
-        decode_step_logits(params, source, constant(emb.data[:, :1]), cache=cache)
+    emb = embed_targets(params, batch.decoder_inputs())
+    assert emb.data.shape[1] == 300
+    full = decode_step_logits(params, source, emb).data
+    cache = DecoderCache.empty(cfg, 2)
+    steps = [decode_step_logits(params, source, constant(emb.data[:, :250]), cache=cache).data]
+    for t in range(250, 300):
+        steps.append(decode_step_logits(params, source, constant(emb.data[:, t : t + 1]), cache=cache).data)
+    assert cache.offset == 300
+    np.testing.assert_allclose(np.concatenate(steps, axis=1), full, **CACHE_TOLERANCE[dtype])
 
 
 def _traced_peak_mib(fn) -> float:

@@ -37,7 +37,6 @@ def config64(vocab=14, **kw):
         num_decoder_layers=1,
         dropout=0.1,
         label_smoothing=0.1,
-        max_positions=32,
         param_dtype="float64",
     )
     base.update(kw)

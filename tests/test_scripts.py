@@ -132,7 +132,7 @@ def test_ab_time_times_a_training_command_to_its_first_batch():
          "--set", "data.max_len=5", "--set", "data.count=60", "--set", "data.eval_count=4",
          "--set", "data.token_budget=128", "--set", "model.hidden_size=16", "--set", "model.filter_size=32",
          "--set", "model.num_heads=2", "--set", "model.num_encoder_layers=1", "--set", "model.num_decoder_layers=1",
-         "--set", "model.max_positions=16", "--set", "train.total_steps=3"],
+         "--set", "train.total_steps=3"],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
