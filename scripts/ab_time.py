@@ -18,7 +18,10 @@ same for the CPU seconds from the command's start to its first drawn batch
 steps dilute a change to set-up. When the command decodes, it prints the
 same for the CPU seconds spent inside ``cli.decode_corpus`` alone (the time
 the benchmark's decode rates divide by), since set-up, a teacher-forced
-pass and the metrics dilute a change to decoding. After the timed pairs,
+pass and the metrics dilute a change to decoding. A ``gap-curve``
+``decode_corpus`` reads encoder states computed before the call, where
+trees older than that change encode inside it, so an A/B across the
+change must read the whole-command CPU too. After the timed pairs,
 it runs the command once more per side, untimed, under ``tracemalloc``
 and prints each side's traced peak in MB, so that a memory change can be
 checked in one process. Exits 1 if a command fails or if the two sides'

@@ -24,7 +24,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Mapping, get_args, get_origin, get_type_hints
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,10 +33,12 @@ from .data import (
 )
 from .decode import DecodeConfig
 from .metrics import (
-    BATCH_ROWS,
+    EncodedBatch,
     corpus_bleu_lite,
     decode_corpus,
     empirical_schedule,
+    encoded_batches,
+    encoded_once,
     fuzzy_precision_per_step,
     gap_curve,
     in_corpus_order,
@@ -441,14 +443,14 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _teacher_forced_predictions(params: ModelParams, corpus: Corpus) -> list[list[int]]:
-    """Argmax continuation at every golden prefix, trimmed to content length, in corpus order."""
+def _teacher_forced_predictions(params: ModelParams, walk: Iterable[EncodedBatch]) -> list[list[int]]:
+    """Argmax continuation at every golden prefix of the batches of ``walk``, trimmed to content length, in corpus order."""
 
-    def predict(batch):
-        argmax = teacher_forced_logits(params, batch).argmax(axis=-1)
+    def predict(batch, encoder_states):
+        argmax = teacher_forced_logits(params, batch, encoder_states).argmax(axis=-1)
         return [row[:n].tolist() for row, n in zip(argmax, (batch.target_lengths - 2).tolist())]
 
-    return in_corpus_order(corpus, BATCH_ROWS, predict)
+    return in_corpus_order(walk, predict)
 
 
 def _eval_setup(cfg: RunConfig, checkpoint: str) -> tuple[Path, Corpus, ModelParams, int]:
@@ -465,10 +467,13 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
     out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
     refs = eval_corpus.target_rows()
 
-    train_preds = _teacher_forced_predictions(params, eval_corpus)
+    # the decode's batches, each encoded once: the teacher-forced pass and the decode both read it
+    walk = encoded_once(params, eval_corpus, cfg.decode)
+    train_preds = _teacher_forced_predictions(params, walk)
     train_curve = strict_precision_per_step(train_preds, refs)
 
-    hyps = decode_corpus(params, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, walk, cfg.decode)
+    del walk  # the encoder states' last read
     infer_curve = fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window)
 
     write_curve_csv(out / "training_precision.csv", train_curve)
@@ -483,7 +488,7 @@ def cmd_gap_curve(cfg: RunConfig, checkpoint: str) -> int:
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
     out, eval_corpus, params, step = _eval_setup(cfg, checkpoint)
     refs = eval_corpus.target_rows()
-    hyps = decode_corpus(params, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, encoded_batches(params, eval_corpus, cfg.decode), cfg.decode)
 
     accuracy = token_accuracy(hyps, refs)
     bleu = corpus_bleu_lite(hyps, refs)
@@ -512,7 +517,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_decode(cfg: RunConfig, checkpoint: str, output: str | None) -> int:
     out, eval_corpus, params, _ = _eval_setup(cfg, checkpoint)
-    hyps = decode_corpus(params, eval_corpus, cfg.decode)
+    hyps = decode_corpus(params, encoded_batches(params, eval_corpus, cfg.decode), cfg.decode)
     path = Path(output) if output else out / "hypotheses.txt"
     with open(path, "w", encoding="utf-8") as fh:
         for hyp in hyps:

@@ -16,12 +16,14 @@ every source whose search has not stopped, held in one [sources, beams,
 length] array that each step ranks along one axis; every call after the
 first names each row's parent among the previous call's rows. The one
 model adapter, ``decode_batch``, runs either search on the transformer
-scorer, which decodes incrementally: it computes the encoder states
-and their ``SourceState`` (cross-attention keys/values and source masks)
-once per batch, keeps one state row per source that a source's beams
-all read, and regathers that state only when the calls' sources change;
-it keeps a self-attention key/value cache across calls, gathered by
-those parents, and so projects one new position per row and step.
+scorer, which decodes incrementally: it reads the batch's encoder states,
+which its caller computed and may have read already (``sslab gap-curve``'s
+teacher-forced pass does), builds their ``SourceState`` (cross-attention
+keys/values and source masks) once per batch, keeps one state row per
+source that a source's beams all read, and regathers that state only
+when the calls' sources change; it keeps a self-attention key/value cache
+across calls, gathered by those parents, and so projects one new position
+per row and step.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from .model import (
     ModelParams,
     decode_step_logits,
     embed_targets,
-    encode,
     source_state,
 )
-from .tensor import no_grad
+from .tensor import constant, no_grad
 
 
 class DecodeError(ValueError):
@@ -84,12 +85,13 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def transformer_scorer(params: ModelParams, source: np.ndarray, source_mask: np.ndarray) -> StepScorer:
+def transformer_scorer(params: ModelParams, encoder_states: np.ndarray, source_mask: np.ndarray) -> StepScorer:
     """Batch scorer: (prefixes [K, t], source rows [K], parents [K] | None) -> log-probs [K, V].
 
-    Encoder states, every layer's cross-attention keys/values and the
-    source masks are computed once here, in a base ``SourceState`` over the
-    batch's rows. A call whose ``rows`` are runs of k equal rows (a beam
+    ``encoder_states`` [B, m, H] is ``model.encode``'s output for the
+    batch's sources. Every layer's cross-attention keys/values over it and
+    the source masks are computed once here, in a base ``SourceState`` over
+    the batch's rows. A call whose ``rows`` are runs of k equal rows (a beam
     search's k beams per source) reads one state row per run; k is 1 for
     greedy and for any rows that do not form equal runs. The state is
     regathered from the base only when those source rows differ from the
@@ -101,9 +103,8 @@ def transformer_scorer(params: ModelParams, source: np.ndarray, source_mask: np.
     from an empty cache through the same step function.
     """
     with no_grad():
-        enc = encode(params, source, source_mask)
-        base = source_state(params, enc, source_mask)
-    state, state_rows = base, np.arange(source.shape[0])
+        base = source_state(params, constant(encoder_states), source_mask)
+    state, state_rows = base, np.arange(source_mask.shape[0])
     cache: DecoderCache | None = None
     previous = 0  # rows of the previous call
 
@@ -221,14 +222,14 @@ def beam_search(
 
 
 def decode_batch(
-    params: ModelParams, source: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
+    params: ModelParams, encoder_states: np.ndarray, source_mask: np.ndarray, decode_cfg: DecodeConfig
 ) -> list[list[int]]:
-    """One hypothesis per source row: greedy at beam_size 1, else beam search's best.
+    """One hypothesis per source row of ``encoder_states``: greedy at beam_size 1, else beam search's best.
 
     The batch's scorer is built once, by this module's ``transformer_scorer``
     as bound at call time, so each decoding step is one scorer call.
     """
-    scorer, sources = transformer_scorer(params, source, source_mask), source.shape[0]
+    scorer, sources = transformer_scorer(params, encoder_states, source_mask), source_mask.shape[0]
     if decode_cfg.beam_size == 1:
         return greedy_decode(scorer, decode_cfg, sources)
     return [r.tokens for r in beam_search(scorer, params.config.vocab_size, decode_cfg, sources)]

@@ -5,11 +5,16 @@ pads each hypothesis to its reference length (padding with the reserved
 null token, which never matches) and accepts a token if it occurs
 anywhere in the reference window centered on the same position.
 Inference-side precision uses a small window; training-side (strict)
-precision and token accuracy are the window-1 case. ``decode_corpus``
-decodes a corpus in calls of at most ``BATCH_ROWS`` rows, the size the
-CLI's teacher-forced pass uses too; ``in_corpus_order`` runs both over
-``length_sorted_batches``, so a batch pads only to its own widest source
-and a decode stops near its own longest one. ``empirical_schedule`` turns
+precision and token accuracy are the window-1 case.
+
+A corpus is decoded in ``length_sorted_batches`` of at most ``BATCH_ROWS``
+rows per scorer call, so a batch pads only to its own widest source and a
+decode stops near its own longest one. ``decode_corpus`` walks the
+batches with their encoder states: ``encoded_batches`` encodes each batch
+when it is drawn, inside the decode, and ``encoded_once`` encodes them
+all up front into one array, so that ``sslab gap-curve``'s teacher-forced
+pass and its decode read one encoder run. ``in_corpus_order`` puts the
+rows of either walk back in corpus order. ``empirical_schedule`` turns
 an inference-side curve into an ``empirical`` schedule, and ``gap_curve``
 subtracts an inference-side curve from a training-side one; ``sslab
 gap-curve`` writes the gap and the schedule next to the two curves.
@@ -24,17 +29,19 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .data import Batch, Corpus, NULL_ID, make_batch
 from .decode import DecodeConfig, decode_batch
-from .model import ModelParams
+from .model import ModelParams, encode
 from .schedules import Family, ScheduleSpec
+from .tensor import no_grad
 
 Tokens = Sequence[int]
-BATCH_ROWS = 64  # rows per model call when a corpus is decoded or teacher-forced
+BATCH_ROWS = 64  # rows per scorer call when a corpus is decoded
+EncodedBatch = tuple[np.ndarray, Batch, np.ndarray]  # corpus indices, their batch, its encoder states [B, m, H]
 
 
 class MetricsError(ValueError):
@@ -160,26 +167,66 @@ def length_sorted_batches(corpus: Corpus, per_batch: int) -> Iterator[tuple[np.n
         yield indices, make_batch(corpus, indices)
 
 
-def in_corpus_order(corpus: Corpus, per_batch: int, rows_of: Callable[[Batch], list[list[int]]]) -> list[list[int]]:
-    """``rows_of``'s rows, one per pair, over the ``length_sorted_batches`` of ``corpus``, put back in corpus order."""
-    out: list[list[int]] = [[] for _ in range(len(corpus))]
-    for indices, batch in length_sorted_batches(corpus, per_batch):
-        for i, row in zip(indices.tolist(), rows_of(batch)):
-            out[i] = row
-    return out
+def in_corpus_order(walk: Iterable[tuple], rows_of: Callable[..., list[list[int]]]) -> list[list[int]]:
+    """``rows_of``'s rows, one per pair, put back in corpus order.
+
+    Each item of ``walk`` is (corpus indices, then what ``rows_of`` takes),
+    as ``length_sorted_batches`` and ``encoded_batches`` yield them; the
+    indices of the whole walk cover the corpus once.
+    """
+    rows: dict[int, list[int]] = {}
+    for indices, *batch in walk:
+        rows.update(zip(indices.tolist(), rows_of(*batch)))
+    return [rows[i] for i in range(len(rows))]
 
 
-def decode_corpus(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[list[int]]:
+def _decode_batches(corpus: Corpus, decode_cfg: DecodeConfig) -> Iterator[tuple[np.ndarray, Batch]]:
+    """``length_sorted_batches`` of ``BATCH_ROWS // beam_size`` sources (at least one).
+
+    Each source holds up to ``beam_size`` live beams, so no scorer call
+    exceeds ``BATCH_ROWS`` rows; greedy decodes ``BATCH_ROWS`` sources.
+    """
+    return length_sorted_batches(corpus, max(1, BATCH_ROWS // decode_cfg.beam_size))
+
+
+def _encoder_states(params: ModelParams, batch: Batch) -> np.ndarray:
+    with no_grad():
+        return encode(params, batch.source, batch.source_mask).data
+
+
+def encoded_batches(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> Iterator[EncodedBatch]:
+    """The decode's batches of ``corpus`` with their encoder states, each encoded when it is drawn."""
+    for indices, batch in _decode_batches(corpus, decode_cfg):
+        yield indices, batch, _encoder_states(params, batch)
+
+
+def encoded_once(params: ModelParams, corpus: Corpus, decode_cfg: DecodeConfig) -> list[EncodedBatch]:
+    """``encoded_batches``' items, all encoded now, for passes that read each batch's one encoder run.
+
+    Each batch's encoder states are a view of one array, allocated before
+    the first batch is encoded: kept as separate arrays among the passes'
+    temporaries, they raised a greedy ``gap-curve``'s peak RSS by 6%, and
+    as views of one array by 3%, against encoding inside the decode.
+    """
+    batches = list(_decode_batches(corpus, decode_cfg))
+    hidden, dtype = params.config.hidden_size, params.config.np_dtype
+    sizes = [batch.source.size * hidden for _, batch in batches]
+    store = np.empty(sum(sizes), dtype)
+    walk = []
+    for (indices, batch), flat in zip(batches, np.split(store, np.cumsum(sizes)[:-1])):
+        encoder_states = flat.reshape(*batch.source.shape, hidden)
+        encoder_states[...] = _encoder_states(params, batch)
+        walk.append((indices, batch, encoder_states))
+    return walk
+
+
+def decode_corpus(params: ModelParams, walk: Iterable[EncodedBatch], decode_cfg: DecodeConfig) -> list[list[int]]:
     """One hypothesis per source, in corpus order, decoded through ``decode.decode_batch``.
 
-    ``BATCH_ROWS`` caps the rows of each scorer call: a batch holds
-    ``BATCH_ROWS // beam_size`` sources (at least one), since each source
-    holds up to ``beam_size`` live beams; greedy decodes ``BATCH_ROWS``.
+    ``walk`` holds the decode's batches with their encoder states, from
+    ``encoded_batches`` or ``encoded_once`` at the same ``decode_cfg``.
     """
-    return in_corpus_order(
-        corpus, max(1, BATCH_ROWS // decode_cfg.beam_size),
-        lambda batch: decode_batch(params, batch.source, batch.source_mask, decode_cfg),
-    )
+    return in_corpus_order(walk, lambda batch, enc: decode_batch(params, enc, batch.source_mask, decode_cfg))
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:

@@ -29,6 +29,7 @@ evaluation pass then holds at most two score-sized arrays at a time.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -89,12 +90,20 @@ class ModelConfig:
         return np.float32 if self.param_dtype == "float32" else np.float64
 
 
+@functools.lru_cache
+def _position_denominators(hidden: int) -> np.ndarray:
+    """10000 ** (2i / hidden) for each sine column 2i, [1, ceil(hidden / 2)] float64, read-only."""
+    dim = np.arange(0, hidden, 2, dtype=np.float64)[None, :]
+    out = np.power(10000.0, dim / hidden)
+    out.flags.writeable = False
+    return out
+
+
 def sinusoidal_positions(start: int, end: int, hidden: int, dtype) -> np.ndarray:
     """The sinusoidal rows of positions ``start`` to ``end - 1``, [end - start, hidden]."""
     pos = np.arange(start, end, dtype=np.float64)[:, None]
-    dim = np.arange(0, hidden, 2, dtype=np.float64)[None, :]
-    angles = pos / np.power(10000.0, dim / hidden)
-    table = np.zeros((end - start, hidden), dtype=np.float64)
+    angles = pos / _position_denominators(hidden)
+    table = np.empty((end - start, hidden), dtype=np.float64)  # the two column sets cover every column
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : hidden // 2])
     return table.astype(dtype)
@@ -444,11 +453,13 @@ def teacher_forcing_loss(
     )
 
 
-def teacher_forced_logits(params: ModelParams, batch: Batch) -> np.ndarray:
-    """Evaluation-mode logits at every golden-prefix position (no recording)."""
+def teacher_forced_logits(params: ModelParams, batch: Batch, encoder_states: np.ndarray) -> np.ndarray:
+    """Evaluation-mode logits at every golden-prefix position (no recording).
+
+    ``encoder_states`` [B, m, H] is the caller's ``encode`` output for the
+    batch's sources, so that a decode of the same batch can read it again.
+    """
     with no_grad():
-        enc = encode(params, batch.source, batch.source_mask)
-        source = source_state(params, enc, batch.source_mask)
-        del enc  # the decoder reads only ``source`` (see the module docstring)
+        source = source_state(params, constant(encoder_states), batch.source_mask)
         logits = decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs()))
     return logits.data

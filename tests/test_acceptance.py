@@ -7,6 +7,7 @@ per-criterion lines appear.
 
 import math
 import time
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -18,6 +19,7 @@ import mpmath as mp
 
 from batching import batch_of
 from gradcheck import max_rel_error, numeric_grads
+from test_decode import reference_beam_search
 from sslab.data import BOS_ID, EOS_ID, TaskKind, batch_stream, gen_task
 from sslab.decode import DecodeConfig, beam_search, length_penalty
 from sslab.metrics import (
@@ -380,19 +382,12 @@ def test_criterion_5_mask_statistics():
 
 
 class PrefixTableScorer:
-    """Deterministic random next-token distribution per prefix.
-
-    Rows are drawn with the end token at id 0 and served with ids 0 and
-    ``EOS_ID`` swapped, so each seed poses the search it posed when the
-    end token was configurable and these models ended at id 0.
-    """
+    """Deterministic random next-token distribution per prefix."""
 
     def __init__(self, seed: int, vocab: int):
         self.seed = seed
         self.vocab = vocab
         self.cache: dict[tuple, np.ndarray] = {}
-        self.swap = np.arange(vocab)
-        self.swap[[0, EOS_ID]] = [EOS_ID, 0]
 
     def row(self, prefix: tuple) -> np.ndarray:
         if prefix not in self.cache:
@@ -403,7 +398,7 @@ class PrefixTableScorer:
         return self.cache[prefix]
 
     def __call__(self, prefixes: np.ndarray) -> np.ndarray:
-        return np.stack([self.row(tuple(self.swap[p].tolist()))[self.swap] for p in prefixes])
+        return np.stack([self.row(tuple(p.tolist())) for p in prefixes])
 
 
 def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
@@ -422,17 +417,23 @@ def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
 
 
 def test_criterion_6_beam_oracle():
+    # (vocab - 1) ** (max_length - 1) beams prune nothing, so the search must find the optimum
+    # (up to its stop rule; see test_decode.py); at width vocab it must match its own definition
     t0 = time.time()
     for seed in range(200):
         vocab = 4 + seed % 2
-        cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3)
+        cfg = DecodeConfig(beam_size=(vocab - 1) ** 2, length_penalty=0.6, max_length=3)
         scorer = PrefixTableScorer(seed, vocab)
         got = beam_search(lambda p, r, _: scorer(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(scorer, vocab, cfg)
         assert got.finished, f"model {seed} returned unfinished"
         assert got.tokens == want_tokens, f"model {seed}: {got.tokens} != {want_tokens}"
         assert abs(got.score - want_pen) <= 1e-9, f"model {seed}: score mismatch"
-    report(6, True, f"200 random models match exhaustive enumeration; {time.time() - t0:.0f} s")
+        narrow = replace(cfg, beam_size=vocab)
+        want = reference_beam_search(lambda p, r, _: scorer(p), vocab, narrow)
+        assert beam_search(lambda p, r, _: scorer(p), vocab, narrow) == want, f"model {seed} at width {vocab}"
+    report(6, True, f"200 random models match exhaustive enumeration, and their width-vocab searches the reference; "
+                    f"{time.time() - t0:.0f} s")
 
 
 def test_criterion_10_metrics_self_consistency():

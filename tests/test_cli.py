@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,12 +11,18 @@ import pytest
 
 from batching import batch_of
 from sslab import cli
+import sslab.decode as decode_module
+import sslab.model as model_module
 from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
 from sslab.data import TaskKind, Vocab, gen_task
-from sslab.model import ModelConfig, init_params, teacher_forced_logits
+from sslab.decode import DecodeConfig
+from sslab.metrics import (
+    decode_corpus, encoded_batches, encoded_once, fuzzy_precision_per_step, strict_precision_per_step, write_curve_csv,
+)
+from sslab.model import ModelConfig, encode, init_params, teacher_forced_logits
 from sslab.rng import named_rng
 from sslab.schedules import Family, ScheduleSpec, eval_schedule
-from sslab.tensor import load_checkpoint, save_checkpoint
+from sslab.tensor import load_checkpoint, no_grad, save_checkpoint
 
 
 def run_cli(*argv):
@@ -529,6 +536,58 @@ def test_gap_curve_outputs(trained_run, tmp_path):
     assert json.loads((run / "config.json").read_text())["sampler"]["schedule"] == json.loads(schedule_text)
 
 
+def _gap_curve_on(trained_run, out, beam):
+    """``gap-curve`` on the trained run's checkpoint over 70 eval pairs: 2 decode batches at beam 1, 5 at beam 4."""
+    return run_cli(
+        "gap-curve", "--config", str(trained_run / "config.json"), "--checkpoint", str(trained_run / "ckpt_final.bin"),
+        "--set", f"out_dir={out}", "--set", "data.eval_count=70", "--set", f"decode.beam_size={beam}",
+    )
+
+
+@pytest.mark.parametrize("beam, batches", [(1, 2), (4, 5)])
+def test_gap_curve_encodes_each_eval_batch_once(trained_run, tmp_path, monkeypatch, beam, batches):
+    encoded, decoded = [], []  # the sources of each encoder run, and of each batch's scorer
+    original = model_module.encode
+
+    def counting_encode(params, source, *args, **kwargs):
+        encoded.append(source.shape[0])
+        return original(params, source, *args, **kwargs)
+
+    # every module that binds ``encode``, as the benchmark's tracer patches it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sslab") and getattr(module, "encode", None) is original:
+            monkeypatch.setattr(module, "encode", counting_encode)
+    scorer = decode_module.transformer_scorer
+
+    def counting_scorer(params, encoder_states, source_mask):
+        decoded.append(encoder_states.shape[0])
+        return scorer(params, encoder_states, source_mask)
+
+    monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
+    assert _gap_curve_on(trained_run, tmp_path, beam) == 0
+    assert len(encoded) == batches and sum(encoded) == 70
+    assert decoded == encoded  # the decode reads the teacher-forced pass's encoder runs, batch for batch
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_gap_curve_precisions_are_the_passes_run_apart(trained_run, tmp_path, beam):
+    assert _gap_curve_on(trained_run, tmp_path / "gap", beam) == 0
+    cfg = cli.load_run_config(str(trained_run / "config.json"), ["data.eval_count=70", f"decode.beam_size={beam}"])
+    _, corpus = cli.build_corpora(cfg, train_data=False)
+    params, _, _ = load_model_checkpoint(str(trained_run / "ckpt_final.bin"))
+    refs = corpus.target_rows()
+    # each pass over its own encoder runs of the decode's batches
+    train = cli._teacher_forced_predictions(params, encoded_batches(params, corpus, cfg.decode))
+    hyps = decode_corpus(params, encoded_batches(params, corpus, cfg.decode), cfg.decode)
+    curves = {
+        "training_precision.csv": strict_precision_per_step(train, refs),
+        "inference_precision.csv": fuzzy_precision_per_step(hyps, refs, window=cfg.gap_window),
+    }
+    for name, curve in curves.items():
+        write_curve_csv(tmp_path / name, curve)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "gap" / name).read_bytes()
+
+
 def test_evaluate_memorized_model(trained_run, tmp_path):
     out = tmp_path / "eval"
     code = run_cli(
@@ -568,11 +627,13 @@ def test_teacher_forced_predictions_come_back_in_corpus_order(trained_copy_model
     corpus = gen_task(TaskKind.COPY, config.vocab_size, 1, 6, 70, seed=96)  # two batches of at most 64 rows
     lengths = [len(src) for src, _ in corpus.pairs]
     assert lengths != sorted(lengths)
-    want = [
-        teacher_forced_logits(params, batch_of([pair])).argmax(axis=-1)[0, : len(pair[1])].tolist()
-        for pair in corpus.pairs
-    ]
-    assert cli._teacher_forced_predictions(params, corpus) == want
+    want = []
+    for pair in corpus.pairs:
+        batch = batch_of([pair])
+        with no_grad():
+            enc = encode(params, batch.source, batch.source_mask).data
+        want.append(teacher_forced_logits(params, batch, enc).argmax(axis=-1)[0, : len(pair[1])].tolist())
+    assert cli._teacher_forced_predictions(params, encoded_once(params, corpus, DecodeConfig(beam_size=1))) == want
 
 
 def test_evaluate_reports_name_the_checkpoint_by_digest_and_step(tmp_path):

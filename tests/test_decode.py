@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
@@ -21,10 +21,16 @@ from sslab.decode import (
 import sslab.decode as decode_module
 import sslab.metrics as metrics_module
 import sslab.model as model_module
-from sslab.metrics import decode_corpus
+from sslab.metrics import decode_corpus, encoded_batches
 from sslab.model import ModelConfig, decode_step_logits, embed_targets, encode, init_params, source_state
 from sslab.rng import named_rng
 from sslab.tensor import constant, no_grad
+
+
+def encoder_states(params, source, source_mask):
+    """The evaluation-mode ``encode`` output of a batch, which the decode reads."""
+    with no_grad():
+        return encode(params, source, source_mask).data
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +108,34 @@ def exhaustive_best(step, vocab, cfg, bos=BOS_ID):
 # ---------------------------------------------------------------------------
 
 
+# Beam search keeps the best beam_size of its candidates, so it finds the exhaustive optimum
+# for certain only at a width that prunes nothing: (vocab - 1) ** (max_length - 1) beams hold
+# every live prefix, 9 or 16 here. At a narrower width its own definition is the oracle.
+# Its stop rule bounds a live beam by its raw score penalized at the current length, which is
+# exact at alpha = 0 (an extension only lowers a raw score); at alpha > 0 a longer finish can
+# beat that bound, so there the match with enumeration also rests on each draw's stop decisions.
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_beam_matches_exhaustive_enumeration(seed):
     vocab = 4 + seed % 2
-    cfg = DecodeConfig(beam_size=vocab, length_penalty=0.6, max_length=3)
+    cfg = DecodeConfig(beam_size=(vocab - 1) ** 2, length_penalty=0.6, max_length=3)
     step = random_scorer(seed, vocab)
     got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
     want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
     assert got.finished
     assert got.tokens == want_tokens
     assert got.score == pytest.approx(want_pen, abs=1e-12)
+    narrow = replace(cfg, beam_size=vocab)
+    assert beam_search(lambda p, r, _: step(p), vocab, narrow) == reference_beam_search(
+        lambda p, r, _: step(p), vocab, narrow
+    )
 
 
 def test_alpha_zero_is_pure_logprob_ranking():
     for seed in range(25):
         vocab = 5
-        cfg = DecodeConfig(beam_size=vocab, length_penalty=0.0, max_length=3)
+        cfg = DecodeConfig(beam_size=(vocab - 1) ** 2, length_penalty=0.0, max_length=3)
         step = random_scorer(seed, vocab)
         got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
         want_tokens, want_pen = exhaustive_best(step, vocab, cfg)
@@ -141,14 +159,19 @@ def test_beam_one_equals_greedy_on_peaked_models():
 
 
 def test_enlarging_beam_never_hurts():
+    """No width beats exhaustive enumeration, which is guaranteed: a finish is one of the
+    hypotheses it scores. That each wider beam scores at least as well is an observation of
+    these draws; beam search does not promise it."""
     for seed in range(40):
         vocab = 5
         step = random_scorer(seed, vocab)
+        _, optimum = exhaustive_best(step, vocab, DecodeConfig(length_penalty=0.6, max_length=4))
         prev = -np.inf
         for bs in range(1, 6):
             cfg = DecodeConfig(beam_size=bs, length_penalty=0.6, max_length=4)
             got = beam_search(lambda p, r, _: step(p), vocab, cfg)[0]
-            assert got.score >= prev - 1e-12
+            assert got.finished and got.score <= optimum + 1e-12
+            assert got.score >= prev - 1e-12  # the observation
             prev = got.score
 
 
@@ -189,7 +212,8 @@ def tiny_config(**kw):
 def test_greedy_max_length_one(trained_copy_model):
     params, cfg = trained_copy_model
     batch = batch_of([([5, 6, 7], [5, 6, 7])])
-    out = decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=1, max_length=1))
+    enc = encoder_states(params, batch.source, batch.source_mask)
+    out = decode_batch(params, enc, batch.source_mask, DecodeConfig(beam_size=1, max_length=1))
     assert all(len(seq) <= 1 for seq in out)
 
 
@@ -197,9 +221,10 @@ def test_greedy_deterministic(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 10, seed=45)
     batch = make_batch(corpus, np.arange(len(corpus)))
+    enc = encoder_states(params, batch.source, batch.source_mask)
     dcfg = DecodeConfig(beam_size=1, max_length=12)
-    a = decode_batch(params, batch.source, batch.source_mask, dcfg)
-    b = decode_batch(params, batch.source, batch.source_mask, dcfg)
+    a = decode_batch(params, enc, batch.source_mask, dcfg)
+    b = decode_batch(params, enc, batch.source_mask, dcfg)
     assert a == b
 
 
@@ -207,7 +232,8 @@ def test_converged_copy_model_copies_heldout(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 40, seed=46)
     batch = make_batch(corpus, np.arange(len(corpus)))
-    out = decode_batch(params, batch.source, batch.source_mask, DecodeConfig(beam_size=1, max_length=12))
+    enc = encoder_states(params, batch.source, batch.source_mask)
+    out = decode_batch(params, enc, batch.source_mask, DecodeConfig(beam_size=1, max_length=12))
     hits = sum(
         seq == batch.source[i, : batch.source_lengths[i]].tolist() for i, seq in enumerate(out)
     )
@@ -218,9 +244,10 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 20, seed=47)
     batch = make_batch(corpus, np.arange(len(corpus)))
+    enc = encoder_states(params, batch.source, batch.source_mask)
     dcfg = DecodeConfig(beam_size=1, max_length=12)
-    greedy = decode_batch(params, batch.source, batch.source_mask, dcfg)
-    scorer = transformer_scorer(params, batch.source, batch.source_mask)
+    greedy = decode_batch(params, enc, batch.source_mask, dcfg)
+    scorer = transformer_scorer(params, enc, batch.source_mask)
     beams = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
     assert [r.tokens for r in beams] == greedy
     assert all(r.finished for r in beams)
@@ -229,10 +256,11 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
 def test_decode_batch_order_and_beam_scores(trained_copy_model):
     params, cfg = trained_copy_model
     batch = batch_of([([5, 6, 7], [5, 6, 7]), ([8, 9, 10, 11], [8, 9, 10, 11])])
+    enc = encoder_states(params, batch.source, batch.source_mask)
     dcfg = DecodeConfig(beam_size=4, max_length=12)
-    results = beam_search(transformer_scorer(params, batch.source, batch.source_mask), cfg.vocab_size, dcfg, 2)
+    results = beam_search(transformer_scorer(params, enc, batch.source_mask), cfg.vocab_size, dcfg, 2)
     assert [r.tokens for r in results] == [[5, 6, 7], [8, 9, 10, 11]]
-    assert decode_batch(params, batch.source, batch.source_mask, dcfg) == [[5, 6, 7], [8, 9, 10, 11]]
+    assert decode_batch(params, enc, batch.source_mask, dcfg) == [[5, 6, 7], [8, 9, 10, 11]]
     for r in results:
         assert r.score <= 0.0
 
@@ -249,10 +277,8 @@ def test_decode_module_never_touches_the_sampler():
 SCORER_TOLERANCE = {"float32": dict(rtol=1e-5, atol=1e-5), "float64": dict(rtol=1e-10, atol=1e-11)}
 
 
-def full_prefix_scorer(params, source, source_mask):
+def full_prefix_scorer(params, enc, source_mask):
     """The uncached reference: the whole decoder over the full prefix per call."""
-    with no_grad():
-        enc = encode(params, source, source_mask).data
 
     def step(prefixes, rows, parents):
         with no_grad():
@@ -268,10 +294,11 @@ def full_prefix_scorer(params, source, source_mask):
 def test_greedy_decodes_past_256_positions_as_the_uncached_scorer_does(dtype):
     params = init_params(tiny_config(param_dtype=dtype), named_rng(0, "init"))  # untrained: no row ends early
     batch = batch_of([([5, 6, 7], [5]), ([8, 9], [5])])
+    enc = encoder_states(params, batch.source, batch.source_mask)
     cfg = DecodeConfig(beam_size=1, max_length=300)
-    got = decode_batch(params, batch.source, batch.source_mask, cfg)
+    got = decode_batch(params, enc, batch.source_mask, cfg)
     assert [len(h) for h in got] == [300, 300]
-    assert got == greedy_decode(full_prefix_scorer(params, batch.source, batch.source_mask), cfg, 2)
+    assert got == greedy_decode(full_prefix_scorer(params, enc, batch.source_mask), cfg, 2)
 
 
 def _scorer_pair(dtype, seed=60, b=4):
@@ -279,8 +306,9 @@ def _scorer_pair(dtype, seed=60, b=4):
     params = init_params(cfg, named_rng(seed, "init"))
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 7, b, seed=seed)
     batch = make_batch(corpus, np.arange(len(corpus)))
-    cached = transformer_scorer(params, batch.source, batch.source_mask)
-    full = full_prefix_scorer(params, batch.source, batch.source_mask)
+    enc = encoder_states(params, batch.source, batch.source_mask)
+    cached = transformer_scorer(params, enc, batch.source_mask)
+    full = full_prefix_scorer(params, enc, batch.source_mask)
     previous = None  # the previous call's (rows, prefixes)
 
     def check(prefixes, rows, fresh=False):
@@ -359,7 +387,7 @@ def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, beam
     dcfg = DecodeConfig(beam_size=beam, max_length=12)
     hyps = []
     for make_scorer in (transformer_scorer, full_prefix_scorer):
-        scorer = make_scorer(params, batch.source, batch.source_mask)
+        scorer = make_scorer(params, encoder_states(params, batch.source, batch.source_mask), batch.source_mask)
         if beam == 1:
             hyps.append(greedy_decode(scorer, dcfg, len(corpus.pairs)))
         else:
@@ -385,13 +413,13 @@ def no_eos_scorer(vocab):
     return step
 
 
-def per_source_beam_decode(params, source, source_mask, dcfg):
+def per_source_beam_decode(params, enc, source_mask, dcfg):
     """One search per source row over a shared scorer, as decoding ran before batching."""
-    scorer = transformer_scorer(params, source, source_mask)
+    scorer = transformer_scorer(params, enc, source_mask)
     vocab = params.config.vocab_size
     return [
         beam_search(lambda p, r, parents, row=row: scorer(p, np.full(len(p), row), parents), vocab, dcfg)[0]
-        for row in range(source.shape[0])
+        for row in range(enc.shape[0])
     ]
 
 
@@ -447,21 +475,22 @@ def test_batched_beam_search_equals_per_source_search(trained_copy_model, beam):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 6, 24, seed=49)
     batch = make_batch(corpus, np.arange(len(corpus)))
+    enc = encoder_states(params, batch.source, batch.source_mask)
     dcfg = DecodeConfig(beam_size=beam, max_length=12)
-    scorer = transformer_scorer(params, batch.source, batch.source_mask)
+    scorer = transformer_scorer(params, enc, batch.source_mask)
     got = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
-    want = per_source_beam_decode(params, batch.source, batch.source_mask, dcfg)
+    want = per_source_beam_decode(params, enc, batch.source_mask, dcfg)
     assert [r.tokens for r in got] == [r.tokens for r in want]
     assert [r.finished for r in got] == [r.finished for r in want]
     np.testing.assert_allclose([r.score for r in got], [r.score for r in want], rtol=1e-5)
 
 
-def per_source_greedy_decode(params, source, source_mask, dcfg):
+def per_source_greedy_decode(params, enc, source_mask, dcfg):
     """One greedy search per source row over a shared scorer."""
-    scorer = transformer_scorer(params, source, source_mask)
+    scorer = transformer_scorer(params, enc, source_mask)
     return [
         greedy_decode(lambda p, r, parents, row=row: scorer(p, np.full(len(p), row), parents), dcfg, 1)[0]
-        for row in range(source.shape[0])
+        for row in range(enc.shape[0])
     ]
 
 
@@ -473,10 +502,11 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
     dcfg = run.decode
     _, corpus = build_corpora(run)
     batch = make_batch(corpus, np.arange(len(corpus)))
+    enc = encoder_states(params, batch.source, batch.source_mask)
     if beam == 1:
-        want = per_source_greedy_decode(params, batch.source, batch.source_mask, dcfg)
+        want = per_source_greedy_decode(params, enc, batch.source_mask, dcfg)
     else:
-        want = [r.tokens for r in per_source_beam_decode(params, batch.source, batch.source_mask, dcfg)]
+        want = [r.tokens for r in per_source_beam_decode(params, enc, batch.source_mask, dcfg)]
 
     calls = []  # rows of each scorer call, one list per batch
     model_steps = []  # rows of each decoder pass
@@ -497,9 +527,9 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
 
     widths = []  # padded source width of each batch
 
-    def spying_decode_batch(params, source, source_mask, dcfg):
-        widths.append(source.shape[1])
-        return decode_batch(params, source, source_mask, dcfg)
+    def spying_decode_batch(params, enc, source_mask, dcfg):
+        widths.append(enc.shape[1])
+        return decode_batch(params, enc, source_mask, dcfg)
 
     # the benchmark cuts tokens_per_s at each call of the scorer bound on sslab.decode
     monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
@@ -507,7 +537,7 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
     monkeypatch.setattr(metrics_module, "decode_batch", spying_decode_batch)
     lengths = [len(src) for src, _ in corpus.pairs]
     assert lengths != sorted(lengths)  # batches run in length order, so hypotheses must be put back
-    hyps = decode_corpus(params, corpus, dcfg)
+    hyps = decode_corpus(params, encoded_batches(params, corpus, dcfg), dcfg)
     assert hyps == want
     assert len(calls) == len(widths) == batches  # 64 rows per call hold 64 sources at beam 1, 16 at beam 4
     assert widths == sorted(widths)
@@ -525,6 +555,7 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 1, 6, 8, seed=50)
     batch = make_batch(corpus, np.arange(len(corpus)))
+    enc = encoder_states(params, batch.source, batch.source_mask)
     gathers = []
     take = model_module.SourceState.take
 
@@ -533,8 +564,8 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
         return take(self, rows)
 
     monkeypatch.setattr(model_module.SourceState, "take", spy)
-    scorer = transformer_scorer(params, batch.source, batch.source_mask)
-    full = full_prefix_scorer(params, batch.source, batch.source_mask)
+    scorer = transformer_scorer(params, enc, batch.source_mask)
+    full = full_prefix_scorer(params, enc, batch.source_mask)
     calls = []
 
     def step(prefixes, rows, parents):

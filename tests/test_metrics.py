@@ -19,6 +19,7 @@ from sslab.metrics import (
     corpus_bleu_lite,
     decode_corpus,
     empirical_schedule,
+    encoded_batches,
     fuzzy_precision_per_step,
     gap_curve,
     in_corpus_order,
@@ -305,8 +306,9 @@ def test_token_accuracy_micro_average():
 def test_decode_corpus_preserves_order(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 3, 5, 10, seed=95)
-    greedy = decode_corpus(params, corpus, DecodeConfig(beam_size=1, max_length=10))
-    beamed = decode_corpus(params, corpus, DecodeConfig(beam_size=4, max_length=10))
+    greedy_cfg, beam_cfg = DecodeConfig(beam_size=1, max_length=10), DecodeConfig(beam_size=4, max_length=10)
+    greedy = decode_corpus(params, encoded_batches(params, corpus, greedy_cfg), greedy_cfg)
+    beamed = decode_corpus(params, encoded_batches(params, corpus, beam_cfg), beam_cfg)
     assert len(greedy) == len(beamed) == 10
     hits = sum(g == src for (src, _), g in zip(corpus.pairs, greedy))
     assert hits >= 9
@@ -327,7 +329,7 @@ def test_decode_corpus_does_not_depend_on_batch_rows(monkeypatch, beam_size):
     hyps = {}
     for rows in (64, 8):
         monkeypatch.setattr(metrics, "BATCH_ROWS", rows)
-        hyps[rows] = decode_corpus(params, corpus, decode_cfg)
+        hyps[rows] = decode_corpus(params, encoded_batches(params, corpus, decode_cfg), decode_cfg)
     assert hyps[8] == hyps[64]
 
 
@@ -352,16 +354,18 @@ def test_in_corpus_order_returns_each_pairs_row_at_its_corpus_index():
         sizes.append(batch.size)
         return [[int(n), batch.size] for n in batch.source_lengths]
 
-    rows = in_corpus_order(corpus, 3, rows_of)
+    rows = in_corpus_order(length_sorted_batches(corpus, 3), rows_of)
     assert sizes == [3, 3, 1]
     assert rows == [[len(src), 1 if i == 6 else 3] for i, (src, _) in enumerate(pairs)]
-    assert in_corpus_order(Corpus.from_pairs([], corpus.vocab), 3, rows_of) == [] and sizes == [3, 3, 1]
+    empty = Corpus.from_pairs([], corpus.vocab)
+    assert in_corpus_order(length_sorted_batches(empty, 3), rows_of) == [] and sizes == [3, 3, 1]
 
 
 def test_error_table_round_trips_through_empirical_schedule(trained_copy_model):
     params, cfg = trained_copy_model
     corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 4, 6, 40, seed=94)
-    hyps = decode_corpus(params, corpus, DecodeConfig(beam_size=1, max_length=10))
+    dcfg = DecodeConfig(beam_size=1, max_length=10)
+    hyps = decode_corpus(params, encoded_batches(params, corpus, dcfg), dcfg)
     curve = fuzzy_precision_per_step(hyps, [tgt for _, tgt in corpus.pairs], window=3)
     spec = empirical_schedule(curve)
     assert spec.family is Family.EMPIRICAL

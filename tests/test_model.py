@@ -241,7 +241,9 @@ def test_teacher_forced_logits_matches_eval_loss_path():
     cfg = tiny_config()
     params = init_params(cfg, named_rng(15, "init"))
     batch = random_batch(np.random.default_rng(16), cfg.vocab_size)
-    logits = teacher_forced_logits(params, batch)
+    with no_grad():
+        enc = encode(params, batch.source, batch.source_mask).data
+    logits = teacher_forced_logits(params, batch, enc)
     assert logits.shape == (batch.size, batch.decoder_inputs().shape[1], cfg.vocab_size)
     assert np.isfinite(logits).all()
 
@@ -422,7 +424,7 @@ def _traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("run", ["teacher-forced", "greedy"])
+@pytest.mark.parametrize("run", ["encoder", "teacher-forced", "greedy"])
 def test_no_grad_passes_drop_each_activation_at_its_last_read(run):
     cfg = ModelConfig(vocab_size=50)  # float32, hidden 64, 4 heads of 16, 2 + 2 layers
     params = init_params(cfg, named_rng(0, "init"))
@@ -430,23 +432,34 @@ def test_no_grad_passes_drop_each_activation_at_its_last_read(run):
     rows, m = batch.source.shape
     n = batch.decoder_inputs().shape[1]
     assert (rows, m, n) == (64, 60, 61)
+
+    def encoder_run():
+        with no_grad():
+            return encode(params, batch.source, batch.source_mask).data
+
+    enc = encoder_run()  # the caller's, which the decoder passes read
     mib = 4 / 2**20  # float32 bytes per element, in MiB
     heads, head_dim = cfg.num_heads, cfg.hidden_size // cfg.num_heads
     source_kv = 2 * cfg.num_decoder_layers * rows * heads * m * head_dim * mib  # the SourceState's K/V: 3.75
     hidden = rows * n * cfg.hidden_size * mib  # one [64, 61, 64] hidden state: 0.95
-    if run == "teacher-forced":
+    if run == "encoder":
+        scores = rows * heads * m * m * mib  # one [64, 4, 60, 60] self-attention score array: 3.52
+        # one score step's input and output, and five [64, 60, 64] states (a layer's input, its
+        # queries, keys and values, and a sublayer output): 2 * 3.52 + 5 * 0.94 = 11.72 (10.90 measured)
+        bound = 2 * scores + 5 * rows * m * cfg.hidden_size * mib
+        peak = _traced_peak_mib(encoder_run)
+    elif run == "teacher-forced":
         scores = rows * heads * n * n * mib  # one [64, 4, 61, 61] self-attention score array: 3.63
         # the K/V, one score step's input and output, and three hidden states:
         # 3.75 + 2 * 3.63 + 3 * 0.95 = 13.88 (13.06 measured; 20.63 while a block's scores
         # and weights both stayed alive through its output projection)
         bound = source_kv + 2 * scores + 3 * hidden
-        peak = _traced_peak_mib(lambda: teacher_forced_logits(params, batch))
+        peak = _traced_peak_mib(lambda: teacher_forced_logits(params, batch, enc))
     else:
         decode_cfg = DecodeConfig(beam_size=1)  # the untrained model decodes every row to max_length
         cache = rows * heads * decode_cfg.max_length * head_dim * mib  # one layer's K or V at 80 positions: 1.25
         # the K/V, every layer's cache plus the new copy of one layer's as it grows, and one hidden
-        # state: 3.75 + (4 + 2) * 1.25 + 0.95 = 12.20 (11.58 measured; 16.24 while an encoder
-        # block held its scores, weights and masked weights at once)
+        # state: 3.75 + (4 + 2) * 1.25 + 0.95 = 12.20 (11.39 measured)
         bound = source_kv + (2 * cfg.num_decoder_layers + 2) * cache + hidden
-        peak = _traced_peak_mib(lambda: decode_batch(params, batch.source, batch.source_mask, decode_cfg))
+        peak = _traced_peak_mib(lambda: decode_batch(params, enc, batch.source_mask, decode_cfg))
     assert peak <= bound
