@@ -46,11 +46,11 @@ from .metrics import (
     token_accuracy,
     write_curve_csv,
 )
-from .model import ModelConfig, ModelParams, init_params, teacher_forced_logits
+from .model import ModelConfig, ModelParams, init_params, source_state, teacher_forced_logits
 from .rng import named_rng
 from .sampler import DivergenceError, OptimizerConfig, SamplerConfig, SamplingMode, train
 from .schedules import Family, JointSpec, ScheduleSpec, dump_curves
-from .tensor import CheckpointError, load_checkpoint, replacing, save_checkpoint
+from .tensor import CheckpointError, constant, load_checkpoint, replacing, save_checkpoint
 
 
 class ConfigError(ValueError):
@@ -447,7 +447,8 @@ def _teacher_forced_predictions(params: ModelParams, walk: Iterable[EncodedBatch
     """Argmax continuation at every golden prefix of the batches of ``walk``, trimmed to content length, in corpus order."""
 
     def predict(batch, encoder_states):
-        argmax = teacher_forced_logits(params, batch, encoder_states).argmax(axis=-1)
+        source = source_state(params, constant(encoder_states), batch.source_mask)
+        argmax = teacher_forced_logits(params, batch, source).argmax(axis=-1)
         return [row[:n].tolist() for row, n in zip(argmax, (batch.target_lengths - 2).tolist())]
 
     return in_corpus_order(walk, predict)

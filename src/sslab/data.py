@@ -289,15 +289,18 @@ def load_tsv_corpus(path) -> Corpus:
     the encoded pairs go flat through ``Corpus.from_pairs``.
     """
     rows: list[tuple[list[str], list[str]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise DataError(f"{path}:{lineno}: expected 'source<TAB>target', got {line!r}")
-            rows.append((parts[0].split(), parts[1].split()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: {err}") from err
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise DataError(f"{path}:{lineno}: expected 'source<TAB>target', got {line!r}")
+        rows.append((parts[0].split(), parts[1].split()))
     if not rows:
         raise DataError(f"{path}: empty corpus")
     seen: dict[str, None] = {}

@@ -7,23 +7,23 @@ hypothesis apart from its beams, scored by sum-log-probability divided
 by the length penalty ((5 + len) / 6) ** alpha, and stops once no live
 beam could still beat it at its current length.
 
-Both searches run against a step scorer ((prefix ids, source rows,
+Both searches run against a step scorer ((prefix ids, their sources,
 parents) -> next-token log probabilities), so tests can drive them with
 arbitrary toy models. Both decode a batch of sources in lockstep, one
 scorer call per step: greedy scores every unfinished row and keeps its
 hypotheses in the prefix array it grows, beam search the live beams of
 every source whose search has not stopped, held in one [sources, beams,
-length] array that each step ranks along one axis; every call after the
-first names each row's parent among the previous call's rows. The one
-model adapter, ``decode_batch``, runs either search on the transformer
-scorer, which decodes incrementally: it reads the batch's encoder states,
-which its caller computed and may have read already (``sslab gap-curve``'s
+length] array that each step ranks along one axis. A call names each
+source once for its k consecutive rows, and every call after the first
+names each row's parent among the previous call's rows. The one model
+adapter, ``decode_batch``, runs either search on the transformer scorer,
+which decodes incrementally: it reads the batch's encoder states, which
+its caller computed and may have read already (``sslab gap-curve``'s
 teacher-forced pass does), builds their ``SourceState`` (cross-attention
 keys/values and source masks) once per batch, keeps one state row per
-source that a source's beams all read, and regathers that state only
-when the calls' sources change; it keeps a self-attention key/value cache
-across calls, gathered by those parents, and so projects one new position
-per row and step.
+named source, and regathers that state only when the calls' sources
+change; it keeps a self-attention key/value cache across calls, gathered
+by those parents, and so projects one new position per row and step.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ class BeamResult:
 
 
 StepScorer = Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
-"""Maps prefix ids [K, t] (begin sentinel included), their source rows [K] and parents [K] to log-probs [K, V].
+"""Maps prefix ids [K, t] (begin sentinel included), their sources [S] and parents [K] to log-probs [K, V].
 
-``parents[i]`` indexes the previous call's row that ``prefixes[i]`` extends; a search's first call passes ``None``."""
+Rows come in S groups of k = K / S, group i extending ``sources[i]`` (sources may repeat); ``parents[i]``
+indexes the previous call's row that ``prefixes[i]`` extends, and a search's first call passes ``None``."""
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -86,21 +87,20 @@ def length_penalty(length: int, alpha: float) -> float:
 
 
 def transformer_scorer(params: ModelParams, encoder_states: np.ndarray, source_mask: np.ndarray) -> StepScorer:
-    """Batch scorer: (prefixes [K, t], source rows [K], parents [K] | None) -> log-probs [K, V].
+    """Batch scorer: (prefixes [K, t], sources [S], parents [K] | None) -> log-probs [K, V].
 
     ``encoder_states`` [B, m, H] is ``model.encode``'s output for the
     batch's sources. Every layer's cross-attention keys/values over it and
     the source masks are computed once here, in a base ``SourceState`` over
-    the batch's rows. A call whose ``rows`` are runs of k equal rows (a beam
-    search's k beams per source) reads one state row per run; k is 1 for
-    greedy and for any rows that do not form equal runs. The state is
-    regathered from the base only when those source rows differ from the
-    previous call's. The per-hypothesis self-attention cache follows
-    ``parents``: a call gathers it in that order, unless every row extends
-    the previous call's row at its own index, and decodes only the newest
-    position; that one gather follows greedy's shrinking alive set and beam
-    reordering alike. A call without parents decodes its full prefixes
-    from an empty cache through the same step function.
+    the batch's rows. A call reads one state row per source, which its k
+    rows share, regathered from the base only when the call's sources
+    differ from the previous call's. The per-hypothesis self-attention
+    cache follows ``parents``: a call gathers it in that order, unless
+    every row extends the previous call's row at its own index, and
+    decodes only the newest position; that one gather follows greedy's
+    shrinking alive set and beam reordering alike. A call without parents
+    decodes its full prefixes from an empty cache through the same step
+    function.
     """
     with no_grad():
         base = source_state(params, constant(encoder_states), source_mask)
@@ -108,30 +108,21 @@ def transformer_scorer(params: ModelParams, encoder_states: np.ndarray, source_m
     cache: DecoderCache | None = None
     previous = 0  # rows of the previous call
 
-    def step(prefixes: np.ndarray, rows: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
+    def step(prefixes: np.ndarray, sources: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
         nonlocal state, state_rows, cache, previous
         if parents is None:
-            cache, new = DecoderCache.empty(params.config, len(rows)), prefixes
+            cache, new = DecoderCache.empty(params.config, len(prefixes)), prefixes
         else:
             if not np.array_equal(parents, np.arange(previous)):  # still the previous call's rows
                 cache = cache.take(parents)
             new = prefixes[:, -1:]
-        previous = len(rows)
-        sources = rows[:: _run_length(rows)]
+        previous = len(prefixes)
         if not np.array_equal(sources, state_rows):
             state, state_rows = base.take(sources), np.array(sources)
         logits = decode_step_logits(params, state, embed_targets(params, new), cache=cache)
         return _log_softmax(logits.data[:, -1, :])
 
     return step
-
-
-def _run_length(rows: np.ndarray) -> int:
-    """k when ``rows`` is runs of k equal consecutive values, else 1."""
-    k = int(np.argmax(rows != rows[0])) or len(rows)  # the first run's length
-    if k == 1 or len(rows) % k or not (rows.reshape(-1, k) == rows[::k, None]).all():
-        return 1
-    return k
 
 
 def greedy_decode(step_fn: StepScorer, decode_cfg: DecodeConfig, sources: int) -> list[list[int]]:
@@ -173,9 +164,9 @@ def beam_search(
     on one invariant: every live source holds the same number of beams k,
     one at the start and min(beam_size, k * (vocab_size - 1)) after each
     step, since the end token never takes a slot. So one ``step_fn`` call
-    per step scores every live beam, in source order with their source
-    rows and parents, and each source's row of candidates is ranked on its
-    own; its result is that of a search over it alone.
+    per step scores every live beam, in source order with their parents,
+    naming each live source once, and each source's row of candidates is
+    ranked on its own; its result is that of a search over it alone.
     """
     alpha = decode_cfg.length_penalty
     live = np.arange(sources)
@@ -189,7 +180,7 @@ def beam_search(
             break
         n, k = scores.shape
         at = np.arange(n)[:, None]  # each source's row, for indexing along the beam or candidate axis
-        logp = step_fn(beams.reshape(n * k, -1), np.repeat(live, k), parent_rows)
+        logp = step_fn(beams.reshape(n * k, -1), live, parent_rows)
         total = scores[:, :, None] + logp.reshape(n, k, vocab_size)
         penalty = length_penalty(t + 1, alpha)
         # end-token continuations do not compete for a beam slot, so short

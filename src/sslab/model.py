@@ -453,13 +453,7 @@ def teacher_forcing_loss(
     )
 
 
-def teacher_forced_logits(params: ModelParams, batch: Batch, encoder_states: np.ndarray) -> np.ndarray:
-    """Evaluation-mode logits at every golden-prefix position (no recording).
-
-    ``encoder_states`` [B, m, H] is the caller's ``encode`` output for the
-    batch's sources, so that a decode of the same batch can read it again.
-    """
+def teacher_forced_logits(params: ModelParams, batch: Batch, source: SourceState) -> np.ndarray:
+    """The one golden-input decoder pass (evaluation mode, unrecorded): logits [B, n, V] over ``source``."""
     with no_grad():
-        source = source_state(params, constant(encoder_states), batch.source_mask)
-        logits = decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs()))
-    return logits.data
+        return decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs())).data

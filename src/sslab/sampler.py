@@ -1,9 +1,10 @@
 """Two-pass decoder training with scheduled golden/predicted input mixing.
 
-The first pass runs the decoder on golden inputs in evaluation mode (it
-simulates the inference scene, which has no dropout) and turns each output
-distribution into a prediction embedding: the probability-weighted mix of
-the embedding rows. A per-position Bernoulli mask then chooses,
+The first pass is ``model.teacher_forced_logits`` (golden inputs,
+evaluation mode: it simulates the inference scene, which has no dropout),
+the pass ``sslab gap-curve``'s training-side curve reads; each of its
+distributions becomes a prediction embedding, the probability-weighted mix
+of the embedding rows. A per-position Bernoulli mask then chooses,
 independently for every (sentence, position), whether the second pass sees
 the golden embedding or the prediction; the loss is the label-smoothed
 cross entropy of the second pass alone. Both passes share one set of
@@ -31,6 +32,7 @@ from .model import (
     embed_targets,
     encode,
     source_state,
+    teacher_forced_logits,
     teacher_forcing_loss,
 )
 from .rng import named_rng
@@ -112,29 +114,14 @@ def sample_selection_mask(
     return mask, p
 
 
-@dataclass
-class MixedDecoderInputs:
-    """Second-pass inputs plus the bookkeeping needed for diagnostics."""
-
-    embeddings: Tensor
-    golden_mask: np.ndarray  # [B, n] bool, True where the golden token was kept
-    probabilities: np.ndarray  # [n] scheduled golden probability per position
-    golden_fraction: float  # realized fraction over sampled non-pad positions
-    mean_p: float  # scheduled mean over the same positions
-
-
 def first_pass_predictions(params: ModelParams, batch: Batch, source: SourceState) -> Tensor:
-    """Input-aligned prediction embeddings [B, n, H] from a golden-input pass over ``source``.
+    """Input-aligned prediction embeddings [B, n, H]: input j + 1 gets the first pass's mix at position j.
 
-    Each prediction is the softmax-weighted mix of the embedding rows. The
-    prediction for input position j + 1 is the first-pass output at
-    position j; position 0 is zero-filled and always overridden by the
-    golden begin sentinel. Runs without dropout, and the result is a
-    constant: nothing is recorded on the tape.
+    Position 0 is zero-filled and always overridden by the golden begin sentinel; a constant, off the tape.
     """
     with no_grad():
-        logits = decode_step_logits(params, source, embed_targets(params, batch.decoder_inputs()))
-        mix = weighted_embedding_mix(softmax(logits, axis=-1), params["embed"]).data
+        probs = softmax(constant(teacher_forced_logits(params, batch, source)), axis=-1)
+        mix = weighted_embedding_mix(probs, params["embed"]).data
     pred = np.zeros_like(mix)
     pred[:, 1:] = mix[:, :-1]
     return constant(pred)
@@ -148,19 +135,18 @@ def two_pass_loss(
     enc_rng: np.random.Generator | None,
     dec_rng: np.random.Generator | None,
     mask_rng: np.random.Generator,
-) -> tuple[Tensor, MixedDecoderInputs]:
-    """Scheduled-sampling loss: second pass over mixed inputs, golden labels.
+) -> tuple[Tensor, float, float]:
+    """Scheduled-sampling loss (second pass over mixed inputs, golden labels), realized golden fraction, mean p.
 
-    The dropout streams drive the encoder and the second pass; ``None``
-    streams give an evaluation-mode loss.
+    The last two run over the sampled non-pad positions. The dropout streams
+    drive the encoder and the second pass; ``None`` streams give an evaluation-mode loss.
     """
     enc = encode(params, batch.source, batch.source_mask, enc_rng)
     source = source_state(params, enc, batch.source_mask)
     golden_in = batch.decoder_inputs()
     golden_emb = embed_targets(params, golden_in)
     mask, p = sample_selection_mask(sampler, train_step, batch.size, golden_in.shape[1], mask_rng)
-    pred_emb = first_pass_predictions(params, batch, source)
-    mixed = select(mask[:, :, None], golden_emb, pred_emb)
+    mixed = select(mask[:, :, None], golden_emb, first_pass_predictions(params, batch, source))
     logits = decode_step_logits(params, source, mixed, dec_rng)
     loss = cross_entropy_label_smoothed(
         logits, batch.labels(), params.config.label_smoothing, batch.label_mask()
@@ -170,8 +156,7 @@ def two_pass_loss(
     n_sampled = int(sampled.sum())
     golden_fraction = float(mask[sampled].sum() / n_sampled) if n_sampled else 1.0
     mean_p = float((np.broadcast_to(p, mask.shape)[sampled]).mean()) if n_sampled else 1.0
-    diag = MixedDecoderInputs(mixed, mask, p, golden_fraction, mean_p)
-    return loss, diag
+    return loss, golden_fraction, mean_p
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +246,7 @@ def train(
                 golden_fraction, mean_p, mode = 1.0, 1.0, "teacher_forcing"
             else:
                 mask_rng = named_rng(root_seed, "sampler", step)
-                loss, diag = two_pass_loss(params, sampler, batch, step, enc_rng, dec_rng, mask_rng)
-                golden_fraction, mean_p = diag.golden_fraction, diag.mean_p
+                loss, golden_fraction, mean_p = two_pass_loss(params, sampler, batch, step, enc_rng, dec_rng, mask_rng)
                 mode = sampler.mode.value
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):

@@ -264,7 +264,7 @@ def test_criterion_3_gradient_checks():
         )
 
     def live_two_pass():
-        value, _ = two_pass_loss(
+        value, _, _ = two_pass_loss(
             params, sampler, batch, 0, None, None, named_rng(304, "mask")
         )
         return value
@@ -321,7 +321,7 @@ def test_criterion_4_degenerate_equivalence_bitwise():
             p.grad = None
 
         with Tape() as tape:
-            tp_loss, _ = two_pass_loss(
+            tp_loss, _, _ = two_pass_loss(
                 params, sampler, batch, 0,
                 named_rng(seed, "dropout", "encoder", 0),
                 named_rng(seed, "dropout", "decoder", 0),

@@ -9,17 +9,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from batching import batch_of
 from sslab import cli
 import sslab.decode as decode_module
 import sslab.model as model_module
 from sslab.cli import load_model_checkpoint, main, save_model_checkpoint
-from sslab.data import TaskKind, Vocab, gen_task
+from sslab.data import TaskKind, Vocab, gen_task, make_batch
 from sslab.decode import DecodeConfig
 from sslab.metrics import (
     decode_corpus, encoded_batches, encoded_once, fuzzy_precision_per_step, strict_precision_per_step, write_curve_csv,
 )
-from sslab.model import ModelConfig, encode, init_params, teacher_forced_logits
+from sslab.model import ModelConfig, encode, init_params, source_state, teacher_forced_logits
 from sslab.rng import named_rng
 from sslab.schedules import Family, ScheduleSpec, eval_schedule
 from sslab.tensor import load_checkpoint, no_grad, save_checkpoint
@@ -491,6 +490,17 @@ def test_tsv_that_leaves_no_training_pair_fails_before_any_output(tmp_path, caps
     assert json.loads((tmp_path / "eval" / "report.json").read_text())["pairs"] == 1
 
 
+def test_tsv_that_is_not_utf8_fails_naming_it(tmp_path, capsys):
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_bytes(b"a b\tc d\ncaf\xe9 b\tc d\n")
+    out = tmp_path / "run"
+    code = run_cli(*tiny_train_args(out, extra=["--set", "data.task=tsv", "--set", f"data.tsv_path={tsv}"]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"sslab: error: {tsv}: 'utf-8' codec can't decode byte 0xe9") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gap-curve / evaluate / decode
 # ---------------------------------------------------------------------------
@@ -546,17 +556,23 @@ def _gap_curve_on(trained_run, out, beam):
 
 @pytest.mark.parametrize("beam, batches", [(1, 2), (4, 5)])
 def test_gap_curve_encodes_each_eval_batch_once(trained_run, tmp_path, monkeypatch, beam, batches):
-    encoded, decoded = [], []  # the sources of each encoder run, and of each batch's scorer
-    original = model_module.encode
+    # the sources of each encoder run, of each teacher-forced pass and of each batch's scorer
+    encoded, taught, decoded = [], [], []
 
-    def counting_encode(params, source, *args, **kwargs):
-        encoded.append(source.shape[0])
-        return original(params, source, *args, **kwargs)
+    def count_rows(attr, rows, size):
+        original = getattr(model_module, attr)
 
-    # every module that binds ``encode``, as the benchmark's tracer patches it
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sslab") and getattr(module, "encode", None) is original:
-            monkeypatch.setattr(module, "encode", counting_encode)
+        def counting(params, *args, **kwargs):
+            rows.append(size(args[0]))
+            return original(params, *args, **kwargs)
+
+        # every module that binds it, as the benchmark's tracer patches it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sslab") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counting)
+
+    count_rows("encode", encoded, lambda source: source.shape[0])
+    count_rows("teacher_forced_logits", taught, lambda batch: batch.size)
     scorer = decode_module.transformer_scorer
 
     def counting_scorer(params, encoder_states, source_mask):
@@ -566,6 +582,7 @@ def test_gap_curve_encodes_each_eval_batch_once(trained_run, tmp_path, monkeypat
     monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
     assert _gap_curve_on(trained_run, tmp_path, beam) == 0
     assert len(encoded) == batches and sum(encoded) == 70
+    assert taught == encoded  # one teacher-forced pass per batch
     assert decoded == encoded  # the decode reads the teacher-forced pass's encoder runs, batch for batch
 
 
@@ -625,14 +642,14 @@ def test_evaluate_deterministic(trained_run, tmp_path):
 def test_teacher_forced_predictions_come_back_in_corpus_order(trained_copy_model):
     params, config = trained_copy_model
     corpus = gen_task(TaskKind.COPY, config.vocab_size, 1, 6, 70, seed=96)  # two batches of at most 64 rows
-    lengths = [len(src) for src, _ in corpus.pairs]
+    lengths = corpus.source_lengths.tolist()
     assert lengths != sorted(lengths)
     want = []
-    for pair in corpus.pairs:
-        batch = batch_of([pair])
+    for i, n in enumerate(corpus.target_lengths.tolist()):
+        batch = make_batch(corpus, np.array([i]))
         with no_grad():
-            enc = encode(params, batch.source, batch.source_mask).data
-        want.append(teacher_forced_logits(params, batch, enc).argmax(axis=-1)[0, : len(pair[1])].tolist())
+            source = source_state(params, encode(params, batch.source, batch.source_mask), batch.source_mask)
+        want.append(teacher_forced_logits(params, batch, source).argmax(axis=-1)[0, :n].tolist())
     assert cli._teacher_forced_predictions(params, encoded_once(params, corpus, DecodeConfig(beam_size=1))) == want
 
 

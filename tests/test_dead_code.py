@@ -9,7 +9,7 @@ used only when its name so occurs in ``src/``. Imports alone do not count,
 and neither does ``tests/``.
 An imported name counts as used when it occurs in its own module outside
 the import statements, by the same rule; ``from __future__`` imports are
-exempt.
+exempt. No module imports the ``sslab`` package by its absolute name.
 """
 
 import ast
@@ -67,9 +67,30 @@ def unused_imports(root: Path) -> list[str]:
     return unused
 
 
+def absolute_package_imports(root: Path) -> list[str]:
+    """``module:line`` of each import in ``src/sslab`` that names the ``sslab`` package absolutely."""
+    found = []
+    for path in sorted((root / "src" / "sslab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "sslab" or name.startswith("sslab.") for name in names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_every_public_definition_has_a_caller():
     assert unreferenced_definitions(ROOT) == []
 
 
 def test_every_import_is_used():
     assert unused_imports(ROOT) == []
+
+
+def test_the_package_imports_itself_relatively():
+    """``scripts/ab_time.py`` loads two trees' packages side by side as ``sslab_a`` and ``sslab_b``."""
+    assert absolute_package_imports(ROOT) == []

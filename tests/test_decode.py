@@ -33,6 +33,11 @@ def encoder_states(params, source, source_mask):
         return encode(params, source, source_mask).data
 
 
+def prefix_sources(prefixes, sources):
+    """Each prefix's source row: a scorer call names one source per group of k = len(prefixes) / len(sources)."""
+    return np.repeat(sources, len(prefixes) // len(sources))
+
+
 # ---------------------------------------------------------------------------
 # stub scorers (independent of the transformer)
 # ---------------------------------------------------------------------------
@@ -248,7 +253,7 @@ def test_transformer_beam_one_equals_greedy_on_trained_model(trained_copy_model)
     dcfg = DecodeConfig(beam_size=1, max_length=12)
     greedy = decode_batch(params, enc, batch.source_mask, dcfg)
     scorer = transformer_scorer(params, enc, batch.source_mask)
-    beams = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
+    beams = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus))
     assert [r.tokens for r in beams] == greedy
     assert all(r.finished for r in beams)
 
@@ -280,7 +285,8 @@ SCORER_TOLERANCE = {"float32": dict(rtol=1e-5, atol=1e-5), "float64": dict(rtol=
 def full_prefix_scorer(params, enc, source_mask):
     """The uncached reference: the whole decoder over the full prefix per call."""
 
-    def step(prefixes, rows, parents):
+    def step(prefixes, sources, parents):
+        rows = prefix_sources(prefixes, sources)
         with no_grad():
             emb = embed_targets(params, prefixes)
             source = source_state(params, constant(enc[rows]), source_mask[rows])
@@ -311,17 +317,18 @@ def _scorer_pair(dtype, seed=60, b=4):
     full = full_prefix_scorer(params, enc, batch.source_mask)
     previous = None  # the previous call's (rows, prefixes)
 
-    def check(prefixes, rows, fresh=False):
+    def check(prefixes, sources, fresh=False):
         """Score through both scorers; unless ``fresh``, each row's parent is found among the previous call's rows."""
         nonlocal previous
-        prefixes, rows = np.asarray(prefixes, dtype=np.int64), np.asarray(rows)
+        prefixes, sources = np.asarray(prefixes, dtype=np.int64), np.asarray(sources)
+        rows = prefix_sources(prefixes, sources).tolist()
         parents = None
         if previous is not None and not fresh:
             index = {(r, p.tobytes()): i for i, (r, p) in enumerate(zip(*previous))}
-            parents = np.array([index[(r, p[:-1].tobytes())] for r, p in zip(rows.tolist(), prefixes)])
-        got = cached(prefixes, rows, parents)
-        np.testing.assert_allclose(got, full(prefixes, rows, parents), **SCORER_TOLERANCE[dtype])
-        previous = (rows.tolist(), prefixes)
+            parents = np.array([index[(r, p[:-1].tobytes())] for r, p in zip(rows, prefixes)])
+        got = cached(prefixes, sources, parents)
+        np.testing.assert_allclose(got, full(prefixes, sources, parents), **SCORER_TOLERANCE[dtype])
+        previous = (rows, prefixes)
         return got
 
     return cfg, check
@@ -346,6 +353,7 @@ def test_cached_scorer_follows_beam_reordering_and_duplicated_parents(dtype):
     cfg, check = _scorer_pair(dtype)
     bos = BOS_ID
     check([[bos], [bos]], [1, 3])
+    # sources at k = 1 may repeat: three beams of source 1, then one of source 3
     check([[bos, 7], [bos, 9], [bos, 5], [bos, 7]], [1, 1, 1, 3])
     # source 1: beam [bos, 9] spawns two children, [bos, 7] one, [bos, 5] dies
     check([[bos, 9, 6], [bos, 7, 8], [bos, 9, 8], [bos, 7, 7]], [1, 3, 1, 1])
@@ -354,16 +362,36 @@ def test_cached_scorer_follows_beam_reordering_and_duplicated_parents(dtype):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_cached_scorer_follows_beams_that_share_a_source_row(dtype):
+def test_cached_scorer_follows_beams_that_share_a_source_row(dtype, monkeypatch):
     cfg, check = _scorer_pair(dtype)
+    shares = []  # decoder rows per source state row of each cached pass
+
+    def spy(params, source, emb, **kwargs):
+        shares.append(emb.data.shape[0] / source.key_mask.data.shape[0])
+        return decode_step_logits(params, source, emb, **kwargs)
+
+    monkeypatch.setattr(decode_module, "decode_step_logits", spy)
     bos = BOS_ID
     check([[bos], [bos]], [1, 3])
-    check([[bos, 7], [bos, 9], [bos, 5], [bos, 8]], [1, 1, 3, 3])  # two beams per source: k = 2
+    check([[bos, 7], [bos, 9], [bos, 5], [bos, 8]], [1, 3])  # two beams per source: k = 2
     # source 3 stops and source 1's beams extend the previous call's rows 0 and 1: parents are
-    # [0, 1], the identity over this call's source rows but not over the previous call's four rows
-    check([[bos, 7, 6], [bos, 9, 8]], [1, 1])
-    check([[bos, 7, 6, 5], [bos, 7, 6, 6], [bos, 9, 8, 5], [bos, 9, 8, 7]], [1, 1, 1, 1])  # k = 4
-    check([[bos, 7, 6, 6, 6], [bos, 9, 8, 5, 6], [bos, 9, 8, 5, 7]], [1, 1, 1])  # k = 3
+    # [0, 1], the identity over this call's rows but not over the previous call's four rows
+    check([[bos, 7, 6], [bos, 9, 8]], [1])
+    check([[bos, 7, 6, 5], [bos, 7, 6, 6], [bos, 9, 8, 5], [bos, 9, 8, 7]], [1])  # k = 4
+    check([[bos, 7, 6, 6, 6], [bos, 9, 8, 5, 6], [bos, 9, 8, 5, 7]], [1])  # k = 3
+    assert shares == [1, 2, 2, 4, 3]  # a source's k beams read its one state row
+
+
+def test_scorer_rejects_prefixes_that_do_not_divide_among_their_sources():
+    params = init_params(tiny_config(), named_rng(0, "init"))
+    batch = batch_of([([5, 6, 7], [5]), ([8, 9], [5])])
+    scorer = transformer_scorer(params, encoder_states(params, batch.source, batch.source_mask), batch.source_mask)
+    bos = np.full((4, 1), BOS_ID)
+    with pytest.raises(ValueError, match="batch mismatch"):
+        scorer(bos[:3], np.array([0, 1]), None)
+    scorer(bos, np.array([0, 1]), None)  # two beams per source
+    with pytest.raises(ValueError, match="batch mismatch"):
+        scorer(np.hstack([bos[:3], np.full((3, 1), 5)]), np.array([0, 1]), np.array([0, 1, 3]))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -389,9 +417,9 @@ def test_cached_decoding_matches_full_prefix_hypotheses(trained_copy_model, beam
     for make_scorer in (transformer_scorer, full_prefix_scorer):
         scorer = make_scorer(params, encoder_states(params, batch.source, batch.source_mask), batch.source_mask)
         if beam == 1:
-            hyps.append(greedy_decode(scorer, dcfg, len(corpus.pairs)))
+            hyps.append(greedy_decode(scorer, dcfg, len(corpus)))
         else:
-            hyps.append([r.tokens for r in beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))])
+            hyps.append([r.tokens for r in beam_search(scorer, cfg.vocab_size, dcfg, len(corpus))])
     assert hyps[0] == hyps[1]
 
 
@@ -413,12 +441,24 @@ def no_eos_scorer(vocab):
     return step
 
 
+def toy_step(scorers, calls=None):
+    """Scores each prefix with its source's stub scorer; ``calls`` gets each call's (prefixes, sources, parents)."""
+
+    def step(prefixes, sources, parents):
+        if calls is not None:
+            calls.append((prefixes, sources, parents))
+        rows = prefix_sources(prefixes, sources).tolist()
+        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows)])
+
+    return step
+
+
 def per_source_beam_decode(params, enc, source_mask, dcfg):
     """One search per source row over a shared scorer, as decoding ran before batching."""
     scorer = transformer_scorer(params, enc, source_mask)
     vocab = params.config.vocab_size
     return [
-        beam_search(lambda p, r, parents, row=row: scorer(p, np.full(len(p), row), parents), vocab, dcfg)[0]
+        beam_search(lambda p, s, parents, row=row: scorer(p, np.array([row]), parents), vocab, dcfg)[0]
         for row in range(enc.shape[0])
     ]
 
@@ -449,17 +489,14 @@ def test_lockstep_search_equals_one_search_per_source(beam):
     assert len({len(rows) for rows in want_rows}) > 2  # the sources stop at different steps
 
     calls = []
-
-    def step(prefixes, rows, parents):
-        calls.append(rows.tolist())
-        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
-
-    got = beam_search(step, vocab, cfg, len(scorers))
+    got = beam_search(toy_step(scorers, calls), vocab, cfg, len(scorers))
     assert got == want
     # one call per step; a stopped source leaves every later call
     assert len(calls) == max(len(rows) for rows in want_rows)
-    for i, rows in enumerate(calls):
-        assert rows == [s for s, per_call in enumerate(want_rows) if i < len(per_call) for _ in range(per_call[i])]
+    for i, (prefixes, sources, _) in enumerate(calls):
+        live = [s for s, per_call in enumerate(want_rows) if i < len(per_call)]
+        assert sources.tolist() == live  # each live source once, its beams after one another
+        assert prefix_sources(prefixes, sources).tolist() == [s for s in live for _ in range(want_rows[s][i])]
 
 
 def test_lockstep_search_over_no_sources_makes_no_call():
@@ -478,7 +515,7 @@ def test_batched_beam_search_equals_per_source_search(trained_copy_model, beam):
     enc = encoder_states(params, batch.source, batch.source_mask)
     dcfg = DecodeConfig(beam_size=beam, max_length=12)
     scorer = transformer_scorer(params, enc, batch.source_mask)
-    got = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus.pairs))
+    got = beam_search(scorer, cfg.vocab_size, dcfg, len(corpus))
     want = per_source_beam_decode(params, enc, batch.source_mask, dcfg)
     assert [r.tokens for r in got] == [r.tokens for r in want]
     assert [r.finished for r in got] == [r.finished for r in want]
@@ -489,7 +526,7 @@ def per_source_greedy_decode(params, enc, source_mask, dcfg):
     """One greedy search per source row over a shared scorer."""
     scorer = transformer_scorer(params, enc, source_mask)
     return [
-        greedy_decode(lambda p, r, parents, row=row: scorer(p, np.full(len(p), row), parents), dcfg, 1)[0]
+        greedy_decode(lambda p, s, parents, row=row: scorer(p, np.array([row]), parents), dcfg, 1)[0]
         for row in range(enc.shape[0])
     ]
 
@@ -515,9 +552,9 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
         scorer = transformer_scorer(*args)
         calls.append([])
 
-        def step(prefixes, rows, parents):
-            calls[-1].append(len(rows))
-            return scorer(prefixes, rows, parents)
+        def step(prefixes, sources, parents):
+            calls[-1].append(len(prefixes))
+            return scorer(prefixes, sources, parents)
 
         return step
 
@@ -535,7 +572,7 @@ def test_evaluate_beam_fixture_decodes_as_per_source_search_in_few_calls(monkeyp
     monkeypatch.setattr(decode_module, "transformer_scorer", counting_scorer)
     monkeypatch.setattr(decode_module, "decode_step_logits", counting_step_logits)
     monkeypatch.setattr(metrics_module, "decode_batch", spying_decode_batch)
-    lengths = [len(src) for src, _ in corpus.pairs]
+    lengths = corpus.source_lengths.tolist()
     assert lengths != sorted(lengths)  # batches run in length order, so hypotheses must be put back
     hyps = decode_corpus(params, encoded_batches(params, corpus, dcfg), dcfg)
     assert hyps == want
@@ -566,21 +603,19 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
     monkeypatch.setattr(model_module.SourceState, "take", spy)
     scorer = transformer_scorer(params, enc, batch.source_mask)
     full = full_prefix_scorer(params, enc, batch.source_mask)
-    calls = []
+    calls = []  # each call's (rows, sources)
 
-    def step(prefixes, rows, parents):
-        calls.append(rows)
-        got = scorer(prefixes, rows, parents)
-        np.testing.assert_allclose(got, full(prefixes, rows, parents), **SCORER_TOLERANCE["float32"])
+    def step(prefixes, sources, parents):
+        calls.append((len(prefixes), sources))
+        got = scorer(prefixes, sources, parents)
+        np.testing.assert_allclose(got, full(prefixes, sources, parents), **SCORER_TOLERANCE["float32"])
         return got
 
-    beam_search(step, cfg.vocab_size, DecodeConfig(beam_size=3, max_length=12), len(corpus.pairs))
-    # a call's source rows: one per run of a source's beams, which all read that source's state row
-    sources = [rows[np.r_[True, rows[1:] != rows[:-1]]] for rows in calls]
-    assert any(len(rows) > len(s) for rows, s in zip(calls, sources))  # beams fill up without a gather
-    changed = [
-        s for prev, s in zip([np.arange(len(corpus.pairs))] + sources, sources) if not np.array_equal(prev, s)
-    ]
+    beam_search(step, cfg.vocab_size, DecodeConfig(beam_size=3, max_length=12), len(corpus))
+    # a source's beams all read that source's state row
+    assert any(rows > len(s) for rows, s in calls)  # beams fill up without a gather
+    sources = [s for _, s in calls]
+    changed = [s for prev, s in zip([np.arange(len(corpus))] + sources, sources) if not np.array_equal(prev, s)]
     assert len(changed) >= 2  # sources stop at different steps
     assert len(gathers) == len(changed)
     assert all(np.array_equal(g, s) for g, s in zip(gathers, changed))
@@ -591,7 +626,8 @@ def test_scorer_gathers_source_state_once_per_change_of_rows(trained_copy_model,
 def test_beams_sharing_a_source_row_give_the_logits_of_a_row_per_beam(dtype, k):
     cfg = tiny_config(param_dtype=dtype, num_decoder_layers=2)
     params = init_params(cfg, named_rng(61, "init"))
-    batch = batch_of(gen_task(TaskKind.COPY, cfg.vocab_size, 2, 9, 3, seed=61).pairs)
+    corpus = gen_task(TaskKind.COPY, cfg.vocab_size, 2, 9, 3, seed=61)
+    batch = make_batch(corpus, np.arange(len(corpus)))
     sources = batch.size
     prefixes = named_rng(62, "prefixes").integers(5, cfg.vocab_size, size=(sources * k, 6))
     prefixes[:, 0] = BOS_ID
@@ -631,10 +667,11 @@ def test_running_best_finished_score_is_the_pool_maximum(beam):
         no_eos_scorer(vocab),  # its pool stays empty
     ]
     calls = []
+    score = toy_step(scorers)
 
-    def step(prefixes, rows, parents):
-        logp = np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
-        calls.append((prefixes[:, 1:].tolist(), rows.tolist(), logp))
+    def step(prefixes, sources, parents):
+        logp = score(prefixes, sources, parents)
+        calls.append((prefixes[:, 1:].tolist(), prefix_sources(prefixes, sources).tolist(), logp))
         return logp
 
     results = beam_search(step, vocab, cfg, len(scorers))
@@ -726,7 +763,8 @@ def reference_beam_search(step_fn, vocab_size, decode_cfg, sources=1):
             break
         prefixes = np.array([[BOS_ID] + b for s in live for b in searches[s].beams], dtype=np.int64)
         counts = [len(searches[s].beams) for s in live]
-        logp = step_fn(prefixes, np.repeat(live, counts), None)
+        assert len(set(counts)) == 1  # a scorer call names each source once, for k beams each
+        logp = step_fn(prefixes, np.array(live), None)
         still = []
         lo = 0
         for s, n in zip(live, counts):
@@ -767,13 +805,9 @@ def test_array_search_equals_per_source_reference_on_random_toy_searches():
         runs = []
         for search in (beam_search, reference_beam_search):
             calls = []
-
-            def step(prefixes, rows, parents):
-                calls.append((prefixes.tolist(), rows.tolist()))
-                return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
-
-            results = [(r.tokens, r.score, r.finished) for r in search(step, vocab, cfg, len(scorers))]
-            runs.append((results, calls))
+            results = search(toy_step(scorers, calls), vocab, cfg, len(scorers))
+            results = [(r.tokens, r.score, r.finished) for r in results]
+            runs.append((results, [(prefixes.tolist(), sources.tolist()) for prefixes, sources, _ in calls]))
         assert runs[0] == runs[1], f"draw {draw}: vocab {vocab}, {cfg}, {len(scorers)} sources"
         seen |= {(finished, vocab - 1 < cfg.beam_size) for _, _, finished in runs[0][0]}
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -784,21 +818,12 @@ def test_array_search_equals_per_source_reference_on_random_toy_searches():
 # ---------------------------------------------------------------------------
 
 
-def recording_step(scorers, calls):
-    """A toy scorer per source row that records every call's (prefixes, rows, parents)."""
-
-    def step(prefixes, rows, parents):
-        calls.append((prefixes, rows, parents))
-        return np.stack([scorers[r](p[None])[0] for p, r in zip(prefixes, rows.tolist())])
-
-    return step
-
-
 def assert_parent_contract(calls):
     """The first call has no parents; every later row extends its parent, a row of the previous call."""
     assert calls[0][2] is None
-    for (prev_prefixes, prev_rows, _), (prefixes, rows, parents) in zip(calls, calls[1:]):
-        np.testing.assert_array_equal(prev_rows[parents], rows)
+    for (prev_prefixes, prev_sources, _), (prefixes, sources, parents) in zip(calls, calls[1:]):
+        rows = prefix_sources(prefixes, sources)
+        np.testing.assert_array_equal(prefix_sources(prev_prefixes, prev_sources)[parents], rows)
         np.testing.assert_array_equal(prev_prefixes[parents], prefixes[:, :-1])
 
 
@@ -807,9 +832,9 @@ def test_greedy_names_every_rows_parent():
     scorers = [pattern_scorer(list(range(5, 5 + n)), vocab) for n in (3, 0, 5, 1)]
     scorers += [no_eos_scorer(vocab), random_scorer(8, vocab, scale=3.0)]
     calls = []
-    hyps = greedy_decode(recording_step(scorers, calls), DecodeConfig(max_length=9), len(scorers))
+    hyps = greedy_decode(toy_step(scorers, calls), DecodeConfig(max_length=9), len(scorers))
     assert [len(h) for h in hyps[:4]] == [3, 0, 5, 1] and len(hyps[4]) == 9
-    assert len({len(rows) for _, rows, _ in calls}) > 3  # the alive set shrinks step by step
+    assert len({len(sources) for _, sources, _ in calls}) > 3  # the alive set shrinks step by step
     assert_parent_contract(calls)
 
 
@@ -819,7 +844,7 @@ def test_beam_search_names_every_rows_parent_on_random_toy_searches():
     for draw in range(300):
         vocab, cfg, scorers = random_toy_search(rng)
         calls = []
-        beam_search(recording_step(scorers, calls), vocab, cfg, len(scorers))
+        beam_search(toy_step(scorers, calls), vocab, cfg, len(scorers))
         if scorers:
             assert_parent_contract(calls)
         reordered += sum(not np.array_equal(parents, np.arange(len(parents))) for _, _, parents in calls[1:])

@@ -242,8 +242,8 @@ def test_teacher_forced_logits_matches_eval_loss_path():
     params = init_params(cfg, named_rng(15, "init"))
     batch = random_batch(np.random.default_rng(16), cfg.vocab_size)
     with no_grad():
-        enc = encode(params, batch.source, batch.source_mask).data
-    logits = teacher_forced_logits(params, batch, enc)
+        source = source_state(params, encode(params, batch.source, batch.source_mask), batch.source_mask)
+    logits = teacher_forced_logits(params, batch, source)
     assert logits.shape == (batch.size, batch.decoder_inputs().shape[1], cfg.vocab_size)
     assert np.isfinite(logits).all()
 
@@ -454,7 +454,9 @@ def test_no_grad_passes_drop_each_activation_at_its_last_read(run):
         # 3.75 + 2 * 3.63 + 3 * 0.95 = 13.88 (13.06 measured; 20.63 while a block's scores
         # and weights both stayed alive through its output projection)
         bound = source_kv + 2 * scores + 3 * hidden
-        peak = _traced_peak_mib(lambda: teacher_forced_logits(params, batch, enc))
+        peak = _traced_peak_mib(
+            lambda: teacher_forced_logits(params, batch, source_state(params, constant(enc), batch.source_mask))
+        )
     else:
         decode_cfg = DecodeConfig(beam_size=1)  # the untrained model decodes every row to max_length
         cache = rows * heads * decode_cfg.max_length * head_dim * mib  # one layer's K or V at 80 positions: 1.25
